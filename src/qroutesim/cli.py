@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +197,7 @@ def run_rat(cfg: RunConfig) -> int:
     _write(cfg, "rat", ["depth", "m_rat"], rows,
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
+            "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
             "seed": r.seed, "trials": r.trials,
             "address_policy": "redrawn per trial (SplitMix64 stream per (seed, trial))",
             "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}})
@@ -204,12 +205,14 @@ def run_rat(cfg: RunConfig) -> int:
 
 
 def run_rat2(cfg: RunConfig) -> int:
-    r = rat_two_layer(min(cfg.n_max, 6), cfg.scheme, cfg.noise_model(), cfg.trials,
+    cfg = replace(cfg, n_max=min(cfg.n_max, 6))  # echo the depth actually run
+    r = rat_two_layer(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials,
                       cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
     rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]
     _write(cfg, "rat2", ["depth", "m_rat"], rows,
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
+            "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
             "seed": r.seed, "trials": r.trials,
             "reference_hardware_f_rat": {"eraser": 0.8240, "non-eraser": 0.8190},
             "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}})

@@ -5,21 +5,24 @@ Gates inside a moment are ideal and instantaneous; the moment's duration
 site, idle or not.  Post-selection markers project and renormalize,
 accumulating the kept probability.
 
-The density-matrix noise step is fused: one diagonal damping mask over the
-whole register plus the three population-flow updates per qutrit site,
-which is what makes depth-60 random-access-test sweeps cheap.
+`compile_circuit` builds site positions, gate tensors and one per-site
+channel table per moment duration once; callers that repeat a circuit keep
+the `CompiledCircuit`, a snapshot that later edits to the circuit do not
+reach.  The noise step damps each site through an (L, d, R, L, d, R) view
+of ρ with one broadcast multiply, then adds the cascade's population flows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .gates import Circuit, GateSpec, Moment, PostselectMarker, gate_matrix
-from .noise import DecayRates, NoiseModel, _v_entries
+from .gates import Circuit, Moment, PostselectMarker, gate_matrix
+from .noise import DecayRates, NoiseModel, _v_entries, apply_noise_step
 from .qudit import QuditRegister, _contract_axes, new_basis_state, postselect
 
 
@@ -29,102 +32,116 @@ class RunResult:
     kept_probability: float = 1.0
 
 
-def _site_factors(rates: DecayRates, t: float, dim: int) -> np.ndarray:
-    """Diagonal damping factors, entry [a, b] for coherence (a, b)."""
-    e10 = math.exp(-rates.gamma10 * t)
-    e2 = math.exp(-rates.gamma2 * t)
-    if dim == 2:
-        return np.array([[1.0, e2], [e2, e10]])
-    e21 = math.exp(-rates.gamma21 * t)
-    e3 = math.exp(-rates.gamma3 * t)
-    e4 = math.exp(-rates.gamma4 * t)
-    return np.array([[1.0, e2, e3], [e2, e10, e4], [e3, e4, e21]])
-
-
-def _noise_step_inplace(rho_t: np.ndarray, dims, rates: DecayRates, t_us: float) -> None:
-    """Apply the per-site cascade channel to a dims*2-shaped ρ tensor."""
-    if t_us <= 0:
-        return
-    n = len(dims)
-    e10 = math.exp(-rates.gamma10 * t_us)
-    v1, v2 = _v_entries(rates, t_us)
+def _channel_table(dims: tuple[int, ...], rates: DecayRates, t_us: float) -> tuple:
+    """Per-site (view shape, damping table), and the flows (1 − e10, v1, v2)."""
+    e10, e21, e2, e3, e4 = (math.exp(-g * t_us) for g in (
+        rates.gamma10, rates.gamma21, rates.gamma2, rates.gamma3, rates.gamma4))
+    # entry [a, b] damps coherence (a, b); a qubit site takes the top-left block
+    factors = np.array([[1.0, e2, e3], [e2, e10, e4], [e3, e4, e21]], dtype=complex)
+    sites = []
     for s, d in enumerate(dims):
-        view = np.moveaxis(rho_t, (s, s + n), (0, 1))
-        slab11 = view[1, 1].copy()
-        slab22 = view[2, 2].copy() if d == 3 else None
-        fac = _site_factors(rates, t_us, d)
-        for a in range(d):
-            for b in range(d):
-                if fac[a, b] != 1.0:
-                    view[a, b] *= fac[a, b]
-        view[0, 0] += (1.0 - e10) * slab11
-        if d == 3:
-            view[0, 0] += v1 * slab22
-            view[1, 1] += v2 * slab22
+        left, right = math.prod(dims[:s]), math.prod(dims[s + 1:])
+        sites.append(((left, d, right, left, d, right), factors[:d, :d].reshape(1, d, 1, 1, d, 1)))
+    return sites, (1.0 - e10, *_v_entries(rates, t_us))
 
 
-def run_circuit(
-    state: QuditRegister,
-    circuit: Circuit,
-    noise: NoiseModel | None = None,
-    site_order: list[str] | None = None,
-) -> RunResult:
-    """Run a circuit on a register whose sites match the circuit's.
+def _apply_channel_table(rho: np.ndarray, table: tuple) -> None:
+    """The cascade channel on every site of a C-contiguous ρ, in place."""
+    sites, (flow10, v1, v2) = table
+    for shape, factors in sites:
+        view = rho.reshape(shape)
+        slab11 = view[:, 1, :, :, 1, :].copy()
+        slab22 = view[:, 2, :, :, 2, :].copy() if shape[1] == 3 else None
+        view *= factors
+        view[:, 0, :, :, 0, :] += flow10 * slab11
+        if slab22 is not None:
+            view[:, 0, :, :, 0, :] += v1 * slab22
+            view[:, 1, :, :, 1, :] += v2 * slab22
 
-    With a NoiseModel the register is promoted to a density matrix and each
-    moment is followed by the fused decoherence step.  The coherent-leakage
-    part of the model (δϑ) is a property of how circuits are *built* and is
-    not applied here.
+
+class _Moment(NamedTuple):
+    gates: tuple  # (site positions, gate tensor, its conjugate) per gate
+    t_us: float
+    channel: tuple | None  # None when noiseless or no time passes
+
+
+@dataclass(frozen=True)
+class CompiledCircuit:
+    """A circuit bound to a site order and a noise model, ready to run."""
+
+    dims: tuple[int, ...]
+    steps: tuple  # _Moment entries and (site position, forbidden digit) markers
+    noise: NoiseModel | None
+
+    def run(self, state: QuditRegister) -> RunResult:
+        """Run on a register with the compiled dims (never modifying its array);
+        with a NoiseModel, ρ decoheres after each moment that has gates."""
+        dims, noise = self.dims, self.noise
+        if tuple(state.dims) != dims:
+            raise ShapeError(f"register dims {state.dims} != circuit dims {dims}")
+        if noise is not None:
+            state = state.to_mixed()
+        data, dim, n, kept = state.data, state.dim, len(dims), 1.0
+        for step in self.steps:
+            if not isinstance(step, _Moment):
+                reg, k = postselect(QuditRegister(dims, data), *step)
+                data, kept = reg.data, kept * k
+                continue
+            for sites, gate_t, gate_c in step.gates:
+                if data.ndim == 1:
+                    data = _contract_axes(data.reshape(dims), gate_t, sites).reshape(-1)
+                else:
+                    t = _contract_axes(data.reshape(list(dims) * 2), gate_t, sites)
+                    data = _contract_axes(t, gate_c, [s + n for s in sites]).reshape(dim, dim)
+            if noise is None or not step.gates:
+                continue
+            if noise.excitation_rate > 0:
+                data = apply_noise_step(QuditRegister(dims, data), noise.rates, step.t_us,
+                                        noise.excitation_rate).data
+            elif step.channel is not None:
+                # data is this moment's contraction output, never the caller's array
+                data = np.ascontiguousarray(data)
+                _apply_channel_table(data, step.channel)
+        return RunResult(QuditRegister(dims, data), kept)
+
+
+def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
+                    site_order: list[str] | None = None) -> CompiledCircuit:
+    """Build a circuit's gate tensors and per-duration channel tables once.
+
+    ``site_order`` names the register's sites in order (default: the
+    circuit's).  The coherent-leakage part of the model (δϑ) is a property
+    of how circuits are *built* and is not applied here.
     """
     names = site_order or list(circuit.site_dims)
-    if len(names) != state.n_sites:
-        raise ShapeError(f"register has {state.n_sites} sites, circuit {len(names)}")
-    for name, d in zip(names, state.dims):
-        if circuit.site_dims.get(name) != d:
-            raise ShapeError(f"site {name}: circuit dim {circuit.site_dims.get(name)} != register {d}")
-    pos = {n: i for i, n in enumerate(names)}
-    dims = state.dims
-
-    noisy = noise is not None
-    if noisy and state.is_pure:
-        state = state.to_mixed()
-    kept = 1.0
-    dim = state.dim
-
-    # the fused noise step mutates in place; never touch the caller's array
-    data = state.data.copy() if noisy else state.data
+    if any(s not in circuit.site_dims for s in names):
+        raise ShapeError(f"site order {names} names sites outside the circuit")
+    dims = tuple(circuit.site_dims[s] for s in names)
+    pos = {s: i for i, s in enumerate(names)}
+    tables: dict[float, tuple | None] = {}
+    steps = []
     for op in circuit.ops:
         if isinstance(op, PostselectMarker):
-            reg, k = postselect(QuditRegister(dims, data), pos[op.site], op.forbidden)
-            data, kept = reg.data, kept * k
+            steps.append((pos[op.site], op.forbidden))
             continue
         assert isinstance(op, Moment)
+        gates = []
         for g in op.gates:
             gdims = [dims[pos[s]] for s in g.sites]
-            gm = gate_matrix(g, tuple(gdims))
-            gate_t = gm.reshape(gdims + gdims)
-            sites = [pos[s] for s in g.sites]
-            if data.ndim == 1:
-                data = _contract_axes(data.reshape(dims), gate_t, sites).reshape(-1)
-            else:
-                t = data.reshape(list(dims) * 2)
-                t = _contract_axes(t, gate_t, sites)
-                t = _contract_axes(t, gate_t.conj(), [s + len(dims) for s in sites])
-                data = t.reshape(dim, dim)
-        if noisy and op.gates:
-            dt = op.duration_ns * 1e-3
-            if noise.excitation_rate > 0:
-                from .noise import apply_noise_step
+            gate_t = gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
+            gates.append(([pos[s] for s in g.sites], gate_t, gate_t.conj()))
+        t_us = op.duration_ns * 1e-3
+        if t_us not in tables:
+            noisy = noise is not None and t_us > 0
+            tables[t_us] = _channel_table(dims, noise.rates, t_us) if noisy else None
+        steps.append(_Moment(tuple(gates), t_us, tables[t_us]))
+    return CompiledCircuit(dims, tuple(steps), noise)
 
-                data = apply_noise_step(
-                    QuditRegister(dims, data), noise.rates, dt, noise.excitation_rate
-                ).data
-            else:
-                data = np.ascontiguousarray(data)
-                rho_t = data.reshape(list(dims) * 2)
-                _noise_step_inplace(rho_t, dims, noise.rates, dt)
-                data = rho_t.reshape(dim, dim)
-    return RunResult(QuditRegister(dims, data), kept)
+
+def run_circuit(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None = None,
+                site_order: list[str] | None = None) -> RunResult:
+    """Run a circuit once on a register whose sites match the circuit's."""
+    return compile_circuit(circuit, noise, site_order).run(state)
 
 
 def run_on_labels(circuit: Circuit, label: str, noise: NoiseModel | None = None) -> RunResult:

@@ -34,9 +34,6 @@ from .gates import (
 SCHEMES = ("clifford", "tcg-non-eraser", "tcg-eraser", "sp-tcg")
 MODES = ("full", "read-only", "write-only")
 
-#: levels of routers that the noisy density-matrix simulator will accept
-SIMULATION_LEVEL_CAP = 2
-
 
 @dataclass(frozen=True)
 class RouterNode:

@@ -14,7 +14,7 @@ observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,10 +45,6 @@ class DecayRates:
     def degenerate(self) -> bool:
         top = max(self.gamma10, self.gamma21)
         return abs(self.gamma10 - self.gamma21) < _DEGENERATE_RTOL * max(top, 1.0)
-
-    def with_t2(self, t2_us: float) -> "DecayRates":
-        g = 1.0 / t2_us
-        return replace(self, gamma2=g, gamma3=g, gamma4=g)
 
 
 def reference_rates() -> DecayRates:

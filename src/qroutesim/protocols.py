@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import run_circuit
+from .engine import compile_circuit, run_circuit
 from .errors import CapacityError, FitError
 from .gates import (
     FloquetParams,
@@ -140,12 +140,11 @@ def theta_scan(thetas, scheme: str = "eraser", noise: NoiseModel | None = None,
                phi: float = 0.0) -> ThetaScanResult:
     """Routing populations versus the address angle; noiseless law sin²θ/cos²θ."""
     theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-    circ = qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS)
+    router = compile_circuit(qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS), noise)
     basis = scheme_basis(scheme)
     rows = []
     for th in np.asarray(thetas, dtype=float):
-        state = router_input(AddressState(th, phi, basis))
-        out = run_circuit(state, circ, noise).state
+        out = router.run(router_input(AddressState(th, phi, basis))).state
         rows.append(_path_populations(out))
     arr = np.array(rows)
     return ThetaScanResult(np.asarray(thetas, float), arr[:, 0], arr[:, 1], arr[:, 2], scheme)
@@ -183,14 +182,13 @@ def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None) -> P
     mapping the high address level to 1.
     """
     theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-    circ = qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS)
+    router = compile_circuit(qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS), noise)
     basis = scheme_basis(scheme)
     high = 1 if basis == "01" else 2
     phis = np.asarray(phis, dtype=float)
     p_odd, p_even, per_state = [], [], []
     for ph in phis:
-        state = router_input(AddressState(math.pi / 4, ph, basis))
-        out = run_circuit(state, circ, noise).state
+        out = router.run(router_input(AddressState(math.pi / 4, ph, basis))).state
         out = _interference_layer(out, basis)
         p = populations(out)
         pops = np.zeros(8)
@@ -535,17 +533,16 @@ def leakage_repetition_scan(
     The parasitic phases (φ′, φ″) steer whether the per-pass leakage
     interferes constructively (π/2, worst case) or destructively (0).
     """
-    circ = qrouter_circuit(
+    router = compile_circuit(qrouter_circuit(
         scheme, parasitic=(phase, phase), theta=math.pi - delta_theta, dims=ROUTER_DIMS
-    )
+    ))
     # excited input with the high-level address: |1100⟩ or |1200⟩
     state = router_input(AddressState(math.pi / 2, 0.0, scheme_basis(scheme)))
     idx = int(np.argmax(populations(state)))
     reps, survival = [], []
     cur = state
     for k in range(1, max_reps + 1):
-        cur = run_circuit(cur, circ).state
-        cur = run_circuit(cur, circ).state
+        cur = router.run(router.run(cur).state).state
         reps.append(k)
         survival.append(float(populations(cur)[idx]))
     return LeakageScan(np.array(reps), np.array(survival), scheme, phase)

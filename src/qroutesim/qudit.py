@@ -186,17 +186,6 @@ def populations(state: QuditRegister) -> np.ndarray:
     return p
 
 
-def marginal_population(state: QuditRegister, site: int, digit: int) -> float:
-    """Probability of finding ``digit`` at ``site``."""
-    p = populations(state)
-    strides = state.dims
-    total = 0.0
-    for idx, prob in enumerate(p):
-        if digits_of(idx, strides)[site] == digit:
-            total += prob
-    return float(total)
-
-
 def postselect(
     state: QuditRegister,
     site: int,

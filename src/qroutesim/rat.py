@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import run_circuit
+from .engine import compile_circuit, run_circuit  # noqa: F401  (run_circuit: public name)
 from .errors import FitError
-from .fitting import least_squares
+from .fitting import FitReport, least_squares
 from .gates import Circuit, qrouter_circuit
 from .noise import NoiseModel, qutrit_channel, qubit_transfer
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
@@ -52,6 +52,8 @@ class RatResult:
     residual_rms: float
     seed: int
     trials: int
+    fit_converged: bool
+    fit_iterations: int  # least-squares function evaluations
     m_per_trial: np.ndarray = field(repr=False, default=None)
 
 
@@ -60,21 +62,26 @@ def rat_model(n, l1, l2, f):
     return l1 + l2 * np.power(f, 2 * np.asarray(n, dtype=float) + 1)
 
 
-def fit_rat(depths, m_values) -> tuple[tuple[float, float, float], float]:
-    """Bounded least squares of the depth curve; returns ((l1,l2,F), rms)."""
+def fit_rat(depths, m_values) -> FitReport:
+    """Bounded least squares of the depth curve; params are (l1, l2, F)."""
     depths = np.asarray(depths, dtype=float)
     m_values = np.asarray(m_values, dtype=float)
     if depths.size < 3:
         raise FitError("need at least 3 depths to fit (l1, l2, F)")
     l1_0 = float(np.clip(m_values[-1], 0.0, 1.0))
     l2_0 = float(m_values[0] - m_values[-1])
-    report = least_squares(
+    return least_squares(
         rat_model, depths, m_values,
         init=[l1_0, l2_0, 0.9],
         bounds=[(0.0, 1.0), (-2.0, 2.0), (0.0, 1.0)],
     )
-    l1, l2, f = report.params
-    return (float(l1), float(l2), float(f)), report.residual_rms
+
+
+def _rat_result(scheme: str, seed: int, per_trial: np.ndarray) -> RatResult:
+    depths, m_values = np.arange(per_trial.shape[1]), per_trial.mean(axis=0)
+    r = fit_rat(depths, m_values)
+    return RatResult(depths, m_values, scheme, tuple(map(float, r.params)), r.residual_rms,
+                     seed, len(per_trial), r.converged, r.iterations, per_trial)
 
 
 def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
@@ -171,9 +178,9 @@ class _SingleRouterRun:
         self.basis = scheme_basis(scheme)
         self.overhead = block_overhead_ns
         theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-        self.router = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
-                                      dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
-                                      single_ns=_flip_single_ns(scheme, single_ns, compiled_flip))
+        self.router = compile_circuit(qrouter_circuit(
+            scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
+            single_ns=_flip_single_ns(scheme, single_ns, compiled_flip)), noise)
         psi = np.zeros(8, dtype=complex)
         psi[4] = 1.0  # |1⟩ at Q_I, paths empty
         self.rho = np.outer(psi, psi)
@@ -182,7 +189,7 @@ class _SingleRouterRun:
     def _router_pass(self, rho4, passes: int) -> np.ndarray:
         reg = QuditRegister((2, 3, 2, 2), rho4)
         for _ in range(passes):
-            reg = run_circuit(reg, self.router, self.noise).state
+            reg = self.router.run(reg).state
         return reg.data
 
     def _block(self, rho3: np.ndarray, name: str, passes: int) -> np.ndarray:
@@ -235,7 +242,6 @@ def rat_single(
     flip composite compiled into one single-gate wall-time slot, and
     parasitic phases at the constructive worst case π/2.
     """
-    depths = np.arange(n_max + 1)
     per_trial = np.zeros((trials, n_max + 1))
     shot_rng = np.random.default_rng(seed)
     # noiseless paired blocks are exact identities on the measured register,
@@ -253,9 +259,7 @@ def rat_single(
             per_trial[trial, n] = _match(ideal_pops[names[n]], p_exp)
             if n < n_max:
                 noisy.paired_block(names[n])
-    m_values = per_trial.mean(axis=0)
-    fit, rms = fit_rat(depths, m_values)
-    return RatResult(depths, m_values, scheme, fit, rms, seed, trials, per_trial)
+    return _rat_result(scheme, seed, per_trial)
 
 
 # --- two-layer network RAT --------------------------------------------------------
@@ -263,12 +267,6 @@ def rat_single(
 # main register layout between leaf stages: (Q_I, C1, M_L, M_R, D1, D2, D3, D4)
 _MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
 _LEAF_DIMS = (2, 3, 2, 2)  # (M, C, D, D')
-
-
-def _widen(circuit: Circuit, site_dims: dict[str, int]) -> Circuit:
-    out = Circuit(dict(site_dims))
-    out.ops = circuit.ops
-    return out
 
 
 class _TwoLayerRun:
@@ -290,15 +288,17 @@ class _TwoLayerRun:
         theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
         single_eff = _flip_single_ns(scheme, single_ns, compiled_flip)
         root_sites = ("Q_I", "C1", "M_L", "M_R")
-        self.root = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
-                                    sites=root_sites, dims=(2, 3, 2, 2),
-                                    sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
+        root = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
+                               sites=root_sites, dims=(2, 3, 2, 2),
+                               sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
         names = root_sites + ("D1", "D2", "D3", "D4")
-        self.root_wide = _widen(self.root, dict(zip(names, _MAIN_DIMS)))
-        self.leaf = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
-                                    sites=("M", "C", "D", "Dp"), dims=_LEAF_DIMS,
-                                    sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
-        self.tau_router = self.leaf.duration_ns()
+        # the root router's moments over the whole 8-site register
+        self.root_wide = compile_circuit(Circuit(dict(zip(names, _MAIN_DIMS)), root.ops), noise)
+        leaf = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
+                               sites=("M", "C", "D", "Dp"), dims=_LEAF_DIMS,
+                               sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
+        self.leaf = compile_circuit(leaf, noise)
+        self.tau_router = leaf.duration_ns()
         self._super_cache: dict[tuple[str, int], np.ndarray] = {}
         self.dims = (2, 2, 2, 2, 2, 2, 2)  # (Q_I, M_L, M_R, D1..D4)
         self.rho = None
@@ -325,7 +325,7 @@ class _TwoLayerRun:
                          self.overhead + self.tau_router)
             reg = QuditRegister(dims4, rho4)
             for _ in range(passes):
-                reg = run_circuit(reg, self.leaf, self.noise).state
+                reg = self.leaf.run(reg).state
             rho4 = _idle(reg.data, dims4, [(1, 3)], self.noise,
                          self.tau_router if passes == 2 else 0.0)
             if self.scheme == "eraser":
@@ -357,7 +357,7 @@ class _TwoLayerRun:
         rho8 = _idle(rho8, dims8, [(k, d) for k, d in enumerate(dims8)],
                      self.noise, self.overhead)
         reg = QuditRegister(dims8, rho8)
-        reg = run_circuit(reg, self.root_wide, self.noise).state  # root down
+        reg = self.root_wide.run(reg).state  # root down
         rho8 = reg.data
         # leaf stage: both branches, then Q_I/C1 idle for its duration
         leaf_sites_l = (2, 4, 5)  # (M_L, D1, D2)
@@ -368,7 +368,7 @@ class _TwoLayerRun:
                      passes * self.tau_router)
         if passes == 2:
             reg = QuditRegister(dims8, rho8)
-            rho8 = run_circuit(reg, self.root_wide, self.noise).state.data  # root up
+            rho8 = self.root_wide.run(reg).state.data  # root up
         if self.scheme == "eraser":
             rho8 = _project_out(rho8, dims8, 1, 1)
         rho7, _ = _trace_out(rho8, dims8, 1)
@@ -403,7 +403,6 @@ def rat_two_layer(
     compiled_flip: bool = True,
 ) -> RatResult:
     """Two-layer-network RAT; each block draws three addresses (root, leaves)."""
-    depths = np.arange(n_max + 1)
     per_trial = np.zeros((trials, n_max + 1))
     noisy = _TwoLayerRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
                          parasitic, compiled_flip)
@@ -425,6 +424,4 @@ def rat_two_layer(
             per_trial[trial, n] = _match(oracle(triples[n]), p_exp)
             if n < n_max:
                 noisy.paired_block(triples[n])
-    m_values = per_trial.mean(axis=0)
-    fit, rms = fit_rat(depths, m_values)
-    return RatResult(depths, m_values, scheme, fit, rms, seed, trials, per_trial)
+    return _rat_result(scheme, seed, per_trial)

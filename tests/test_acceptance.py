@@ -178,6 +178,19 @@ def test_criterion_06_rat_regression(rat_results):
     report(6, not misses, f"fitted F_RAT {detail}" + (f" MISSES {misses}" if misses else ""))
 
 
+def test_criterion_06_fitted_values_pinned(rat_results):
+    # exact F_RAT of the fixture runs: drift shows here long before it
+    # leaves the criterion-6 bands (non-eraser 0% sits 0.04 points inside)
+    pinned = {
+        ("0%", "non-eraser"): 0.9437895989833122,
+        ("0%", "eraser"): 0.9428565723130428,
+        ("5%", "non-eraser"): 0.8626114799830836,
+        ("5%", "eraser"): 0.9333491656007425,
+    }
+    for key, f in pinned.items():
+        assert rat_results[key].fit[2] == pytest.approx(f, abs=1e-6), key
+
+
 def test_criterion_07_eraser_dominance(rat_results):
     worst = 1.0
     for tag in ("0%", "5%"):

@@ -120,6 +120,7 @@ def test_rat_subcommand_small(tmp_path, capsys):
     assert code == 0
     blob = json.loads((tmp_path / "rat.json").read_text())
     assert 0.0 <= blob["fit_f_rat"] <= 1.0
+    assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
     rows = (tmp_path / "rat.csv").read_text().splitlines()
     assert rows[1] == "depth,m_rat" and len(rows) == 6
 
@@ -129,3 +130,13 @@ def test_example_config_parses(tmp_path, capsys):
     cfg.write_text(example_config())
     code, _, _ = run(["counts", "--config", str(cfg), "--scheme", "tcg-eraser"], capsys)
     assert code == 0
+
+
+def test_rat2_echoes_effective_depth(tmp_path, capsys):
+    code, _, _ = run(["rat2", "--n-max", "30", "--trials", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    blob = json.loads((tmp_path / "rat2.json").read_text())
+    assert blob["config"]["n_max"] == 6
+    assert '"n_max": 6' in (tmp_path / "rat2.json").read_text()
+    assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 7
+    assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
