@@ -59,8 +59,6 @@ class RunConfig:
     gamma3: float = 1.0 / 2.5
     gamma4: float = 1.0 / 2.5
     delta_theta: float = 0.0
-    epsilon: float = 0.0
-    excitation_rate: float = 0.0
     sqrt_cz_ns: float = 25.0
     single_ns: float = 30.0
     block_overhead_ns: float = 1200.0
@@ -83,8 +81,7 @@ class RunConfig:
         if not self.noisy:
             return None
         rates = DecayRates(self.gamma10, self.gamma21, self.gamma2, self.gamma3, self.gamma4)
-        leak = LeakageSpec(self.delta_theta, self.epsilon)
-        return NoiseModel(rates, leak, self.excitation_rate)
+        return NoiseModel(rates, LeakageSpec(self.delta_theta))
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -395,7 +392,6 @@ gamma2 = 0.4
 gamma3 = 0.4
 gamma4 = 0.4
 delta_theta = 0.0
-epsilon = 0.0
 sqrt_cz_ns = 25
 single_ns = 30
 block_overhead_ns = 1200

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .gates import Circuit, Moment, PostselectMarker, gate_matrix
-from .noise import DecayRates, NoiseModel, _v_entries, apply_noise_step
+from .noise import DecayRates, NoiseModel, _v_entries
 from .qudit import QuditRegister, _contract_axes, new_basis_state, postselect
 
 
@@ -93,13 +93,9 @@ class CompiledCircuit:
                 else:
                     t = _contract_axes(data.reshape(list(dims) * 2), gate_t, sites)
                     data = _contract_axes(t, gate_c, [s + n for s in sites]).reshape(dim, dim)
-            if noise is None or not step.gates:
-                continue
-            if noise.excitation_rate > 0:
-                data = apply_noise_step(QuditRegister(dims, data), noise.rates, step.t_us,
-                                        noise.excitation_rate).data
-            elif step.channel is not None:
-                # data is this moment's contraction output, never the caller's array
+            if step.channel is not None:
+                # a moment with a duration has gates, so data is their contraction
+                # output, never the caller's array
                 data = np.ascontiguousarray(data)
                 _apply_channel_table(data, step.channel)
         return RunResult(QuditRegister(dims, data), kept)

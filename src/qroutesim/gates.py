@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qudit import index_of
+from .qudit import _contract_axes, index_of
 
 SQRT_CZ_NS = 25.0
 SINGLE_NS = 30.0
@@ -269,6 +269,10 @@ class Circuit:
         return self
 
     def add_postselect(self, site: str, forbidden: int) -> "Circuit":
+        if site not in self.site_dims:
+            raise ShapeError(f"unknown site {site}")
+        if not 0 <= forbidden < self.site_dims[site]:
+            raise ShapeError(f"digit {forbidden} out of range for site {site}")
         self.ops.append(PostselectMarker(site, forbidden))
         return self
 
@@ -329,22 +333,17 @@ def gate_matrix(spec: GateSpec, dims: tuple[int, ...]) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit, site_order: list[str] | None = None) -> np.ndarray:
     """Dense unitary of the whole circuit (small registers; tests/oracles)."""
-    from .qudit import QuditRegister, apply_gate  # local import to avoid cycle
-
     names = site_order or list(circuit.site_dims)
     dims = tuple(circuit.site_dims[n] for n in names)
     pos = {n: i for i, n in enumerate(names)}
     dim = int(np.prod(dims))
-    U = np.eye(dim, dtype=complex)
-    for m in circuit.moments():
-        for g in m.gates:
-            gm = gate_matrix(g, tuple(dims[pos[s]] for s in g.sites))
-            cols = []
-            for j in range(dim):
-                col = QuditRegister(dims, U[:, j].copy())
-                cols.append(apply_gate(col, gm, [pos[s] for s in g.sites]).data)
-            U = np.stack(cols, axis=1)
-    return U
+    # the identity's columns ride along on a trailing axis
+    U = np.eye(dim, dtype=complex).reshape(dims + (dim,))
+    for g in circuit.gates():
+        gdims = [dims[pos[s]] for s in g.sites]
+        gate_t = gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
+        U = _contract_axes(U, gate_t, [pos[s] for s in g.sites])
+    return U.reshape(dim, dim)
 
 
 # --- composite builders -------------------------------------------------------
@@ -600,47 +599,55 @@ def dumps_circuit(circuit: Circuit) -> str:
 
 
 def loads_circuit(text: str) -> Circuit:
+    """Parse the text form of `dumps_circuit`; malformed input raises
+    ShapeError naming the line (for a moment's site checks, its MOMENT line)."""
     circuit: Circuit | None = None
-    current: Moment | None = None
+    moment_ln, gates = 0, None  # the open MOMENT, added through add_moment when it closes
+
+    def close_moment():
+        if gates is not None:
+            try:
+                circuit.add_moment(*gates)
+            except ShapeError as exc:
+                raise ShapeError(f"line {moment_ln}: {exc}") from exc
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tok = line.split()
-        if tok[0] == "SITES":
-            dims = {}
-            for item in tok[1:]:
-                name, _, d = item.partition(":")
-                dims[name] = int(d)
-            circuit = Circuit(dims)
-        elif tok[0] == "MOMENT":
-            if circuit is None:
-                raise ShapeError(f"line {ln}: MOMENT before SITES")
-            current = Moment()
-            circuit.ops.append(current)
-        elif tok[0] == "POSTSELECT":
-            if circuit is None:
-                raise ShapeError(f"line {ln}: POSTSELECT before SITES")
-            circuit.ops.append(PostselectMarker(tok[1], int(tok[2])))
-            current = None
-        elif tok[0] == "GATE":
-            if circuit is None or current is None:
-                raise ShapeError(f"line {ln}: GATE outside a MOMENT")
-            name = tok[1]
-            sites = []
-            params = []
-            duration = SINGLE_NS
-            for item in tok[2:]:
-                if "=" in item:
-                    k, _, v = item.partition("=")
-                    params.append((k, float(v)))
-                elif item in circuit.site_dims:
-                    sites.append(item)
-                else:
-                    duration = float(item)
-            current.gates.append(GateSpec(name, tuple(sites), tuple(params), duration))
-        else:
-            raise ShapeError(f"line {ln}: unknown directive {tok[0]!r}")
+        if tok[0] != "GATE":
+            close_moment()
+            gates = None
+        try:
+            if tok[0] == "SITES":
+                circuit = Circuit({name: int(d) for name, _, d in
+                                   (item.partition(":") for item in tok[1:])})
+            elif circuit is None:
+                raise ShapeError(f"{tok[0]} before SITES")
+            elif tok[0] == "MOMENT":
+                moment_ln, gates = ln, []
+            elif tok[0] == "POSTSELECT":
+                site, forbidden = tok[1:]
+                circuit.add_postselect(site, int(forbidden))
+            elif tok[0] == "GATE":
+                if gates is None:
+                    raise ShapeError("GATE outside a MOMENT")
+                sites, params, duration = [], [], SINGLE_NS
+                for item in tok[2:]:
+                    if "=" in item:
+                        k, _, v = item.partition("=")
+                        params.append((k, float(v)))
+                    elif item in circuit.site_dims:
+                        sites.append(item)
+                    else:
+                        duration = float(item)
+                gates.append(GateSpec(tok[1], tuple(sites), tuple(params), duration))
+            else:
+                raise ShapeError(f"unknown directive {tok[0]!r}")
+        except (ShapeError, ValueError, IndexError) as exc:
+            raise ShapeError(f"line {ln}: {exc}") from exc
+    close_moment()
     if circuit is None:
         raise ShapeError("no SITES line found")
     return circuit

@@ -323,7 +323,7 @@ def two_layer_landscape(theta1s, theta2s, scheme: str = "eraser",
     surfaces P_D1 = sin²θ1 sin²θ2 ... P_D4 = cos²θ1 cos²θ2 noiselessly.
     Noisy runs include the standard per-block initialization window.
     """
-    from .protocols import AddressState, scheme_basis
+    from .protocols import AddressState, _ordered_sums, scheme_basis
     from .rat import _TwoLayerRun
 
     if scheme not in ("eraser", "non-eraser"):
@@ -334,14 +334,12 @@ def two_layer_landscape(theta1s, theta2s, scheme: str = "eraser",
     theta1s = np.asarray(theta1s, dtype=float)
     theta2s = np.asarray(theta2s, dtype=float)
     out = np.zeros((theta1s.size, theta2s.size, 4))
+    # marginals of D1..D4, sites 1..4 of the measured (Q_I, D1..D4)
+    excited = np.indices((2,) * 5).reshape(5, 32)[1:] == 1
     for i, t1 in enumerate(theta1s):
         for j, t2 in enumerate(theta2s):
             run.reset()
             addr = (AddressState(t1, 0.0, basis), AddressState(t2, 0.0, basis),
                     AddressState(t2, 0.0, basis))
-            p = run.measure_final(addr)
-            # marginals of D1..D4 (sites 1..4 of the measured (Q_I, D1..D4))
-            for d in range(4):
-                mask = [(idx >> (3 - d)) & 1 for idx in range(32)]
-                out[i, j, d] = float(sum(p[idx] for idx in range(32) if mask[idx]))
+            out[i, j] = _ordered_sums(np.where(excited, run.measure_final(addr), 0.0))
     return out

@@ -54,34 +54,30 @@ def reference_rates() -> DecayRates:
 
 @dataclass(frozen=True)
 class LeakageSpec:
-    """Coherent leakage knobs: √CZ under-rotation and the rate-model ε."""
+    """Coherent leakage: the √CZ under-rotation."""
 
     delta_theta: float = 0.0  # each sqrt_cz runs at ϑ = π − δϑ
-    epsilon: float = 0.0      # 1/μs, rate-equation leakage per conditional swap
 
     def __post_init__(self):
         if not 0.0 <= self.delta_theta < math.pi:
             raise ValueError("delta_theta must be in [0, π)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
 
     @property
     def theta(self) -> float:
         return math.pi - self.delta_theta
 
     @classmethod
-    def from_leak_probability(cls, p: float, epsilon: float = 0.0) -> "LeakageSpec":
+    def from_leak_probability(cls, p: float) -> "LeakageSpec":
         """δϑ such that one √CZ leaves fraction p of the |11⟩ population behind."""
-        return cls(delta_theta=2.0 * math.asin(math.sqrt(p)), epsilon=epsilon)
+        return cls(delta_theta=2.0 * math.asin(math.sqrt(p)))
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Uniform-site noise: decay rates, leakage, optional thermal excitation."""
+    """Uniform-site noise: decay rates and leakage."""
 
     rates: DecayRates = DecayRates()
     leakage: LeakageSpec = LeakageSpec()
-    excitation_rate: float = 0.0  # 1/μs, crude upward 0→1→2 extension, off by default
 
 
 def _v_entries(rates: DecayRates, t: float) -> tuple[float, float]:
@@ -95,9 +91,7 @@ def _v_entries(rates: DecayRates, t: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=4096)
-def _transfer_cached(rates: DecayRates, t: float, excitation: float) -> np.ndarray:
-    if excitation > 0.0:
-        return _transfer_with_excitation(rates, t, excitation)
+def _transfer_cached(rates: DecayRates, t: float) -> np.ndarray:
     g10, g21 = rates.gamma10, rates.gamma21
     v1, v2 = _v_entries(rates, t)
     T = np.zeros((9, 9))
@@ -114,39 +108,14 @@ def _transfer_cached(rates: DecayRates, t: float, excitation: float) -> np.ndarr
     return T
 
 
-def _transfer_with_excitation(rates: DecayRates, t: float, xi: float) -> np.ndarray:
-    """expm of the rate generator with uniform upward rate ξ added."""
-    from scipy.linalg import expm
-
-    G = np.zeros((9, 9))
-    g10, g21 = rates.gamma10, rates.gamma21
-    # populations: indices 0, 4, 8
-    G[0, 4] += g10
-    G[4, 4] -= g10
-    G[4, 8] += g21
-    G[8, 8] -= g21
-    G[4, 0] += xi
-    G[0, 0] -= xi
-    G[8, 4] += xi
-    G[4, 4] -= xi
-    # coherences: pure decay plus half the extra population flow
-    for idx, g in ((1, rates.gamma2), (3, rates.gamma2), (2, rates.gamma3),
-                   (6, rates.gamma3), (5, rates.gamma4), (7, rates.gamma4)):
-        G[idx, idx] -= g + xi
-    T = expm(G * t)
-    T.setflags(write=False)
-    return T
-
-
-def qutrit_channel(rates: DecayRates, t_us: float, site: int = 0,
-                   excitation_rate: float = 0.0) -> ChannelMap:
+def qutrit_channel(rates: DecayRates, t_us: float, site: int = 0) -> ChannelMap:
     """The 9×9 transfer matrix for evolution time t (μs) on one qutrit site.
 
     Identity at t=0; satisfies channel(t1)∘channel(t2) = channel(t1+t2).
     """
     if t_us < 0:
         raise InvalidTime(f"negative time {t_us}")
-    return ChannelMap(site, _transfer_cached(rates, float(t_us), float(excitation_rate)))
+    return ChannelMap(site, _transfer_cached(rates, float(t_us)))
 
 
 def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
@@ -162,8 +131,7 @@ def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
     return T
 
 
-def apply_noise_step(state: QuditRegister, rates, dt_us: float,
-                     excitation_rate: float = 0.0) -> QuditRegister:
+def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister:
     """Site-wise decoherence over dt (μs); requires a mixed register.
 
     ``rates`` is a single DecayRates applied to every site, or a sequence
@@ -180,7 +148,7 @@ def apply_noise_step(state: QuditRegister, rates, dt_us: float,
         if r is None:
             continue
         if state.dims[site] == 3:
-            state = apply_channel(state, qutrit_channel(r, dt_us, site, excitation_rate))
+            state = apply_channel(state, qutrit_channel(r, dt_us, site))
         else:
             state = apply_channel(state, ChannelMap(site, qubit_transfer(r, dt_us)))
     return state

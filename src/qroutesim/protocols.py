@@ -25,7 +25,6 @@ from .noise import NoiseModel
 from .qudit import (
     QuditRegister,
     apply_gate,
-    digits_of,
     from_site_states,
     partial_trace,
     populations,
@@ -112,19 +111,16 @@ def router_input(address: AddressState, dims=ROUTER_DIMS) -> QuditRegister:
     return from_site_states(dims, [one, address.site_vector(), zero2, zero2])
 
 
+def _ordered_sums(weights: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, accumulated in index order (np.sum pairs terms
+    up, which rounds differently)."""
+    return np.cumsum(weights, axis=-1)[..., -1]
+
+
 def _path_populations(state: QuditRegister) -> tuple[float, float, float]:
     """(P_L, P_R, P_I): marginal excitation of each path/input site."""
-    p = populations(state)
-    pl = pr = pi = 0.0
-    for idx, prob in enumerate(p):
-        d = digits_of(idx, state.dims)
-        if d[2] != 0:
-            pl += prob
-        if d[3] != 0:
-            pr += prob
-        if d[0] != 0:
-            pi += prob
-    return pl, pr, pi
+    excited = np.indices(state.dims).reshape(state.n_sites, -1)[[2, 3, 0]] != 0
+    return tuple(_ordered_sums(np.where(excited, populations(state), 0.0)))
 
 
 @dataclass
@@ -174,6 +170,9 @@ def _interference_layer(state: QuditRegister, basis: str) -> QuditRegister:
     return apply_gate(state, half2, [3])
 
 
+_ODD_KEYS = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=bool)  # parity of c + l + r
+
+
 def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None) -> PhiScanResult:
     """Parity interference at θ=π/4: P_O = (1 − sin(φ+φ0))/2.
 
@@ -190,25 +189,10 @@ def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None) -> P
     for ph in phis:
         out = router.run(router_input(AddressState(math.pi / 4, ph, basis))).state
         out = _interference_layer(out, basis)
-        p = populations(out)
-        pops = np.zeros(8)
-        po = pe = 0.0
-        for idx, prob in enumerate(p):
-            d = digits_of(idx, out.dims)
-            if d[0] != 0:
-                continue  # residual input excitation: not part of the 8-state set
-            if d[1] == high:
-                c = 1
-            elif d[1] == 0:
-                c = 0
-            else:
-                continue  # eraser-detected leakage level
-            key = c * 4 + d[2] * 2 + d[3]
-            pops[key] += prob
-            if (c + d[2] + d[3]) % 2:
-                po += prob
-            else:
-                pe += prob
+        # Q_I = 0 (residual input excitation is not one of the 8 states), and
+        # Q_C at 0 or high (the eraser's leakage level is dropped): key 4c+2l+r
+        pops = populations(out).reshape(out.dims)[0, [0, high]].reshape(8)
+        po, pe = _ordered_sums(np.where([_ODD_KEYS, ~_ODD_KEYS], pops, 0.0))
         p_odd.append(po)
         p_even.append(pe)
         per_state.append(pops)

@@ -13,6 +13,7 @@ concurrently without locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class QuditRegister:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def is_pure(self) -> bool:
@@ -186,6 +187,24 @@ def populations(state: QuditRegister) -> np.ndarray:
     return p
 
 
+def project(state: QuditRegister, site: int, digit: int) -> tuple[QuditRegister, float]:
+    """Project out every component carrying ``digit`` at ``site``, unnormalized.
+
+    Returns the projected register and its kept probability (norm² or trace).
+    """
+    site = _check_sites(state, [site])[0]
+    if not 0 <= digit < state.dims[site]:
+        raise ShapeError(f"digit {digit} out of range for site {site} (dim {state.dims[site]})")
+    keep = np.ones(state.dims, dtype=bool)
+    keep[(slice(None),) * site + (digit,)] = False
+    keep = keep.reshape(-1)
+    if state.is_pure:
+        vec = state.data * keep
+        return QuditRegister(state.dims, vec), float(np.vdot(vec, vec).real)
+    rho = state.data * np.outer(keep, keep)
+    return QuditRegister(state.dims, rho), float(np.trace(rho).real)
+
+
 def postselect(
     state: QuditRegister,
     site: int,
@@ -197,21 +216,23 @@ def postselect(
     Returns the renormalized register and the kept probability.  Raises
     AllDiscarded when the kept weight is numerically zero.
     """
-    _check_sites(state, [site])
-    keep = np.array(
-        [digits_of(i, state.dims)[site] != forbidden for i in range(state.dim)]
-    )
-    if state.is_pure:
-        vec = state.data * keep
-        kept = float(np.vdot(vec, vec).real)
-        if kept < policy.discard_floor:
-            raise AllDiscarded(f"post-selection on site {site} kept {kept}")
-        return QuditRegister(state.dims, vec / np.sqrt(kept)), kept
-    rho = state.data * np.outer(keep, keep)
-    kept = float(np.trace(rho).real)
+    out, kept = project(state, site, forbidden)
     if kept < policy.discard_floor:
         raise AllDiscarded(f"post-selection on site {site} kept {kept}")
-    return QuditRegister(state.dims, rho / kept), kept
+    norm = np.sqrt(kept) if state.is_pure else kept
+    return QuditRegister(state.dims, out.data / norm), kept
+
+
+def attach_site(state: QuditRegister, pos: int, site_rho: np.ndarray) -> QuditRegister:
+    """Density matrix with a new site in state ``site_rho`` inserted at index ``pos``."""
+    dims, n = state.dims, state.n_sites
+    t = np.tensordot(site_rho, state.density().reshape(list(dims) * 2), axes=0)
+    # (c, q, kets..., bras...) -> (kets[:pos], c, kets[pos:], bras[:pos], q, bras[pos:])
+    kets, bras = list(range(2, 2 + n)), list(range(2 + n, 2 + 2 * n))
+    order = kets[:pos] + [0] + kets[pos:] + bras[:pos] + [1] + bras[pos:]
+    new_dims = dims[:pos] + (site_rho.shape[0],) + dims[pos:]
+    dim = math.prod(new_dims)
+    return QuditRegister(new_dims, t.transpose(order).reshape(dim, dim))
 
 
 def partial_trace(state: QuditRegister, keep) -> QuditRegister:
@@ -230,7 +251,7 @@ def partial_trace(state: QuditRegister, keep) -> QuditRegister:
     perm = [remaining.index(s) for s in keep]
     half = rho.ndim // 2
     rho = rho.transpose(perm + [p + half for p in perm])
-    d = int(np.prod([state.dims[s] for s in keep]))
+    d = math.prod(state.dims[s] for s in keep)
     return QuditRegister(tuple(state.dims[s] for s in keep), rho.reshape(d, d))
 
 
@@ -247,17 +268,14 @@ def fidelity_to_pure(state: QuditRegister, target: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ChannelMap:
-    """Transfer matrix acting on a vectorized single-site density matrix.
+    """Transfer matrix acting on a vectorized density matrix of one site, or
+    of the sites in a tuple (their joint matrix, labels in tuple order).
 
     The vectorization is row-major: (ρ00, ρ01, ..., ρ_{d-1,d-1}).
     """
 
-    site: int
+    site: int | tuple[int, ...]
     transfer: np.ndarray = field(repr=False)
-
-    @property
-    def site_dim(self) -> int:
-        return int(round(np.sqrt(self.transfer.shape[0])))
 
 
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
@@ -291,21 +309,23 @@ def is_cptp(transfer: np.ndarray, eig_floor: float = -1e-9, tp_atol: float = 1e-
 
 
 def apply_channel(state: QuditRegister, channel: ChannelMap) -> QuditRegister:
-    """Apply a single-site transfer matrix to a density-matrix register."""
+    """Apply a channel's transfer matrix to a density-matrix register."""
     if state.is_pure:
         raise RequiresMixed("channels act on density matrices; call to_mixed() first")
-    site = _check_sites(state, [channel.site])[0]
-    d = state.dims[site]
+    sites = _check_sites(state, [channel.site] if np.isscalar(channel.site) else channel.site)
+    d = math.prod(state.dims[s] for s in sites)
     if channel.transfer.shape != (d * d, d * d):
         raise ShapeError(
-            f"transfer shape {channel.transfer.shape} does not fit site dim {d}"
+            f"transfer shape {channel.transfer.shape} does not fit sites {sites} (dim {d})"
         )
     n = state.n_sites
     rho = state.data.reshape(list(state.dims) * 2)
-    # bring the (ket, bra) axes of the site to the front, apply, restore
-    rho = np.moveaxis(rho, (site, site + n), (0, 1))
+    # bring the (ket, bra) axes of the sites to the front, apply, restore
+    axes = sites + [s + n for s in sites]
+    front = list(range(len(axes)))
+    rho = np.moveaxis(rho, axes, front)
     shape = rho.shape
     flat = rho.reshape(d * d, -1)
     flat = channel.transfer @ flat
-    rho = np.moveaxis(flat.reshape(shape), (0, 1), (site, site + n))
+    rho = np.moveaxis(flat.reshape(shape), front, axes)
     return QuditRegister(state.dims, rho.reshape(state.dim, state.dim))

@@ -28,9 +28,10 @@ from .engine import compile_circuit, run_circuit  # noqa: F401  (run_circuit: pu
 from .errors import FitError
 from .fitting import FitReport, least_squares
 from .gates import Circuit, qrouter_circuit
-from .noise import NoiseModel, qutrit_channel, qubit_transfer
+from .noise import NoiseModel, apply_noise_step
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
-from .qudit import QuditRegister
+from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, new_basis_state,
+                    partial_trace, populations, project)
 
 _SUPPORT_TOL = 1e-9
 
@@ -89,62 +90,30 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
     return 1.0 - float(np.abs(p_ideal[support] - p_exp[support]).sum())
 
 
-# --- raw density-matrix plumbing (unnormalized-safe) ---------------------------
+# --- address blocks ---------------------------------------------------------------
 
 
-def _attach_site(rho: np.ndarray, dims: tuple[int, ...], pos: int,
-                 site_rho: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Insert a fresh site in state ``site_rho`` at index ``pos``."""
-    n = len(dims)
-    d = site_rho.shape[0]
-    t = rho.reshape(list(dims) * 2)
-    t = np.tensordot(site_rho, t, axes=0)  # (c, q, kets..., bras...)
-    # desired axis order: kets[:pos], c, kets[pos:], bras[:pos], q, bras[pos:]
-    order = list(range(2, 2 + pos)) + [0] + list(range(2 + pos, 2 + n))
-    order += list(range(2 + n, 2 + n + pos)) + [1] + list(range(2 + n + pos, 2 + 2 * n))
-    new_dims = dims[:pos] + (d,) + dims[pos:]
-    dim = int(np.prod(new_dims))
-    return t.transpose(order).reshape(dim, dim), new_dims
+def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> QuditRegister:
+    """Decoherence on ``sites`` only, for dt_ns.  This stays on the
+    transfer-matrix path: the fused engine kernel rounds differently, and a
+    one-trial F_RAT fit is ill-conditioned enough to amplify that."""
+    if noise is None:
+        return reg
+    rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
+    return apply_noise_step(reg, rates, dt_ns * 1e-3)
 
 
-def _trace_out(rho: np.ndarray, dims: tuple[int, ...], pos: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    n = len(dims)
-    t = rho.reshape(list(dims) * 2)
-    t = np.trace(t, axis1=pos, axis2=pos + n)
-    new_dims = dims[:pos] + dims[pos + 1:]
-    dim = int(np.prod(new_dims))
-    return t.reshape(dim, dim), new_dims
+def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
+    """End of a block: the eraser drops the address's |1⟩ branch (unnormalized),
+    then the address at site 1 is traced out."""
+    if scheme == "eraser":
+        reg, _ = project(reg, 1, 1)
+    return partial_trace(reg, [k for k in range(reg.n_sites) if k != 1])
 
 
-def _project_out(rho: np.ndarray, dims: tuple[int, ...], pos: int, digit: int) -> np.ndarray:
-    """PρP with P removing ``digit`` at site ``pos`` (no renormalization)."""
-    n = len(dims)
-    t = rho.reshape(list(dims) * 2).copy()
-    sl = [slice(None)] * (2 * n)
-    sl[pos] = digit
-    t[tuple(sl)] = 0.0
-    sl = [slice(None)] * (2 * n)
-    sl[pos + n] = digit
-    t[tuple(sl)] = 0.0
-    dim = int(np.prod(dims))
-    return t.reshape(dim, dim)
-
-
-def _idle(rho: np.ndarray, dims, sites_dims: list[tuple[int, int]],
-          noise: NoiseModel | None, dt_ns: float) -> np.ndarray:
-    """Manual decoherence on selected (site, dim) pairs for dt_ns."""
-    if noise is None or dt_ns <= 0:
-        return rho
-    from .qudit import apply_channel, ChannelMap
-
-    reg = QuditRegister(tuple(dims), rho)
-    t_us = dt_ns * 1e-3
-    for site, d in sites_dims:
-        if d == 3:
-            reg = apply_channel(reg, qutrit_channel(noise.rates, t_us, site))
-        else:
-            reg = apply_channel(reg, ChannelMap(site, qubit_transfer(noise.rates, t_us)))
-    return reg.data
+def _normalized(p: np.ndarray) -> np.ndarray:
+    total = p.sum()
+    return p / total if total > 0 else p
 
 
 def _addr_rho(addr, basis: str) -> np.ndarray:
@@ -181,38 +150,23 @@ class _SingleRouterRun:
         self.router = compile_circuit(qrouter_circuit(
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
             single_ns=_flip_single_ns(scheme, single_ns, compiled_flip)), noise)
-        psi = np.zeros(8, dtype=complex)
-        psi[4] = 1.0  # |1⟩ at Q_I, paths empty
-        self.rho = np.outer(psi, psi)
-        self.dims = (2, 2, 2)
+        self.state = new_basis_state((2, 2, 2), "100").to_mixed()  # |1⟩ at Q_I, paths empty
 
-    def _router_pass(self, rho4, passes: int) -> np.ndarray:
-        reg = QuditRegister((2, 3, 2, 2), rho4)
-        for _ in range(passes):
-            reg = self.router.run(reg).state
-        return reg.data
-
-    def _block(self, rho3: np.ndarray, name: str, passes: int) -> np.ndarray:
+    def _block(self, reg3: QuditRegister, name: str, passes: int) -> QuditRegister:
         # block-initialization window: every site (fresh address included)
         # idles for the overhead before the routers fire
-        rho4, dims4 = _attach_site(rho3, self.dims, 1, _addr_rho(name, self.basis))
-        rho4 = _idle(rho4, dims4, [(0, 2), (1, 3), (2, 2), (3, 2)], self.noise, self.overhead)
-        rho4 = self._router_pass(rho4, passes)
-        if self.scheme == "eraser":
-            rho4 = _project_out(rho4, dims4, 1, 1)
-        rho3, _ = _trace_out(rho4, dims4, 1)
-        return rho3
+        reg = attach_site(reg3, 1, _addr_rho(name, self.basis))
+        reg = _idle(reg, self.noise, self.overhead, range(4))
+        for _ in range(passes):
+            reg = self.router.run(reg).state
+        return _discard_address(reg, self.scheme)
 
     def paired_block(self, name: str) -> None:
-        self.rho = self._block(self.rho, name, passes=2)
+        self.state = self._block(self.state, name, passes=2)
 
     def measure_final(self, name: str) -> np.ndarray:
         """Populations over (Q_I, Q_L, Q_R) after the last single block."""
-        rho3 = self._block(self.rho.copy(), name, passes=1)
-        p = np.real(np.diag(rho3)).copy()
-        p[p < 0] = 0.0
-        total = p.sum()
-        return p / total if total > 0 else p
+        return _normalized(populations(self._block(self.state, name, passes=1)))
 
 
 def draw_addresses(seed: int, trial: int, count: int) -> list[str]:
@@ -300,15 +254,12 @@ class _TwoLayerRun:
         self.leaf = compile_circuit(leaf, noise)
         self.tau_router = leaf.duration_ns()
         self._super_cache: dict[tuple[str, int], np.ndarray] = {}
-        self.dims = (2, 2, 2, 2, 2, 2, 2)  # (Q_I, M_L, M_R, D1..D4)
-        self.rho = None
         self.reset()
 
     def reset(self) -> None:
-        """Fresh run state: excitation at the bus input, leaves empty."""
-        psi = np.zeros(int(np.prod(self.dims)), dtype=complex)
-        psi[1 << 6] = 1.0
-        self.rho = np.outer(psi, psi)
+        """Fresh run state over (Q_I, M_L, M_R, D1..D4): excitation at the bus
+        input, leaves empty."""
+        self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
 
     def _leaf_superop(self, name: str, passes: int) -> np.ndarray:
         key = (name, passes)
@@ -319,75 +270,39 @@ class _TwoLayerRun:
         for k in range(64):
             e = np.zeros((8, 8), dtype=complex)
             e[k // 8, k % 8] = 1.0
-            rho4, dims4 = _attach_site(e, (2, 2, 2), 1, addr)
+            reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
             # the leaf address idles through the init window and the root pass
-            rho4 = _idle(rho4, dims4, [(1, 3)], self.noise,
-                         self.overhead + self.tau_router)
-            reg = QuditRegister(dims4, rho4)
+            reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1,))
             for _ in range(passes):
                 reg = self.leaf.run(reg).state
-            rho4 = _idle(reg.data, dims4, [(1, 3)], self.noise,
-                         self.tau_router if passes == 2 else 0.0)
-            if self.scheme == "eraser":
-                rho4 = _project_out(rho4, dims4, 1, 1)
-            rho3, _ = _trace_out(rho4, dims4, 1)
-            cols.append(rho3.reshape(-1))
+            reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1,))
+            cols.append(_discard_address(reg, self.scheme).data.reshape(-1))
         S = np.stack(cols, axis=1)
         self._super_cache[key] = S
         return S
 
-    def _apply_leaf(self, rho: np.ndarray, dims, sites: tuple[int, int, int],
-                    name: str, passes: int) -> np.ndarray:
-        S = self._leaf_superop(name, passes)
-        n = len(dims)
-        t = rho.reshape(list(dims) * 2)
-        axes = list(sites) + [s + n for s in sites]
-        t = np.moveaxis(t, axes, range(6))
-        shape = t.shape
-        flat = t.reshape(64, -1)
-        flat = S @ flat
-        t = np.moveaxis(flat.reshape(shape), range(6), axes)
-        dim = int(np.prod(dims))
-        return t.reshape(dim, dim)
-
-    def _network_block(self, rho7: np.ndarray, names: tuple[str, str, str],
-                       passes: int) -> np.ndarray:
+    def _network_block(self, reg7: QuditRegister, names: tuple[str, str, str],
+                       passes: int) -> QuditRegister:
         a_root, a_left, a_right = names
-        rho8, dims8 = _attach_site(rho7, self.dims, 1, _addr_rho(a_root, self.basis))
-        rho8 = _idle(rho8, dims8, [(k, d) for k, d in enumerate(dims8)],
-                     self.noise, self.overhead)
-        reg = QuditRegister(dims8, rho8)
+        reg = attach_site(reg7, 1, _addr_rho(a_root, self.basis))
+        reg = _idle(reg, self.noise, self.overhead, range(8))
         reg = self.root_wide.run(reg).state  # root down
-        rho8 = reg.data
-        # leaf stage: both branches, then Q_I/C1 idle for its duration
-        leaf_sites_l = (2, 4, 5)  # (M_L, D1, D2)
-        leaf_sites_r = (3, 6, 7)  # (M_R, D3, D4)
-        rho8 = self._apply_leaf(rho8, dims8, leaf_sites_l, a_left, passes)
-        rho8 = self._apply_leaf(rho8, dims8, leaf_sites_r, a_right, passes)
-        rho8 = _idle(rho8, dims8, [(0, 2), (1, 3)], self.noise,
-                     passes * self.tau_router)
+        # leaf stage: both branches on (M_L, D1, D2) and (M_R, D3, D4),
+        # then Q_I/C1 idle for its duration
+        for sites, name in (((2, 4, 5), a_left), ((3, 6, 7), a_right)):
+            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, passes)))
+        reg = _idle(reg, self.noise, passes * self.tau_router, (0, 1))
         if passes == 2:
-            reg = QuditRegister(dims8, rho8)
-            rho8 = self.root_wide.run(reg).state.data  # root up
-        if self.scheme == "eraser":
-            rho8 = _project_out(rho8, dims8, 1, 1)
-        rho7, _ = _trace_out(rho8, dims8, 1)
-        return rho7
+            reg = self.root_wide.run(reg).state  # root up
+        return _discard_address(reg, self.scheme)
 
     def paired_block(self, names) -> None:
-        self.rho = self._network_block(self.rho, tuple(names), passes=2)
+        self.state = self._network_block(self.state, tuple(names), passes=2)
 
     def measure_final(self, names) -> np.ndarray:
         """Populations over (Q_I, D1..D4) after a single down-routing block."""
-        rho7 = self._network_block(self.rho.copy(), tuple(names), passes=1)
-        t = rho7.reshape(list(self.dims) * 2)
-        for pos in (2, 1):  # trace out M_R then M_L
-            t = np.trace(t, axis1=pos, axis2=pos + t.ndim // 2)
-        rho5 = t.reshape(32, 32)
-        p = np.real(np.diag(rho5)).copy()
-        p[p < 0] = 0.0
-        total = p.sum()
-        return p / total if total > 0 else p
+        reg = self._network_block(self.state, tuple(names), passes=1)
+        return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
 
 
 def rat_two_layer(

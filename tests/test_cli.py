@@ -78,11 +78,13 @@ def test_malformed_config_exit_2(tmp_path, capsys):
 
 
 def test_unknown_config_field_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[protocol]\nbananas = 3\n")
-    code, _, err = run(["rat", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "bananas" in err
+    # epsilon and excitation_rate are deleted fields: configs naming them must fail loudly
+    for key in ("bananas", "epsilon", "excitation_rate"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[protocol]\n{key} = 3\n")
+        code, _, err = run(["rat", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert key in err
 
 
 def test_missing_config_exit_2(capsys):

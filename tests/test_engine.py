@@ -105,8 +105,7 @@ def _reference_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | N
             gdims = tuple(circuit.site_dims[s] for s in g.sites)
             reg = apply_gate(reg, gate_matrix(g, gdims), [pos[s] for s in g.sites])
         if noise is not None and op.gates:
-            reg = apply_noise_step(reg, noise.rates, op.duration_ns * 1e-3,
-                                   noise.excitation_rate)
+            reg = apply_noise_step(reg, noise.rates, op.duration_ns * 1e-3)
     return reg, kept
 
 
@@ -187,15 +186,6 @@ def test_compiled_postselect_keeps_probability():
         assert res.kept_probability == pytest.approx(kept, abs=1e-12)
         assert np.abs(res.state.data - want.data).max() < 1e-12
     assert 0.4 < kept < 0.6
-
-
-def test_excitation_path_is_apply_noise_step():
-    noise = NoiseModel(reference_rates(), excitation_rate=0.05)
-    circ = qrouter_circuit("eraser", dims=(2, 3, 2, 2))
-    start = router_input(AddressState(0.7, 0.3, "02"))
-    got = compile_circuit(circ, noise).run(start).state
-    want, _ = _reference_run(start, circ, noise)
-    assert np.array_equal(got.data, want.data)
 
 
 def test_compile_rejects_unknown_site_order():

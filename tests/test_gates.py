@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qroutesim.engine import run_circuit
+from qroutesim.errors import ShapeError
 from qroutesim.gates import (
     CSWAP_BLOCK,
     ROUTING_LABELS,
@@ -274,3 +275,16 @@ def test_moment_rejects_site_collision():
     c = Circuit({"a": 2, "b": 2})
     with pytest.raises(Exception):
         c.add_moment(GateSpec("x", ("a",)), GateSpec("x", ("a",)))
+
+
+@pytest.mark.parametrize("body, line", [
+    ("MOMENT\nGATE x a 30\nGATE x a 30\n", 3),  # site used twice in one moment
+    ("MOMENT\nGATE x01 zz 30\n", 4),            # unknown site token
+    ("POSTSELECT zz 1\n", 3),                   # post-selection on an unknown site
+    ("POSTSELECT a\n", 3),                      # missing forbidden digit
+    ("SITES a:x\n", 3),                         # non-integer dimension
+])
+def test_loads_circuit_rejects_malformed_text(body, line):
+    text = "# qroutesim-circuit v1\nSITES a:2 b:3\n" + body
+    with pytest.raises(ShapeError, match=f"^line {line}: "):
+        loads_circuit(text)

@@ -234,16 +234,6 @@ def test_apply_noise_step_factorizes():
     assert np.abs(out.data - joint_out).max() < 1e-12
 
 
-def test_excitation_extension_flag():
-    chan = qutrit_channel(RATES, 1.0, excitation_rate=0.01)
-    assert is_cptp(chan.transfer, eig_floor=-1e-9)
-    # upward flow: ground state gains excited population
-    rho0 = np.zeros(9)
-    rho0[0] = 1.0
-    out = (chan.transfer @ rho0).reshape(3, 3)
-    assert out[1, 1].real > 0
-
-
 def test_leakage_spec_mapping():
     spec = LeakageSpec.from_leak_probability(0.05)
     assert math.sin(spec.delta_theta / 2) ** 2 == pytest.approx(0.05)

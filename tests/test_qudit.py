@@ -11,6 +11,7 @@ from qroutesim.qudit import (
     QuditRegister,
     apply_channel,
     apply_gate,
+    attach_site,
     choi_matrix,
     digits_of,
     fidelity_to_pure,
@@ -21,6 +22,7 @@ from qroutesim.qudit import (
     partial_trace,
     populations,
     postselect,
+    project,
 )
 
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -118,6 +120,64 @@ def test_postselect_never_leaves_forbidden_weight():
     p = populations(out)
     bad = sum(p[i] for i in range(12) if digits_of(i, (3, 2, 2))[0] == 2)
     assert bad < 1e-12
+
+
+def _random_rho(rng, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3), st.data())
+def test_project_and_postselect_match_digit_mask(dims, data):
+    dims = tuple(dims)
+    site = data.draw(st.integers(0, len(dims) - 1))
+    digit = data.draw(st.integers(0, dims[site] - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = int(np.prod(dims))
+    keep = np.array([digits_of(i, dims)[site] != digit for i in range(dim)])
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for reg in (QuditRegister(dims, v / np.linalg.norm(v)),
+                QuditRegister(dims, _random_rho(rng, dim))):
+        want = reg.data * (keep if reg.is_pure else np.outer(keep, keep))
+        out, kept = project(reg, site, digit)
+        assert np.array_equal(out.data, want)
+        norm = populations(QuditRegister(dims, want)).sum()
+        assert kept == pytest.approx(norm, abs=1e-12)
+        if kept > 1e-12:
+            normed, kept2 = postselect(reg, site, digit)
+            assert kept2 == kept
+            assert np.array_equal(normed.data, want / (np.sqrt(kept) if reg.is_pure else kept))
+    with pytest.raises(ShapeError):
+        project(reg, site, dims[site])
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_attach_site_matches_kron(pos):
+    rng = np.random.default_rng(pos)
+    parts = [_random_rho(rng, 2), _random_rho(rng, 3)]
+    new = _random_rho(rng, 3)
+    reg = QuditRegister((2, 3), np.kron(*parts))
+    out = attach_site(reg, pos, new)
+    mats = parts[:pos] + [new] + parts[pos:]
+    assert out.dims == tuple(m.shape[0] for m in mats)
+    assert np.abs(out.data - np.kron(np.kron(mats[0], mats[1]), mats[2])).max() < 1e-15
+
+
+def test_apply_channel_on_three_sites_matches_axis_formula():
+    rng = np.random.default_rng(2)
+    dims, sites = (2, 3, 2, 2), (3, 1, 0)
+    rho = _random_rho(rng, 24)
+    S = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))
+    # reference: the (ket, bra) axes of the sites to the front, S, and back
+    axes = list(sites) + [s + 4 for s in sites]
+    t = np.moveaxis(rho.reshape(list(dims) * 2), axes, range(6))
+    t = np.moveaxis((S @ t.reshape(144, -1)).reshape(t.shape), range(6), axes)
+    out = apply_channel(QuditRegister(dims, rho), ChannelMap(sites, S))
+    assert np.array_equal(out.data, t.reshape(24, 24))
+    with pytest.raises(ShapeError):
+        apply_channel(QuditRegister(dims, rho), ChannelMap((0, 1), S))
 
 
 def test_partial_trace_product_state():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qroutesim.errors import FitError
+from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
@@ -139,3 +140,37 @@ def test_rat_single_golden_m_values(scheme):
     r = rat_single(30, scheme, nm, trials=1, seed=7)
     assert [float(m).hex() for m in r.m_values] == _GOLDEN_M_SEED7[scheme]
     assert r.fit_converged and r.fit_iterations > 0
+
+
+# rat_two_layer(n_max=3, scheme, reference rates, trials=1, seed=7) M per depth,
+# and the noisy eraser two_layer_landscape on a 3×3 grid of θ in [0.2, 1.3],
+# (θ1, θ2, D1..D4) flattened; float.hex, pinned bit for bit like the above.
+_GOLDEN_TWO_LAYER_M_SEED7 = {
+    "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44770p-1 0x1.5201ba233fba0p-1 "
+              "0x1.206f2371b4c28p-1".split(),
+    "non-eraser": "0x1.c9cabfb0e8415p-1 0x1.8964889ddaa7dp-1 0x1.48b36e3e83114p-1 "
+                  "0x1.03ab926e3bf46p-1".split(),
+}
+_GOLDEN_LANDSCAPE = (
+    "0x1.254a66962c2e3p-10 0x1.f6909a4bd0edap-6 0x1.f40104e335bfcp-6 0x1.aad5843cd525ep-1 "
+    "0x1.c3b00ec75f53ep-7 0x1.3c4421edb33d5p-6 0x1.810532033d092p-2 0x1.f4e1ca9d0491dp-2 "
+    "0x1.db76be940eb4ep-6 0x1.70a57e49800b7p-8 0x1.9549864b2c21dp-1 0x1.320bbf6ac3bd1p-4 "
+    "0x1.c3b5de8438b73p-7 0x1.81ac2d28cca54p-2 0x1.250590783eefbp-6 0x1.f454e3877844ep-2 "
+    "0x1.5bd523be9814dp-3 0x1.c61a006cdf42bp-3 0x1.c3460e6fba0bap-3 0x1.2623b6d2a1398p-2 "
+    "0x1.6e245768519c9p-2 0x1.21f10230e52f3p-5 0x1.db072d87ce414p-2 0x1.70de4d41a7ce8p-5 "
+    "0x1.db8438a7bbc69p-6 0x1.95eed3f54a6b7p-1 0x1.601a5e55331ccp-9 0x1.2d0218ae2e69bp-4 "
+    "0x1.6e2a022c79071p-2 0x1.dc6c427bbb52bp-2 0x1.0f219170673aap-5 0x1.6b5a34c5f8c47p-5 "
+    "0x1.81703ef53de84p-1 0x1.23a88b0b5e8b2p-4 0x1.1d671581d9672p-4 0x1.3109e60bbe244p-7"
+).split()
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+def test_rat_two_layer_golden_m_values(scheme):
+    r = rat_two_layer(3, scheme, NoiseModel(reference_rates()), trials=1, seed=7)
+    assert [float(m).hex() for m in r.m_values] == _GOLDEN_TWO_LAYER_M_SEED7[scheme]
+
+
+def test_two_layer_landscape_golden():
+    grid = np.linspace(0.2, 1.3, 3)
+    surf = two_layer_landscape(grid, grid, "eraser", NoiseModel(reference_rates()))
+    assert [float(v).hex() for v in surf.reshape(-1)] == _GOLDEN_LANDSCAPE
