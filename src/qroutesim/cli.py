@@ -195,7 +195,7 @@ def run_rat(cfg: RunConfig) -> int:
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
             "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
-            "seed": r.seed, "trials": r.trials,
+            "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
             "address_policy": "redrawn per trial (SplitMix64 stream per (seed, trial))",
             "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}})
     return 0
@@ -210,7 +210,7 @@ def run_rat2(cfg: RunConfig) -> int:
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
             "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
-            "seed": r.seed, "trials": r.trials,
+            "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
             "reference_hardware_f_rat": {"eraser": 0.8240, "non-eraser": 0.8190},
             "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}})
     return 0

@@ -5,11 +5,16 @@ Gates inside a moment are ideal and instantaneous; the moment's duration
 site, idle or not.  Post-selection markers project and renormalize,
 accumulating the kept probability.
 
-`compile_circuit` builds site positions, gate tensors and one per-site
-channel table per moment duration once; callers that repeat a circuit keep
-the `CompiledCircuit`, a snapshot that later edits to the circuit do not
-reach.  The noise step damps each site through an (L, d, R, L, d, R) view
-of ρ with one broadcast multiply, then adds the cascade's population flows.
+`compile_circuit` builds everything a run needs once: site positions, each
+gate's matrix and its conjugate with a contraction plan for the pure layout
+and for the ket and bra axes of the mixed layout, and one per-site channel
+table per moment duration.  Callers that repeat a circuit keep the
+`CompiledCircuit`, a snapshot that later edits to the circuit do not reach.
+A gate side is one ``np.dot`` of the gate matrix with the state transposed
+and reshaped to (K, N), the BLAS call ``np.tensordot`` makes, without its
+per-call argument handling.  The noise step damps each site through an
+(L, d, R, L, d, R) view of ρ with one broadcast multiply, then adds the
+cascade's population flows.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import ShapeError
 from .gates import Circuit, Moment, PostselectMarker, gate_matrix
 from .noise import DecayRates, NoiseModel, _v_entries
-from .qudit import QuditRegister, _contract_axes, new_basis_state, postselect
+from .qudit import QuditRegister, new_basis_state, postselect
 
 
 @dataclass
@@ -59,8 +64,42 @@ def _apply_channel_table(rho: np.ndarray, table: tuple) -> None:
             view[:, 1, :, :, 1, :] += v2 * slab22
 
 
+class _Plan(NamedTuple):
+    """One gate side: transpose the targets to the front, (K, N) reshape, dot
+    with the gate matrix, reshape to ``out`` and restore the axis order."""
+
+    perm: tuple
+    shape: tuple
+    out: tuple
+    order: tuple
+
+    def apply(self, gate: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.dot(gate, t.transpose(self.perm).reshape(self.shape)).reshape(
+            self.out).transpose(self.order)
+
+
+def _plan(shape: tuple, targets: list[int]) -> _Plan:
+    """The plan `_contract_axes` follows for a gate on ``targets`` of ``shape``."""
+    rest = [a for a in range(len(shape)) if a not in targets]
+    order = [0] * len(shape)
+    for i, a in enumerate(targets + rest):
+        order[a] = i
+    target_dims = tuple(shape[a] for a in targets)
+    rest_dims = tuple(shape[a] for a in rest)
+    return _Plan(tuple(targets + rest), (math.prod(target_dims), math.prod(rest_dims)),
+                 target_dims + rest_dims, tuple(order))
+
+
+class _Gate(NamedTuple):
+    matrix: np.ndarray
+    conj: np.ndarray
+    pure: _Plan  # on the (dims) tensor of a state vector
+    ket: _Plan  # on the (dims, dims) tensor of ρ
+    bra: _Plan
+
+
 class _Moment(NamedTuple):
-    gates: tuple  # (site positions, gate tensor, its conjugate) per gate
+    gates: tuple[_Gate, ...]
     t_us: float
     channel: tuple | None  # None when noiseless or no time passes
 
@@ -81,18 +120,18 @@ class CompiledCircuit:
             raise ShapeError(f"register dims {state.dims} != circuit dims {dims}")
         if noise is not None:
             state = state.to_mixed()
-        data, dim, n, kept = state.data, state.dim, len(dims), 1.0
+        data, dim, kept = state.data, state.dim, 1.0
         for step in self.steps:
             if not isinstance(step, _Moment):
                 reg, k = postselect(QuditRegister(dims, data), *step)
                 data, kept = reg.data, kept * k
                 continue
-            for sites, gate_t, gate_c in step.gates:
+            for g in step.gates:
                 if data.ndim == 1:
-                    data = _contract_axes(data.reshape(dims), gate_t, sites).reshape(-1)
+                    data = g.pure.apply(g.matrix, data.reshape(dims)).reshape(-1)
                 else:
-                    t = _contract_axes(data.reshape(list(dims) * 2), gate_t, sites)
-                    data = _contract_axes(t, gate_c, [s + n for s in sites]).reshape(dim, dim)
+                    t = g.ket.apply(g.matrix, data.reshape(dims + dims))
+                    data = g.bra.apply(g.conj, t).reshape(dim, dim)
             if step.channel is not None:
                 # a moment with a duration has gates, so data is their contraction
                 # output, never the caller's array
@@ -103,7 +142,8 @@ class CompiledCircuit:
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
                     site_order: list[str] | None = None) -> CompiledCircuit:
-    """Build a circuit's gate tensors and per-duration channel tables once.
+    """Build a circuit's gate matrices, contraction plans and per-duration
+    channel tables once.
 
     ``site_order`` names the register's sites in order (default: the
     circuit's).  The coherent-leakage part of the model (δϑ) is a property
@@ -114,6 +154,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
         raise ShapeError(f"site order {names} names sites outside the circuit")
     dims = tuple(circuit.site_dims[s] for s in names)
     pos = {s: i for i, s in enumerate(names)}
+    n = len(dims)
     tables: dict[float, tuple | None] = {}
     steps = []
     for op in circuit.ops:
@@ -123,9 +164,11 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
         assert isinstance(op, Moment)
         gates = []
         for g in op.gates:
-            gdims = [dims[pos[s]] for s in g.sites]
-            gate_t = gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
-            gates.append(([pos[s] for s in g.sites], gate_t, gate_t.conj()))
+            sites = [pos[s] for s in g.sites]
+            matrix = gate_matrix(g, tuple(dims[k] for k in sites))
+            bras = [k + n for k in sites]
+            gates.append(_Gate(matrix, matrix.conj(), _plan(dims, sites),
+                               _plan(dims + dims, sites), _plan(dims + dims, bras)))
         t_us = op.duration_ns * 1e-3
         if t_us not in tables:
             noisy = noise is not None and t_us > 0

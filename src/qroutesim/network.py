@@ -341,5 +341,5 @@ def two_layer_landscape(theta1s, theta2s, scheme: str = "eraser",
             run.reset()
             addr = (AddressState(t1, 0.0, basis), AddressState(t2, 0.0, basis),
                     AddressState(t2, 0.0, basis))
-            out[i, j] = _ordered_sums(np.where(excited, run.measure_final(addr), 0.0))
+            out[i, j] = _ordered_sums(np.where(excited, run.measure_final(addr)[0], 0.0))
     return out

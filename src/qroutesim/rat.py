@@ -10,6 +10,13 @@ run of the same sequence is
 
 and the depth curve is fitted with M(N) = l1 + l2·F^(2N+1).
 
+Depth n+1 repeats depth n's blocks and adds one, so a trial is one run:
+at each depth the register, the fresh address and the router's first pass
+are simulated once, and the readout (the last block's single pass) and the
+next paired block (a second pass) both continue from that shared state.
+The readout also reports the probability kept by every post-selection so
+far, the eraser's acceptance.
+
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
 prefix across depths); the eraser scheme post-selects Q_C ≠ |1⟩ once per
@@ -55,6 +62,7 @@ class RatResult:
     trials: int
     fit_converged: bool
     fit_iterations: int  # least-squares function evaluations
+    kept: np.ndarray  # per depth, trial mean of the probability the post-selections kept
     m_per_trial: np.ndarray = field(repr=False, default=None)
 
 
@@ -78,11 +86,12 @@ def fit_rat(depths, m_values) -> FitReport:
     )
 
 
-def _rat_result(scheme: str, seed: int, per_trial: np.ndarray) -> RatResult:
+def _rat_result(scheme: str, seed: int, per_trial: np.ndarray, kept: np.ndarray) -> RatResult:
     depths, m_values = np.arange(per_trial.shape[1]), per_trial.mean(axis=0)
     r = fit_rat(depths, m_values)
     return RatResult(depths, m_values, scheme, tuple(map(float, r.params)), r.residual_rms,
-                     seed, len(per_trial), r.converged, r.iterations, per_trial)
+                     seed, len(per_trial), r.converged, r.iterations, kept.mean(axis=0),
+                     per_trial)
 
 
 def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
@@ -111,9 +120,11 @@ def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
     return partial_trace(reg, [k for k in range(reg.n_sites) if k != 1])
 
 
-def _normalized(p: np.ndarray) -> np.ndarray:
+def _normalized(p: np.ndarray) -> tuple[np.ndarray, float]:
+    """Populations renormalized, and the total they had: the probability that
+    survived every post-selection so far."""
     total = p.sum()
-    return p / total if total > 0 else p
+    return (p / total if total > 0 else p), float(total)
 
 
 def _addr_rho(addr, basis: str) -> np.ndarray:
@@ -150,23 +161,34 @@ class _SingleRouterRun:
         self.router = compile_circuit(qrouter_circuit(
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
             single_ns=_flip_single_ns(scheme, single_ns, compiled_flip)), noise)
-        self.state = new_basis_state((2, 2, 2), "100").to_mixed()  # |1⟩ at Q_I, paths empty
+        self.reset()
 
-    def _block(self, reg3: QuditRegister, name: str, passes: int) -> QuditRegister:
+    def reset(self) -> None:
+        """Fresh run state: |1⟩ at Q_I, paths empty."""
+        self.state = new_basis_state((2, 2, 2), "100").to_mixed()
+
+    def _first_pass(self, name: str) -> QuditRegister:
         # block-initialization window: every site (fresh address included)
         # idles for the overhead before the routers fire
-        reg = attach_site(reg3, 1, _addr_rho(name, self.basis))
+        reg = attach_site(self.state, 1, _addr_rho(name, self.basis))
         reg = _idle(reg, self.noise, self.overhead, range(4))
-        for _ in range(passes):
-            reg = self.router.run(reg).state
-        return _discard_address(reg, self.scheme)
+        return self.router.run(reg).state
 
-    def paired_block(self, name: str) -> None:
-        self.state = self._block(self.state, name, passes=2)
+    def _readout(self, reg: QuditRegister) -> tuple[np.ndarray, float]:
+        return _normalized(populations(_discard_address(reg, self.scheme)))
 
-    def measure_final(self, name: str) -> np.ndarray:
-        """Populations over (Q_I, Q_L, Q_R) after the last single block."""
-        return _normalized(populations(self._block(self.state, name, passes=1)))
+    def measure_final(self, name: str) -> tuple[np.ndarray, float]:
+        """Populations over (Q_I, Q_L, Q_R) after a last, single block, and
+        the probability the post-selections kept."""
+        return self._readout(self._first_pass(name))
+
+    def measure_and_advance(self, name: str) -> tuple[np.ndarray, float]:
+        """`measure_final`, then advance the run by the paired block, both
+        from one shared first pass."""
+        reg = self._first_pass(name)
+        out = self._readout(reg)
+        self.state = _discard_address(self.router.run(reg).state, self.scheme)
+        return out
 
 
 def draw_addresses(seed: int, trial: int, count: int) -> list[str]:
@@ -196,24 +218,24 @@ def rat_single(
     flip composite compiled into one single-gate wall-time slot, and
     parasitic phases at the constructive worst case π/2.
     """
-    per_trial = np.zeros((trials, n_max + 1))
+    per_trial, kept = np.zeros((trials, n_max + 1)), np.zeros((trials, n_max + 1))
     shot_rng = np.random.default_rng(seed)
     # noiseless paired blocks are exact identities on the measured register,
     # so the oracle populations depend on the final address alone
     ideal = _SingleRouterRun(scheme, None, sqrt_cz_ns, single_ns)
-    ideal_pops = {name: ideal.measure_final(name) for name in ADDRESS_NAMES}
+    ideal_pops = {name: ideal.measure_final(name)[0] for name in ADDRESS_NAMES}
+    noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
+                             parasitic, compiled_flip)
     for trial in range(trials):
         names = draw_addresses(seed, trial, n_max + 1)
-        noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
-                                 parasitic, compiled_flip)
-        for n in range(n_max + 1):
-            p_exp = noisy.measure_final(names[n])
+        noisy.reset()
+        for n, name in enumerate(names):
+            step = noisy.measure_and_advance if n < n_max else noisy.measure_final
+            p_exp, kept[trial, n] = step(name)
             if shots:
                 p_exp = shot_rng.multinomial(shots, p_exp) / shots
-            per_trial[trial, n] = _match(ideal_pops[names[n]], p_exp)
-            if n < n_max:
-                noisy.paired_block(names[n])
-    return _rat_result(scheme, seed, per_trial)
+            per_trial[trial, n] = _match(ideal_pops[name], p_exp)
+    return _rat_result(scheme, seed, per_trial, kept)
 
 
 # --- two-layer network RAT --------------------------------------------------------
@@ -281,28 +303,37 @@ class _TwoLayerRun:
         self._super_cache[key] = S
         return S
 
-    def _network_block(self, reg7: QuditRegister, names: tuple[str, str, str],
-                       passes: int) -> QuditRegister:
-        a_root, a_left, a_right = names
-        reg = attach_site(reg7, 1, _addr_rho(a_root, self.basis))
+    def _root_down(self, a_root) -> QuditRegister:
+        reg = attach_site(self.state, 1, _addr_rho(a_root, self.basis))
         reg = _idle(reg, self.noise, self.overhead, range(8))
-        reg = self.root_wide.run(reg).state  # root down
+        return self.root_wide.run(reg).state
+
+    def _finish_block(self, reg: QuditRegister, names, passes: int) -> QuditRegister:
         # leaf stage: both branches on (M_L, D1, D2) and (M_R, D3, D4),
         # then Q_I/C1 idle for its duration
-        for sites, name in (((2, 4, 5), a_left), ((3, 6, 7), a_right)):
+        for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, passes)))
         reg = _idle(reg, self.noise, passes * self.tau_router, (0, 1))
         if passes == 2:
             reg = self.root_wide.run(reg).state  # root up
         return _discard_address(reg, self.scheme)
 
-    def paired_block(self, names) -> None:
-        self.state = self._network_block(self.state, tuple(names), passes=2)
-
-    def measure_final(self, names) -> np.ndarray:
-        """Populations over (Q_I, D1..D4) after a single down-routing block."""
-        reg = self._network_block(self.state, tuple(names), passes=1)
+    def _readout(self, down: QuditRegister, names) -> tuple[np.ndarray, float]:
+        reg = self._finish_block(down, names, passes=1)
         return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
+
+    def measure_final(self, names) -> tuple[np.ndarray, float]:
+        """Populations over (Q_I, D1..D4) after a last, single down-routing
+        block, and the probability the post-selections kept."""
+        return self._readout(self._root_down(names[0]), names)
+
+    def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
+        """`measure_final`, then advance the run by the paired block, both
+        from one shared root down pass."""
+        down = self._root_down(names[0])
+        out = self._readout(down, names)
+        self.state = self._finish_block(down, names, passes=2)
+        return out
 
 
 def rat_two_layer(
@@ -318,7 +349,7 @@ def rat_two_layer(
     compiled_flip: bool = True,
 ) -> RatResult:
     """Two-layer-network RAT; each block draws three addresses (root, leaves)."""
-    per_trial = np.zeros((trials, n_max + 1))
+    per_trial, kept = np.zeros((trials, n_max + 1)), np.zeros((trials, n_max + 1))
     noisy = _TwoLayerRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
                          parasitic, compiled_flip)
     ideal = _TwoLayerRun(scheme, None, sqrt_cz_ns, single_ns)
@@ -327,16 +358,15 @@ def rat_two_layer(
     def oracle(triple):
         if triple not in ideal_pops:
             ideal.reset()
-            ideal_pops[triple] = ideal.measure_final(triple)
+            ideal_pops[triple] = ideal.measure_final(triple)[0]
         return ideal_pops[triple]
 
     for trial in range(trials):
         flat = draw_addresses(seed, trial, 3 * (n_max + 1))
         triples = [tuple(flat[3 * k: 3 * k + 3]) for k in range(n_max + 1)]
         noisy.reset()
-        for n in range(n_max + 1):
-            p_exp = noisy.measure_final(triples[n])
-            per_trial[trial, n] = _match(oracle(triples[n]), p_exp)
-            if n < n_max:
-                noisy.paired_block(triples[n])
-    return _rat_result(scheme, seed, per_trial)
+        for n, triple in enumerate(triples):
+            step = noisy.measure_and_advance if n < n_max else noisy.measure_final
+            p_exp, kept[trial, n] = step(triple)
+            per_trial[trial, n] = _match(oracle(triple), p_exp)
+    return _rat_result(scheme, seed, per_trial, kept)

@@ -123,6 +123,8 @@ def test_rat_subcommand_small(tmp_path, capsys):
     blob = json.loads((tmp_path / "rat.json").read_text())
     assert 0.0 <= blob["fit_f_rat"] <= 1.0
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
+    kept = blob["postselection_kept"]
+    assert len(kept) == 4 and 0.0 < kept[-1] < kept[0] < 1.0
     rows = (tmp_path / "rat.csv").read_text().splitlines()
     assert rows[1] == "depth,m_rat" and len(rows) == 6
 
@@ -142,3 +144,4 @@ def test_rat2_echoes_effective_depth(tmp_path, capsys):
     assert '"n_max": 6' in (tmp_path / "rat2.json").read_text()
     assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 7
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
+    assert blob["postselection_kept"] == pytest.approx([1.0] * 7, abs=1e-12)

@@ -1,18 +1,22 @@
 """Circuit runner: moment execution, layer-wise noise, post-selection markers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroutesim.engine import compile_circuit, run_circuit, run_on_labels
+from qroutesim import engine
+from qroutesim.engine import (_apply_channel_table, _channel_table, compile_circuit,
+                              run_circuit, run_on_labels)
 from qroutesim.errors import ShapeError
 from qroutesim.gates import Circuit, GateSpec, PostselectMarker, gate_matrix, qrouter_circuit
 from qroutesim.noise import DecayRates, NoiseModel, apply_noise_step, reference_rates, qutrit_channel
 from qroutesim.protocols import AddressState, router_input
-from qroutesim.qudit import QuditRegister, apply_gate, new_basis_state, populations, postselect
+from qroutesim.qudit import (QuditRegister, _contract_axes, apply_gate, new_basis_state,
+                             populations, postselect)
 
 
 def test_run_on_labels_routes():
@@ -116,8 +120,9 @@ def _random_rho(rng, dim: int) -> np.ndarray:
 
 
 @st.composite
-def _circuits(draw):
-    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+def _circuits(draw, max_sites: int = 3, wide: bool = False):
+    """Random circuits of library gates; ``wide`` adds `cx` and the 3-site `_RAND3`."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=max_sites))
     names = [f"s{k}" for k in range(len(dims))]
     circuit = Circuit(dict(zip(names, dims)))
     angle = st.floats(-math.pi, math.pi)
@@ -125,6 +130,13 @@ def _circuits(draw):
         free = list(names)
         gates = []
         while free and draw(st.booleans()):
+            if wide and len(free) >= 3 and draw(st.booleans()):
+                sites = draw(st.permutations(free))[:3]
+                for b in sites:
+                    free.remove(b)
+                params = (("seed", float(draw(st.integers(0, 2**16)))),)
+                gates.append(GateSpec(_RAND3, tuple(sites), params, draw(st.floats(1.0, 2000.0))))
+                continue
             a = draw(st.sampled_from(free))
             free.remove(a)
             duration = draw(st.floats(1.0, 2000.0))
@@ -134,6 +146,11 @@ def _circuits(draw):
                 free.remove(b)
                 params = (("theta", draw(st.floats(0.0, 6.28))), ("eta", draw(angle)))
                 gates.append(GateSpec("sqrt_cz", (a, b), params, duration))
+                continue
+            if wide and free and draw(st.booleans()):
+                b = draw(st.sampled_from(free))
+                free.remove(b)
+                gates.append(GateSpec("cx", (a, b), (), duration))
                 continue
             pool = _ANY_DIM + (_QUTRIT_ONLY if circuit.site_dims[a] == 3 else ())
             params = (("phase", draw(angle)), ("phi1", draw(angle)), ("phi2", draw(angle)),
@@ -193,3 +210,59 @@ def test_compile_rejects_unknown_site_order():
     c.add_moment(GateSpec("x", ("a",), (), 30.0))
     with pytest.raises(ShapeError):
         compile_circuit(c, site_order=["b"])
+
+
+# --- the contraction plan against tensordot, bit for bit ---------------------------
+
+_RAND3 = "rand3"  # a test-only 3-site gate: a seeded random complex matrix
+
+
+def _gate_matrix_with_rand3(spec: GateSpec, dims):
+    if spec.name != _RAND3:
+        return gate_matrix(spec, dims)
+    rng = np.random.default_rng(int(spec.param("seed")))
+    k = math.prod(dims)
+    return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+
+def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None):
+    """The executor's moments with `_contract_axes` (np.tensordot) in place of
+    its precomputed contraction plan, and the same channel kernel."""
+    dims, n = state.dims, state.n_sites
+    pos = {s: i for i, s in enumerate(circuit.site_dims)}
+    data = (state if noise is None else state.to_mixed()).data
+    for m in circuit.moments():
+        for g in m.gates:
+            sites = [pos[s] for s in g.sites]
+            gdims = [dims[k] for k in sites]
+            gate_t = engine.gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
+            if data.ndim == 1:
+                data = _contract_axes(data.reshape(dims), gate_t, sites).reshape(-1)
+            else:
+                t = _contract_axes(data.reshape(dims + dims), gate_t, sites)
+                data = _contract_axes(t, gate_t.conj(), [k + n for k in sites]).reshape(
+                    data.shape)
+        if noise is not None and m.duration_ns > 0:
+            data = np.ascontiguousarray(data)
+            _apply_channel_table(data, _channel_table(dims, noise.rates, m.duration_ns * 1e-3))
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuits(max_sites=4, wide=True), st.one_of(st.none(), _RATES), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_contraction_plan_is_tensordot_bit_for_bit(circuit, rates, pure, seed):
+    dims = tuple(circuit.site_dims.values())
+    rng = np.random.default_rng(seed)
+    dim = math.prod(dims)
+    if pure:
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = QuditRegister(dims, vec / np.linalg.norm(vec))
+    else:
+        state = QuditRegister(dims, _random_rho(rng, dim))
+    noise = None if rates is None else NoiseModel(rates)
+    with mock.patch.object(engine, "gate_matrix", _gate_matrix_with_rand3):
+        got = compile_circuit(circuit, noise).run(state).state.data
+        want = _tensordot_run(state, circuit, noise)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

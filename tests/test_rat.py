@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qroutesim import rat
 from qroutesim.errors import FitError
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
+from qroutesim.qudit import ChannelMap, apply_channel, attach_site, project
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
 
@@ -89,6 +91,8 @@ def test_rat_two_layer_noisy_sane():
     r = rat_two_layer(2, "eraser", nm, trials=3, seed=2)
     assert r.m_values[0] < 1.0
     assert np.all(r.m_values > 0.0)
+    # each block's post-selection keeps less of what survived the last
+    assert np.all(np.diff(r.kept) < 0.0) and 0.0 < r.kept[-1] < r.kept[0] < 1.0
 
 
 def test_rat_two_layer_eraser_fit_dominates():
@@ -174,3 +178,71 @@ def test_two_layer_landscape_golden():
     grid = np.linspace(0.2, 1.3, 3)
     surf = two_layer_landscape(grid, grid, "eraser", NoiseModel(reference_rates()))
     assert [float(v).hex() for v in surf.reshape(-1)] == _GOLDEN_LANDSCAPE
+
+
+# --- the shared first pass against the unshared block sequence ---------------------
+
+_LEAKY = NoiseModel(reference_rates(), LeakageSpec(0.403))
+_PARASITIC = (math.pi / 2, math.pi / 2)
+
+
+def _single_paired_block(run, name):
+    """attach → idle → two router passes → discard, from the run's state."""
+    reg = attach_site(run.state, 1, rat._addr_rho(name, run.basis))
+    reg = rat._idle(reg, run.noise, run.overhead, range(4))
+    for _ in range(2):
+        reg = run.router.run(reg).state
+    return rat._discard_address(reg, run.scheme)
+
+
+def _two_layer_paired_block(run, names):
+    """attach → idle → root down → two-pass leaf maps → idle → root up → discard."""
+    reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
+    reg = rat._idle(reg, run.noise, run.overhead, range(8))
+    reg = run.root_wide.run(reg).state
+    for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
+        reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 2)))
+    reg = rat._idle(reg, run.noise, 2 * run.tau_router, (0, 1))
+    reg = run.root_wide.run(reg).state
+    return rat._discard_address(reg, run.scheme)
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_shared_step_is_measure_then_paired_block(layers, scheme):
+    if layers == 1:
+        run = rat._SingleRouterRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        steps, paired_block = ["h", "+", "-", "0", "h"], _single_paired_block
+    else:
+        run = rat._TwoLayerRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        steps, paired_block = [("h", "+", "-"), ("-", "0", "h")], _two_layer_paired_block
+    for names in steps:
+        want_p, want_kept = run.measure_final(names)
+        want_next = paired_block(run, names)
+        got_p, got_kept = run.measure_and_advance(names)
+        assert np.array_equal(got_p, want_p) and got_kept == want_kept
+        assert np.array_equal(run.state.data, want_next.data)
+
+
+def test_rat_single_one_runner_matches_fresh_runner_per_trial():
+    r = rat_single(4, "eraser", _LEAKY, trials=3, seed=5)
+    ideal = rat._SingleRouterRun("eraser", None, 25.0, 30.0)
+    for trial in range(3):
+        run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        row = []
+        for name in draw_addresses(5, trial, 5):
+            row.append(rat._match(ideal.measure_final(name)[0], run.measure_final(name)[0]))
+            run.state = _single_paired_block(run, name)
+        assert r.m_per_trial[trial].tolist() == row
+
+
+def test_kept_is_the_post_selection_acceptance():
+    run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+    run.state = _single_paired_block(run, "+")
+    reg = attach_site(run.state, 1, rat._addr_rho("h", run.basis))
+    reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4))).state
+    assert run.measure_final("h")[1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
+    er = rat_single(6, "eraser", _LEAKY, trials=2, seed=3)
+    ne = rat_single(6, "non-eraser", _LEAKY, trials=2, seed=3)
+    assert np.all(np.diff(er.kept) < 0.0) and 0.0 < er.kept[-1] < er.kept[0] < 1.0
+    assert np.abs(ne.kept - 1.0).max() < 1e-12
