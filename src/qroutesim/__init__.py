@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .gates import (
     FloquetParams,
     SqrtCzParams,
-    SingleQutritGate,
     cswap_sequence,
     leaky_cswap_matrix,
     qrouter_circuit,
@@ -22,7 +21,6 @@ __all__ = [
     "LeakageSpec",
     "NoiseModel",
     "QuditRegister",
-    "SingleQutritGate",
     "SqrtCzParams",
     "apply_gate",
     "balance_point",

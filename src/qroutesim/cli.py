@@ -77,20 +77,42 @@ class RunConfig:
     method: str = "exact"
     m_repeats: int = 15
 
+    def rates(self) -> DecayRates:
+        return DecayRates(self.gamma10, self.gamma21, self.gamma2, self.gamma3, self.gamma4)
+
     def noise_model(self) -> NoiseModel | None:
         if not self.noisy:
             return None
-        rates = DecayRates(self.gamma10, self.gamma21, self.gamma2, self.gamma3, self.gamma4)
-        return NoiseModel(rates, LeakageSpec(self.delta_theta))
+        return NoiseModel(self.rates(), LeakageSpec(self.delta_theta))
+
+
+class ConfigError(QRouteSimError):
+    """A config file or flag value the run cannot use (exit code 2)."""
+
+
+def _check(cfg: RunConfig) -> None:
+    """Reject values no run can use, before any runner starts."""
+    try:
+        cfg.rates()
+        LeakageSpec(cfg.delta_theta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key in ("grid_points", "trials", "m_repeats"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    if cfg.shots < 0:
+        raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """Defaults, then the config file, then flags and QROUTESIM_OUTDIR;
+    raises ConfigError on a missing file, an unknown key or a bad value."""
     cfg = RunConfig()
     if path:
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
-            raise SystemExit(f"config file {path!r} not found")
+            raise ConfigError(f"config file {path!r} not found")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 if not hasattr(cfg, key):
@@ -113,11 +135,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             setattr(cfg, key, value)
     if env := os.environ.get("QROUTESIM_OUTDIR"):
         cfg.out_dir = env
+    _check(cfg)
     return cfg
-
-
-class ConfigError(QRouteSimError):
-    pass
 
 
 def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
@@ -291,7 +310,7 @@ def run_layout(cfg: RunConfig) -> int:
 
 
 def run_noise_curves(cfg: RunConfig) -> int:
-    rates = DecayRates(cfg.gamma10, cfg.gamma21, cfg.gamma2, cfg.gamma3, cfg.gamma4)
+    rates = cfg.rates()
     ts = np.linspace(0.0, 40.0, cfg.grid_points)
     rows = []
     for t in ts:
@@ -362,7 +381,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         cfg.experiment = args.command
-    except (ConfigError, SystemExit) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

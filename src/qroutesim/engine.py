@@ -5,14 +5,15 @@ Gates inside a moment are ideal and instantaneous; the moment's duration
 site, idle or not.  Post-selection markers project and renormalize,
 accumulating the kept probability.
 
-`compile_circuit` builds everything a run needs once: site positions, each
-gate's matrix and its conjugate with a contraction plan for the pure layout
-and for the ket and bra axes of the mixed layout, and one per-site channel
-table per moment duration.  Callers that repeat a circuit keep the
-`CompiledCircuit`, a snapshot that later edits to the circuit do not reach.
-A gate side is one ``np.dot`` of the gate matrix with the state transposed
-and reshaped to (K, N), the BLAS call ``np.tensordot`` makes, without its
-per-call argument handling.  The noise step damps each site through an
+`compile_circuit` builds everything a run needs once: site positions, one
+`qudit.Operator` per gate (its matrix, conjugate and contraction plans),
+and one per-site channel table per moment duration.  Callers that repeat a
+circuit keep the `CompiledCircuit`, a snapshot that later edits to the
+circuit do not reach.  The engine only sequences: the operators apply
+themselves, and the channel table's numbers are read off the cascade's
+transfer matrix in `noise`.  Gates hand the state on as a strided tensor
+view; it is made contiguous only for the noise step, a post-selection
+marker or the result.  The noise step damps each site through an
 (L, d, R, L, d, R) view of ρ with one broadcast multiply, then adds the
 cascade's population flows.
 """
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .gates import Circuit, Moment, PostselectMarker, gate_matrix
-from .noise import DecayRates, NoiseModel, _v_entries
-from .qudit import QuditRegister, new_basis_state, postselect
+from .noise import DecayRates, NoiseModel, _transfer_cached
+from .qudit import Operator, QuditRegister, bind_operator, postselect
 
 
 @dataclass
@@ -38,20 +39,21 @@ class RunResult:
 
 
 def _channel_table(dims: tuple[int, ...], rates: DecayRates, t_us: float) -> tuple:
-    """Per-site (view shape, damping table), and the flows (1 − e10, v1, v2)."""
-    e10, e21, e2, e3, e4 = (math.exp(-g * t_us) for g in (
-        rates.gamma10, rates.gamma21, rates.gamma2, rates.gamma3, rates.gamma4))
-    # entry [a, b] damps coherence (a, b); a qubit site takes the top-left block
-    factors = np.array([[1.0, e2, e3], [e2, e10, e4], [e3, e4, e21]], dtype=complex)
+    """Per-site (view shape, damping table), and the flows (1 − e10, v1, v2),
+    all read off the cascade's 9×9 transfer matrix."""
+    T = _transfer_cached(rates, t_us)
+    # diagonal entry [a, b] damps coherence (a, b); a qubit site takes the top-left block
+    factors = T.diagonal().reshape(3, 3).astype(complex)
     sites = []
     for s, d in enumerate(dims):
         left, right = math.prod(dims[:s]), math.prod(dims[s + 1:])
         sites.append(((left, d, right, left, d, right), factors[:d, :d].reshape(1, d, 1, 1, d, 1)))
-    return sites, (1.0 - e10, *_v_entries(rates, t_us))
+    return sites, (float(T[0, 4]), float(T[0, 8]), float(T[4, 8]))
 
 
 def _apply_channel_table(rho: np.ndarray, table: tuple) -> None:
-    """The cascade channel on every site of a C-contiguous ρ, in place."""
+    """The cascade channel on every site of a C-contiguous ρ (flat or a
+    tensor over the site axes), in place."""
     sites, (flow10, v1, v2) = table
     for shape, factors in sites:
         view = rho.reshape(shape)
@@ -64,42 +66,8 @@ def _apply_channel_table(rho: np.ndarray, table: tuple) -> None:
             view[:, 1, :, :, 1, :] += v2 * slab22
 
 
-class _Plan(NamedTuple):
-    """One gate side: transpose the targets to the front, (K, N) reshape, dot
-    with the gate matrix, reshape to ``out`` and restore the axis order."""
-
-    perm: tuple
-    shape: tuple
-    out: tuple
-    order: tuple
-
-    def apply(self, gate: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.dot(gate, t.transpose(self.perm).reshape(self.shape)).reshape(
-            self.out).transpose(self.order)
-
-
-def _plan(shape: tuple, targets: list[int]) -> _Plan:
-    """The plan `_contract_axes` follows for a gate on ``targets`` of ``shape``."""
-    rest = [a for a in range(len(shape)) if a not in targets]
-    order = [0] * len(shape)
-    for i, a in enumerate(targets + rest):
-        order[a] = i
-    target_dims = tuple(shape[a] for a in targets)
-    rest_dims = tuple(shape[a] for a in rest)
-    return _Plan(tuple(targets + rest), (math.prod(target_dims), math.prod(rest_dims)),
-                 target_dims + rest_dims, tuple(order))
-
-
-class _Gate(NamedTuple):
-    matrix: np.ndarray
-    conj: np.ndarray
-    pure: _Plan  # on the (dims) tensor of a state vector
-    ket: _Plan  # on the (dims, dims) tensor of ρ
-    bra: _Plan
-
-
 class _Moment(NamedTuple):
-    gates: tuple[_Gate, ...]
+    gates: tuple[Operator, ...]
     t_us: float
     channel: tuple | None  # None when noiseless or no time passes
 
@@ -120,24 +88,20 @@ class CompiledCircuit:
             raise ShapeError(f"register dims {state.dims} != circuit dims {dims}")
         if noise is not None:
             state = state.to_mixed()
-        data, dim, kept = state.data, state.dim, 1.0
+        data, kept, shape = state.data, 1.0, state.data.shape
         for step in self.steps:
             if not isinstance(step, _Moment):
-                reg, k = postselect(QuditRegister(dims, data), *step)
+                reg, k = postselect(QuditRegister(dims, data.reshape(shape)), *step)
                 data, kept = reg.data, kept * k
                 continue
             for g in step.gates:
-                if data.ndim == 1:
-                    data = g.pure.apply(g.matrix, data.reshape(dims)).reshape(-1)
-                else:
-                    t = g.ket.apply(g.matrix, data.reshape(dims + dims))
-                    data = g.bra.apply(g.conj, t).reshape(dim, dim)
+                data = g.apply(data)
             if step.channel is not None:
                 # a moment with a duration has gates, so data is their contraction
                 # output, never the caller's array
                 data = np.ascontiguousarray(data)
                 _apply_channel_table(data, step.channel)
-        return RunResult(QuditRegister(dims, data), kept)
+        return RunResult(QuditRegister(dims, data.reshape(shape)), kept)
 
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
@@ -154,7 +118,6 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
         raise ShapeError(f"site order {names} names sites outside the circuit")
     dims = tuple(circuit.site_dims[s] for s in names)
     pos = {s: i for i, s in enumerate(names)}
-    n = len(dims)
     tables: dict[float, tuple | None] = {}
     steps = []
     for op in circuit.ops:
@@ -165,10 +128,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
         gates = []
         for g in op.gates:
             sites = [pos[s] for s in g.sites]
-            matrix = gate_matrix(g, tuple(dims[k] for k in sites))
-            bras = [k + n for k in sites]
-            gates.append(_Gate(matrix, matrix.conj(), _plan(dims, sites),
-                               _plan(dims + dims, sites), _plan(dims + dims, bras)))
+            gates.append(bind_operator(gate_matrix(g, tuple(dims[k] for k in sites)), dims, sites))
         t_us = op.duration_ns * 1e-3
         if t_us not in tables:
             noisy = noise is not None and t_us > 0
@@ -182,8 +142,3 @@ def run_circuit(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None
     """Run a circuit once on a register whose sites match the circuit's."""
     return compile_circuit(circuit, noise, site_order).run(state)
 
-
-def run_on_labels(circuit: Circuit, label: str, noise: NoiseModel | None = None) -> RunResult:
-    """Convenience: run from a computational basis state given as digits."""
-    dims = tuple(circuit.site_dims.values())
-    return run_circuit(new_basis_state(dims, label), circuit, noise)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .qudit import _contract_axes, index_of
+from .qudit import _plan, index_of
 
 SQRT_CZ_NS = 25.0
 SINGLE_NS = 30.0
@@ -64,15 +64,6 @@ class SqrtCzParams:
             raise ShapeError(f"theta {self.theta} outside [0, 2π)")
         if self.duration_ns <= 0:
             raise ShapeError("duration must be positive")
-
-
-@dataclass(frozen=True)
-class SingleQutritGate:
-    """One of the calibrated single-site gates with its parasitic phase."""
-
-    kind: str  # x01 | x12 | x01_half | x12_half | zv
-    parasitic_phase: float = 0.0
-    duration_ns: float = SINGLE_NS
 
 
 @dataclass(frozen=True)
@@ -185,21 +176,6 @@ def cx_matrix(dims=(2, 2)) -> np.ndarray:
     U[i10, i10] = U[i11, i11] = 0.0
     U[i10, i11] = U[i11, i10] = 1.0
     return U
-
-
-def single_qutrit_matrix(gate: SingleQutritGate) -> np.ndarray:
-    """3×3 unitary of a SingleQutritGate record."""
-    table = {
-        "x01": x01_matrix,
-        "x12": x12_matrix,
-        "x01_half": x01_half_matrix,
-        "x12_half": x12_half_matrix,
-    }
-    if gate.kind == "zv":
-        return z_virtual_matrix(gate.parasitic_phase)
-    if gate.kind not in table:
-        raise ShapeError(f"unknown single-qutrit gate kind {gate.kind!r}")
-    return table[gate.kind](gate.parasitic_phase)
 
 
 # --- gate specs and circuits -------------------------------------------------
@@ -336,13 +312,12 @@ def circuit_unitary(circuit: Circuit, site_order: list[str] | None = None) -> np
     names = site_order or list(circuit.site_dims)
     dims = tuple(circuit.site_dims[n] for n in names)
     pos = {n: i for i, n in enumerate(names)}
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)
     # the identity's columns ride along on a trailing axis
-    U = np.eye(dim, dtype=complex).reshape(dims + (dim,))
+    U = np.eye(dim, dtype=complex)
     for g in circuit.gates():
-        gdims = [dims[pos[s]] for s in g.sites]
-        gate_t = gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
-        U = _contract_axes(U, gate_t, [pos[s] for s in g.sites])
+        sites = [pos[s] for s in g.sites]
+        U = _plan(dims + (dim,), sites).apply(gate_matrix(g, tuple(dims[k] for k in sites)), U)
     return U.reshape(dim, dim)
 
 
@@ -558,22 +533,9 @@ def leaky_cswap_matrix(theta: float) -> np.ndarray:
     The composition is the ground truth; its entries match the closed
     forms of cswap_k_entries exactly (symmetric within each 3×3 block).
     """
-    dims = (3, 3, 3)
-    dim = 27
-    sub = [index_of([int(ch) for ch in lbl], dims) for lbl in ROUTING_LABELS]
-
-    from .qudit import QuditRegister, apply_gate
-
-    a = sqrt_cz_matrix(SqrtCzParams(theta=theta % (2 * math.pi)))
-    cols = []
-    for j in sub:
-        vec = np.zeros(dim, dtype=complex)
-        vec[j] = 1.0
-        reg = QuditRegister(dims, vec)
-        for sites in ([0, 1], [2, 1], [0, 1]):
-            reg = apply_gate(reg, a, sites)
-        cols.append(reg.data[sub])
-    return np.stack(cols, axis=1)
+    sub = [index_of([int(ch) for ch in lbl], (3, 3, 3)) for lbl in ROUTING_LABELS]
+    U = circuit_unitary(cswap_sequence(theta=theta % (2 * math.pi)))
+    return U[np.ix_(sub, sub)]
 
 
 # --- serialization ------------------------------------------------------------

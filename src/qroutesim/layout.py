@@ -258,8 +258,6 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int):
         return None, _max_layers_by_count(free)
     if not _triangle_ok(grid, seed, set(), seed.input):
         return None, 1
-    if seed.input in grid.defect_qubits:
-        return None, 1
 
     levels = target_layers - 2  # triangle-tree depth
     best_achieved = 3

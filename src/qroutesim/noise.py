@@ -9,6 +9,11 @@ Dephasing assignment (fixed convention): Γ2 damps the (0,1)/(1,0)
 coherences, Γ3 the (0,2)/(2,0), Γ4 the (1,2)/(2,1).  The defaults keep
 Γ2=Γ3=Γ4, so overriding a single rate is what makes the slot assignment
 observable.
+
+The cached 9×9 transfer matrix is the one place the decay factors are
+computed: a qubit site's channel is its {0, 1} restriction, and the
+compiled circuits' fused channel step reads its damping table and flows
+off the same matrix.
 """
 
 from __future__ import annotations
@@ -90,6 +95,10 @@ def _v_entries(rates: DecayRates, t: float) -> tuple[float, float]:
     return v1, v2
 
 
+#: rows and columns of (ρ00, ρ01, ρ10, ρ11) in the qutrit's row-major vectorization
+_QUBIT_BLOCK = np.ix_([0, 1, 3, 4], [0, 1, 3, 4])
+
+
 @lru_cache(maxsize=4096)
 def _transfer_cached(rates: DecayRates, t: float) -> np.ndarray:
     g10, g21 = rates.gamma10, rates.gamma21
@@ -119,16 +128,11 @@ def qutrit_channel(rates: DecayRates, t_us: float, site: int = 0) -> ChannelMap:
 
 
 def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
-    """4×4 restriction for dim-2 sites: Γ10 decay plus Γ2 dephasing."""
+    """4×4 restriction for dim-2 sites: Γ10 decay plus Γ2 dephasing, the
+    {ρ00, ρ01, ρ10, ρ11} rows and columns of the qutrit transfer matrix."""
     if t_us < 0:
         raise InvalidTime(f"negative time {t_us}")
-    g10 = rates.gamma10
-    T = np.zeros((4, 4))
-    T[0, 0] = 1.0
-    T[0, 3] = 1.0 - math.exp(-g10 * t_us)
-    T[1, 1] = T[2, 2] = math.exp(-rates.gamma2 * t_us)
-    T[3, 3] = math.exp(-g10 * t_us)
-    return T
+    return _transfer_cached(rates, float(t_us))[_QUBIT_BLOCK]
 
 
 def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister:

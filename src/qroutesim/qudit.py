@@ -9,12 +9,18 @@ one place in the package where the ordering convention is fixed.
 Registers are value-like: every operation returns a new register and never
 mutates its input, so independent sweep points can be evaluated
 concurrently without locking.
+
+Every matrix reaches a state through one kernel, `_Plan`: a gate on a
+state vector or on either side of ρ (`Operator`, which compiled circuits
+build once per gate), a channel's transfer matrix on the ket and bra axes
+of its sites, and `gates.circuit_unitary`'s gates on an identity tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,19 +144,62 @@ def _check_sites(reg: QuditRegister, sites) -> list[int]:
     return sites
 
 
-def _contract_axes(tensor: np.ndarray, gate_t: np.ndarray, target_axes) -> np.ndarray:
-    """Contract a reshaped k-site operator into the given tensor axes,
-    restoring the original axis order afterwards."""
-    k = len(target_axes)
-    nd = tensor.ndim
-    tensor = np.tensordot(gate_t, tensor, axes=(list(range(k, 2 * k)), target_axes))
-    rest = [a for a in range(nd) if a not in target_axes]
-    order = [0] * nd
-    for i, s in enumerate(target_axes):
-        order[s] = i
-    for i, r in enumerate(rest):
-        order[r] = k + i
-    return tensor.transpose(order)
+class _Plan(NamedTuple):
+    """A matrix on some axes of a tensor: transpose the targets to the front,
+    (K, N) reshape, one matrix product, reshape to ``out`` and restore the
+    axis order.  This is the contraction ``np.tensordot`` makes, bit for bit,
+    without its per-call argument handling."""
+
+    shape: tuple  # the tensor the flat data is viewed as
+    perm: tuple
+    flat: tuple
+    out: tuple
+    order: tuple
+
+    def apply(self, matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
+        t = data.reshape(self.shape).transpose(self.perm).reshape(self.flat)
+        return (matrix @ t).reshape(self.out).transpose(self.order)
+
+
+def _plan(shape: tuple, targets: list[int]) -> _Plan:
+    """The plan for a matrix on axes ``targets`` (in its own label order) of ``shape``."""
+    targets = list(targets)
+    rest = [a for a in range(len(shape)) if a not in targets]
+    order = [0] * len(shape)
+    for i, a in enumerate(targets + rest):
+        order[a] = i
+    target_dims = tuple(shape[a] for a in targets)
+    rest_dims = tuple(shape[a] for a in rest)
+    return _Plan(tuple(shape), tuple(targets + rest),
+                 (math.prod(target_dims), math.prod(rest_dims)),
+                 target_dims + rest_dims, tuple(order))
+
+
+class Operator(NamedTuple):
+    """A matrix bound to sites of a register: its conjugate and the plans for
+    a state vector and for the ket and bra axes of ρ, built once."""
+
+    matrix: np.ndarray
+    conj: np.ndarray
+    pure: _Plan
+    ket: _Plan
+    bra: _Plan
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """U·ψ of a state vector or U·ρ·U† of a density matrix, given flat or
+        as a tensor over the site axes.  The result is that tensor, a strided
+        view: a caller chaining gates passes it on and reshapes once."""
+        if data.size == math.prod(self.pure.shape):
+            return self.pure.apply(self.matrix, data)
+        return self.bra.apply(self.conj, self.ket.apply(self.matrix, data))
+
+
+def bind_operator(matrix: np.ndarray, dims: tuple[int, ...], sites: list[int]) -> Operator:
+    """The Operator of ``matrix`` on ``sites`` (its labels in that order) of ``dims``."""
+    dims, n = tuple(dims), len(dims)
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return Operator(matrix, matrix.conj(), _plan(dims, sites), _plan(dims * 2, sites),
+                    _plan(dims * 2, [s + n for s in sites]))
 
 
 def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
@@ -160,21 +209,11 @@ def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
     row/column labels are ``|x_a x_b⟩`` with x_a the leading digit.
     """
     sites = _check_sites(state, sites)
-    site_dims = [state.dims[s] for s in sites]
-    dg = int(np.prod(site_dims))
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (dg, dg):
-        raise ShapeError(f"gate shape {gate.shape} does not match sites {sites} (dim {dg})")
-    gate_t = gate.reshape(site_dims + site_dims)
-    n = state.n_sites
-    if state.is_pure:
-        tensor = _contract_axes(state.data.reshape(state.dims), gate_t, sites)
-        return QuditRegister(state.dims, tensor.reshape(-1))
-    # rho -> U rho U†: contract ket axes with U, bra axes with U*
-    tensor = state.data.reshape(list(state.dims) * 2)
-    tensor = _contract_axes(tensor, gate_t, sites)
-    tensor = _contract_axes(tensor, gate_t.conj(), [s + n for s in sites])
-    return QuditRegister(state.dims, tensor.reshape(state.dim, state.dim))
+    dg = math.prod(state.dims[s] for s in sites)
+    if np.shape(gate) != (dg, dg):
+        raise ShapeError(f"gate shape {np.shape(gate)} does not match sites {sites} (dim {dg})")
+    out = bind_operator(gate, state.dims, sites).apply(state.data)
+    return QuditRegister(state.dims, out.reshape(state.data.shape))
 
 
 def populations(state: QuditRegister) -> np.ndarray:
@@ -319,13 +358,7 @@ def apply_channel(state: QuditRegister, channel: ChannelMap) -> QuditRegister:
             f"transfer shape {channel.transfer.shape} does not fit sites {sites} (dim {d})"
         )
     n = state.n_sites
-    rho = state.data.reshape(list(state.dims) * 2)
-    # bring the (ket, bra) axes of the sites to the front, apply, restore
-    axes = sites + [s + n for s in sites]
-    front = list(range(len(axes)))
-    rho = np.moveaxis(rho, axes, front)
-    shape = rho.shape
-    flat = rho.reshape(d * d, -1)
-    flat = channel.transfer @ flat
-    rho = np.moveaxis(flat.reshape(shape), front, axes)
-    return QuditRegister(state.dims, rho.reshape(state.dim, state.dim))
+    # the transfer's row-major (ρ_kets, ρ_bras) labels are the sites' ket then bra axes
+    plan = _plan(state.dims * 2, sites + [s + n for s in sites])
+    return QuditRegister(state.dims, plan.apply(channel.transfer, state.data).reshape(
+        state.dim, state.dim))

@@ -136,6 +136,34 @@ def _addr_rho(addr, basis: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
+                shot_rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """M and the kept probability per (trial, depth); ``blocks[trial]`` holds
+    the trial's block keys, one per depth.
+
+    Depth n's readout continues the run of depth n − 1, so each trial is one
+    run of its runner.  Noiseless paired blocks are exact identities on the
+    measured register, so the oracle is the ideal runner's single last block,
+    memoised per key.  With ``shots``, outcome frequencies are drawn from
+    ``shot_rng`` per (trial, depth).
+    """
+    shape = (len(blocks), len(blocks[0]) if blocks else 0)
+    per_trial, kept = np.zeros(shape), np.zeros(shape)
+    oracle: dict = {}
+    for trial, keys in enumerate(blocks):
+        noisy.reset()
+        for n, key in enumerate(keys):
+            step = noisy.measure_and_advance if n < len(keys) - 1 else noisy.measure_final
+            p_exp, kept[trial, n] = step(key)
+            if shots:
+                p_exp = shot_rng.multinomial(shots, p_exp) / shots
+            if key not in oracle:
+                ideal.reset()
+                oracle[key] = ideal.measure_final(key)[0]
+            per_trial[trial, n] = _match(oracle[key], p_exp)
+    return per_trial, kept
+
+
 # --- single-router RAT -----------------------------------------------------------
 
 
@@ -218,23 +246,11 @@ def rat_single(
     flip composite compiled into one single-gate wall-time slot, and
     parasitic phases at the constructive worst case π/2.
     """
-    per_trial, kept = np.zeros((trials, n_max + 1)), np.zeros((trials, n_max + 1))
-    shot_rng = np.random.default_rng(seed)
-    # noiseless paired blocks are exact identities on the measured register,
-    # so the oracle populations depend on the final address alone
     ideal = _SingleRouterRun(scheme, None, sqrt_cz_ns, single_ns)
-    ideal_pops = {name: ideal.measure_final(name)[0] for name in ADDRESS_NAMES}
     noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
                              parasitic, compiled_flip)
-    for trial in range(trials):
-        names = draw_addresses(seed, trial, n_max + 1)
-        noisy.reset()
-        for n, name in enumerate(names):
-            step = noisy.measure_and_advance if n < n_max else noisy.measure_final
-            p_exp, kept[trial, n] = step(name)
-            if shots:
-                p_exp = shot_rng.multinomial(shots, p_exp) / shots
-            per_trial[trial, n] = _match(ideal_pops[name], p_exp)
+    blocks = [draw_addresses(seed, trial, n_max + 1) for trial in range(trials)]
+    per_trial, kept = _run_trials(noisy, ideal, blocks, shots, np.random.default_rng(seed))
     return _rat_result(scheme, seed, per_trial, kept)
 
 
@@ -349,24 +365,12 @@ def rat_two_layer(
     compiled_flip: bool = True,
 ) -> RatResult:
     """Two-layer-network RAT; each block draws three addresses (root, leaves)."""
-    per_trial, kept = np.zeros((trials, n_max + 1)), np.zeros((trials, n_max + 1))
     noisy = _TwoLayerRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
                          parasitic, compiled_flip)
     ideal = _TwoLayerRun(scheme, None, sqrt_cz_ns, single_ns)
-    ideal_pops: dict[tuple, np.ndarray] = {}
-
-    def oracle(triple):
-        if triple not in ideal_pops:
-            ideal.reset()
-            ideal_pops[triple] = ideal.measure_final(triple)[0]
-        return ideal_pops[triple]
-
+    blocks = []
     for trial in range(trials):
         flat = draw_addresses(seed, trial, 3 * (n_max + 1))
-        triples = [tuple(flat[3 * k: 3 * k + 3]) for k in range(n_max + 1)]
-        noisy.reset()
-        for n, triple in enumerate(triples):
-            step = noisy.measure_and_advance if n < n_max else noisy.measure_final
-            p_exp, kept[trial, n] = step(triple)
-            per_trial[trial, n] = _match(oracle(triple), p_exp)
+        blocks.append([tuple(flat[3 * k: 3 * k + 3]) for k in range(n_max + 1)])
+    per_trial, kept = _run_trials(noisy, ideal, blocks)
     return _rat_result(scheme, seed, per_trial, kept)

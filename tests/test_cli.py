@@ -87,6 +87,23 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
         assert key in err
 
 
+@pytest.mark.parametrize("argv, ini, word", [
+    (["rat", "--noisy", "--delta-theta", "5"], None, "delta_theta"),
+    (["noise-curves"], "[noise]\ngamma10 = -1\n", "gamma10"),
+    (["theta-scan", "--grid-points", "0"], None, "grid_points"),
+    (["floquet"], "[protocol]\nm_repeats = 0\n", "m_repeats"),
+    (["rat", "--shots", "-5"], None, "shots"),
+], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots"])
+def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
+    if ini is not None:
+        (tmp_path / "bad.ini").write_text(ini)
+        argv = [*argv, "--config", str(tmp_path / "bad.ini")]
+    code, _, err = run([*argv, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and word in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exit_2(capsys):
     code, _, err = run(["rat", "--config", "/nonexistent.ini"], capsys)
     assert code == 2

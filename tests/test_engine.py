@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroutesim import engine
-from qroutesim.engine import (_apply_channel_table, _channel_table, compile_circuit,
-                              run_circuit, run_on_labels)
+from qroutesim import engine, gates
+from qroutesim.engine import _apply_channel_table, _channel_table, compile_circuit, run_circuit
 from qroutesim.errors import ShapeError
-from qroutesim.gates import Circuit, GateSpec, PostselectMarker, gate_matrix, qrouter_circuit
-from qroutesim.noise import DecayRates, NoiseModel, apply_noise_step, reference_rates, qutrit_channel
+from qroutesim.gates import (Circuit, GateSpec, PostselectMarker, circuit_unitary, dumps_circuit,
+                             gate_matrix, loads_circuit, qrouter_circuit)
+from qroutesim.noise import (DecayRates, NoiseModel, apply_noise_step, qubit_transfer,
+                             qutrit_channel, reference_rates)
 from qroutesim.protocols import AddressState, router_input
-from qroutesim.qudit import (QuditRegister, _contract_axes, apply_gate, new_basis_state,
-                             populations, postselect)
+from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate,
+                             new_basis_state, populations, postselect)
 
 
-def test_run_on_labels_routes():
+def test_run_circuit_routes_basis_label():
     circ = qrouter_circuit("non-eraser", dims=(2, 3, 2, 2))
-    out = run_on_labels(circ, "1100")
+    out = run_circuit(new_basis_state((2, 3, 2, 2), "1100"), circ)
     p = populations(out.state)
     # address |1⟩ routes left: (Q_I,Q_C,Q_L,Q_R) = (0,1,1,0)
     idx = int(np.argmax(p))
@@ -225,27 +226,47 @@ def _gate_matrix_with_rand3(spec: GateSpec, dims):
     return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
 
 
+def _tensordot_into(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
+    """An independent contraction: ``matrix`` (labels in ``axes`` order) on
+    those axes of ``tensor`` through np.tensordot, the axis order restored."""
+    axes, k = list(axes), len(axes)
+    m = matrix.reshape([tensor.shape[a] for a in axes] * 2)
+    out = np.tensordot(m, tensor, axes=(list(range(k, 2 * k)), axes))
+    rest = [a for a in range(tensor.ndim) if a not in axes]
+    return out.transpose(np.argsort(axes + rest))
+
+
+def _tensordot_gate(data: np.ndarray, dims: tuple, matrix: np.ndarray, sites) -> np.ndarray:
+    """U·ψ or U·ρ·U† through `_tensordot_into`, in the layout of ``data``."""
+    if data.ndim == 1:
+        return _tensordot_into(data.reshape(dims), matrix, sites).reshape(-1)
+    t = _tensordot_into(data.reshape(dims + dims), matrix, sites)
+    return _tensordot_into(t, matrix.conj(), [k + len(dims) for k in sites]).reshape(data.shape)
+
+
 def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None):
-    """The executor's moments with `_contract_axes` (np.tensordot) in place of
-    its precomputed contraction plan, and the same channel kernel."""
-    dims, n = state.dims, state.n_sites
+    """The executor's moments with `_tensordot_gate` in place of its
+    precomputed contraction plan, and the same channel kernel."""
+    dims = state.dims
     pos = {s: i for i, s in enumerate(circuit.site_dims)}
     data = (state if noise is None else state.to_mixed()).data
     for m in circuit.moments():
         for g in m.gates:
             sites = [pos[s] for s in g.sites]
-            gdims = [dims[k] for k in sites]
-            gate_t = engine.gate_matrix(g, tuple(gdims)).reshape(gdims + gdims)
-            if data.ndim == 1:
-                data = _contract_axes(data.reshape(dims), gate_t, sites).reshape(-1)
-            else:
-                t = _contract_axes(data.reshape(dims + dims), gate_t, sites)
-                data = _contract_axes(t, gate_t.conj(), [k + n for k in sites]).reshape(
-                    data.shape)
+            data = _tensordot_gate(data, dims, engine.gate_matrix(g, tuple(dims[k] for k in sites)),
+                                   sites)
         if noise is not None and m.duration_ns > 0:
             data = np.ascontiguousarray(data)
             _apply_channel_table(data, _channel_table(dims, noise.rates, m.duration_ns * 1e-3))
     return data
+
+
+def _random_state(rng, dims: tuple, pure: bool) -> QuditRegister:
+    dim = math.prod(dims)
+    if pure:
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return QuditRegister(dims, vec / np.linalg.norm(vec))
+    return QuditRegister(dims, _random_rho(rng, dim))
 
 
 @settings(max_examples=80, deadline=None)
@@ -253,16 +274,73 @@ def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | N
        st.integers(0, 2**32 - 1))
 def test_contraction_plan_is_tensordot_bit_for_bit(circuit, rates, pure, seed):
     dims = tuple(circuit.site_dims.values())
-    rng = np.random.default_rng(seed)
-    dim = math.prod(dims)
-    if pure:
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = QuditRegister(dims, vec / np.linalg.norm(vec))
-    else:
-        state = QuditRegister(dims, _random_rho(rng, dim))
+    state = _random_state(np.random.default_rng(seed), dims, pure)
     noise = None if rates is None else NoiseModel(rates)
     with mock.patch.object(engine, "gate_matrix", _gate_matrix_with_rand3):
         got = compile_circuit(circuit, noise).run(state).state.data
         want = _tensordot_run(state, circuit, noise)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5), st.booleans(), _RATES,
+       st.floats(0.0, 3.0), st.integers(0, 2**32 - 1), st.data())
+def test_qudit_kernels_are_tensordot_bit_for_bit(dims, pure, rates, t_us, seed, data):
+    """apply_gate, apply_channel (one site and three) against `_tensordot_into`."""
+    dims = tuple(dims)
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, dims, pure)
+    sites = data.draw(st.permutations(range(len(dims))))[:data.draw(st.integers(1, 3))]
+    k = math.prod(dims[s] for s in sites)
+    gate = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    got = apply_gate(state, gate, sites).data
+    assert np.array_equal(got, _tensordot_gate(state.data, dims, gate, sites))
+    if pure:
+        return
+    n, rho = len(dims), state.data.reshape(dims + dims)
+    site = sites[0]
+    T = qutrit_channel(rates, t_us).transfer if dims[site] == 3 else qubit_transfer(rates, t_us)
+    want = _tensordot_into(rho, T, [site, site + n]).reshape(state.data.shape)
+    assert np.array_equal(apply_channel(state, ChannelMap(site, T)).data, want)
+    if len(sites) == 3:
+        S = rng.normal(size=(k * k, k * k)) + 1j * rng.normal(size=(k * k, k * k))
+        want = _tensordot_into(rho, S, sites + [s + n for s in sites]).reshape(state.data.shape)
+        assert np.array_equal(apply_channel(state, ChannelMap(tuple(sites), S)).data, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_circuits(max_sites=4, wide=True))
+def test_circuit_unitary_is_tensordot_bit_for_bit(circuit):
+    dims = tuple(circuit.site_dims.values())
+    pos = {s: i for i, s in enumerate(circuit.site_dims)}
+    dim = math.prod(dims)
+    want = np.eye(dim, dtype=complex).reshape(dims + (dim,))
+    for g in circuit.gates():
+        sites = [pos[s] for s in g.sites]
+        want = _tensordot_into(want, _gate_matrix_with_rand3(g, tuple(dims[k] for k in sites)),
+                               sites)
+    with mock.patch.object(gates, "gate_matrix", _gate_matrix_with_rand3):
+        got = circuit_unitary(circuit)
+    assert np.array_equal(got, want.reshape(dim, dim))
+
+
+@st.composite
+def _circuits_with_postselects(draw):
+    circuit = draw(_circuits(max_sites=4, wide=True))
+    names = list(circuit.site_dims)
+    for _ in range(draw(st.integers(0, 3))):
+        site = draw(st.sampled_from(names))
+        marker = PostselectMarker(site, draw(st.integers(0, circuit.site_dims[site] - 1)))
+        circuit.ops.insert(draw(st.integers(0, len(circuit.ops))), marker)
+    return circuit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits_with_postselects())
+def test_text_form_round_trips(circuit):
+    text = dumps_circuit(circuit)
+    back = loads_circuit(text)
+    assert back.site_dims == circuit.site_dims
+    assert back.ops == circuit.ops
+    assert dumps_circuit(back) == text

@@ -13,21 +13,23 @@ from qroutesim.gates import (
     Circuit,
     FloquetParams,
     GateSpec,
-    SingleQutritGate,
     SqrtCzParams,
     circuit_unitary,
     clifford_qrouter_circuit,
     cswap_k_entries,
     cswap_sequence,
     dumps_circuit,
+    gate_matrix,
     leaky_cswap_matrix,
     loads_circuit,
     qrouter_circuit,
-    single_qutrit_matrix,
     sp_cswap_sequence,
     sqrt_cz_matrix,
+    x01_half_matrix,
     x01_matrix,
+    x12_half_matrix,
     x12_matrix,
+    z_virtual_matrix,
 )
 from qroutesim.qudit import QuditRegister, apply_gate, index_of, new_basis_state
 
@@ -77,12 +79,18 @@ def test_library_unitarity():
         sqrt_cz_matrix(SqrtCzParams(theta=0.9, eta=0.3)),
         x01_matrix(0.4),
         x12_matrix(1.1),
-        single_qutrit_matrix(SingleQutritGate("x01_half", 0.2)),
-        single_qutrit_matrix(SingleQutritGate("x12_half", 0.2)),
-        single_qutrit_matrix(SingleQutritGate("zv", 0.5)),
+        x01_half_matrix(0.2),
+        x12_half_matrix(0.2),
+        z_virtual_matrix(0.5),
+        gate_matrix(GateSpec("x12_half", ("q",), (("phase", 0.2),)), (3,)),
     ]
     for U in mats:
         assert np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() < 1e-10
+
+
+def test_gate_matrix_rejects_unknown_name():
+    with pytest.raises(ShapeError):
+        gate_matrix(GateSpec("x02", ("q",)), (3,))
 
 
 def test_single_qutrit_phases_match_printed_matrices():

@@ -82,6 +82,13 @@ def test_grow_ladder_and_failure():
     assert achieved <= 5
 
 
+def test_grow_rejects_seed_on_a_defect():
+    seed = Triangle((5, 2), 0, 1)
+    for q in seed.qubits():  # the input included
+        grid = GridSpec(12, 6, defect_qubits=frozenset({q}))
+        assert grow_layout(grid, seed, 4) == (None, 1)
+
+
 def test_best_layout_trivial_and_deterministic():
     grid = GridSpec(3, 3)
     _, layout, _ = best_layout(grid, 1)
