@@ -140,7 +140,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
-           summary: dict) -> Path:
+           summary: dict, counters: dict | None = None) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
@@ -152,6 +152,8 @@ def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
     summary["config"] = asdict(cfg)
     summary["metadata"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                            "version": __version__}
+    if counters is not None:
+        summary["metadata"]["counters"] = counters
     (out / f"{name}.json").write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
     return csv_path
 
@@ -202,6 +204,7 @@ def run_qst(cfg: RunConfig) -> int:
             for i in range(r.rho.shape[0]) for j in range(r.rho.shape[1])]
     _write(cfg, "qst", ["row", "col", "re", "im"], rows,
            {"scheme": cfg.scheme, "method": r.method, "fidelity": r.fidelity,
+            "mle_iterations": r.iterations,
             "reference_hardware_fidelities": {"addr0": 0.9566, "addr_plus": 0.9336}})
     return 0
 
@@ -221,6 +224,10 @@ def run_rat(cfg: RunConfig) -> int:
 
 
 def run_rat2(cfg: RunConfig) -> int:
+    # The depth cap stays: each depth of a trial advances the run by one
+    # paired block, which runs the root router twice on the 384-dimensional
+    # register (C1 stays live across its leaf stage), so `rat2 --noisy
+    # --n-max 6 --trials 30` already takes about 46 s on 2 cores.
     cfg = replace(cfg, n_max=min(cfg.n_max, 6))  # echo the depth actually run
     r = rat_two_layer(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials,
                       cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
@@ -231,7 +238,8 @@ def run_rat2(cfg: RunConfig) -> int:
             "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
             "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
             "reference_hardware_f_rat": {"eraser": 0.8240, "non-eraser": 0.8190},
-            "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}})
+            "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}},
+           counters=r.counters)
     return 0
 
 

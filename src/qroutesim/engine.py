@@ -16,6 +16,10 @@ view; it is made contiguous only for the noise step, a post-selection
 marker or the result.  The noise step damps each site through an
 (L, d, R, L, d, R) view of ρ with one broadcast multiply, then adds the
 cascade's population flows.
+
+Sites named ``quiet`` get no decoherence and may have any dimension: a
+reference register that no gate touches rides along unchanged, which is
+how `rat` reads a block's superoperator off one run (its Choi matrix).
 """
 
 from __future__ import annotations
@@ -38,14 +42,18 @@ class RunResult:
     kept_probability: float = 1.0
 
 
-def _channel_table(dims: tuple[int, ...], rates: DecayRates, t_us: float) -> tuple:
-    """Per-site (view shape, damping table), and the flows (1 − e10, v1, v2),
-    all read off the cascade's 9×9 transfer matrix."""
+def _channel_table(dims: tuple[int, ...], rates: DecayRates, t_us: float,
+                   quiet: frozenset = frozenset()) -> tuple:
+    """Per-site (view shape, damping table) for every site not in ``quiet``
+    (positions), and the flows (1 − e10, v1, v2), all read off the cascade's
+    9×9 transfer matrix."""
     T = _transfer_cached(rates, t_us)
     # diagonal entry [a, b] damps coherence (a, b); a qubit site takes the top-left block
     factors = T.diagonal().reshape(3, 3).astype(complex)
     sites = []
     for s, d in enumerate(dims):
+        if s in quiet:
+            continue
         left, right = math.prod(dims[:s]), math.prod(dims[s + 1:])
         sites.append(((left, d, right, left, d, right), factors[:d, :d].reshape(1, d, 1, 1, d, 1)))
     return sites, (float(T[0, 4]), float(T[0, 8]), float(T[4, 8]))
@@ -105,19 +113,23 @@ class CompiledCircuit:
 
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
-                    site_order: list[str] | None = None) -> CompiledCircuit:
+                    site_order: list[str] | None = None, quiet=()) -> CompiledCircuit:
     """Build a circuit's gate matrices, contraction plans and per-duration
     channel tables once.
 
     ``site_order`` names the register's sites in order (default: the
-    circuit's).  The coherent-leakage part of the model (δϑ) is a property
-    of how circuits are *built* and is not applied here.
+    circuit's); the sites named in ``quiet`` do not decohere.  The
+    coherent-leakage part of the model (δϑ) is a property of how circuits
+    are *built* and is not applied here.
     """
     names = site_order or list(circuit.site_dims)
     if any(s not in circuit.site_dims for s in names):
         raise ShapeError(f"site order {names} names sites outside the circuit")
     dims = tuple(circuit.site_dims[s] for s in names)
     pos = {s: i for i, s in enumerate(names)}
+    if any(s not in pos for s in quiet):
+        raise ShapeError(f"quiet sites {list(quiet)} name sites outside {names}")
+    quiet_pos = frozenset(pos[s] for s in quiet)
     tables: dict[float, tuple | None] = {}
     steps = []
     for op in circuit.ops:
@@ -132,7 +144,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None,
         t_us = op.duration_ns * 1e-3
         if t_us not in tables:
             noisy = noise is not None and t_us > 0
-            tables[t_us] = _channel_table(dims, noise.rates, t_us) if noisy else None
+            tables[t_us] = _channel_table(dims, noise.rates, t_us, quiet_pos) if noisy else None
         steps.append(_Moment(tuple(gates), t_us, tables[t_us]))
     return CompiledCircuit(dims, tuple(steps), noise)
 

@@ -216,6 +216,7 @@ class QstResult:
     target: np.ndarray
     method: str
     qubit_block: np.ndarray | None = None
+    iterations: int | None = None  # RρR steps the MLE took
 
 
 _V_X = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -234,15 +235,45 @@ def _qubit_levels(dim: int, basis: str) -> tuple[int, int]:
     return (0, 1) if basis == "01" else (0, 2)
 
 
-def _setting_probs(rho_block: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome probabilities of a pre-rotated Z measurement on the qubit block."""
+def _setting_rotation(setting: str) -> np.ndarray:
+    """The pre-rotation of a setting; outcome o projects onto row o."""
     V = np.array([1.0], dtype=complex)
     for ch in setting:
         V = np.kron(V, {"Z": np.eye(2, dtype=complex), "X": _V_X, "Y": _V_Y}[ch])
+    return V
+
+
+def _setting_probs(rho_block: np.ndarray, setting: str) -> np.ndarray:
+    """Outcome probabilities of a pre-rotated Z measurement on the qubit block."""
+    V = _setting_rotation(setting)
     rot = V @ rho_block @ V.conj().T
     p = np.real(np.diag(rot)).copy()
     p[p < 0] = 0.0
     return p / p.sum()
+
+
+def _mle(settings: list[str], freqs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+    """RρR iteration from ρ = I/d over every (setting, outcome) at once.
+
+    ``freqs`` holds the frequencies in (setting, outcome) order.  Outcomes
+    with tr(Pρ) ≤ 1e-12 or no counts get zero weight.  Returns the estimate
+    and the number of steps; raises FitError when |Δρ| stays ≥ 1e-10.
+    """
+    V = np.concatenate([_setting_rotation(s) for s in settings])
+    projs = V.conj()[:, :, None] * V[:, None, :]  # |v⟩⟨v| of every row v
+    flat = projs.reshape(len(projs), -1)
+    d = V.shape[1]
+    rho = np.eye(d, dtype=complex) / d
+    for it in range(1, max_iter + 1):
+        pr = (flat @ rho.T.reshape(-1)).real  # tr(Pρ) = Σ_ab P_ab ρ_ba
+        w = np.divide(freqs, pr, out=np.zeros_like(pr), where=(pr > 1e-12) & (freqs > 0))
+        R = np.tensordot(w, projs, axes=1)
+        new = R @ rho @ R
+        new /= np.trace(new).real
+        if np.abs(new - rho).max() < 1e-10:
+            return new, it
+        rho = new
+    raise FitError(f"MLE did not converge in {max_iter} iterations")
 
 
 def qst(
@@ -310,6 +341,7 @@ def qst(
         else:
             freqs[setting] = p
 
+    iterations = None
     if method == "linear-inversion":
         rho = np.zeros((2**n, 2**n), dtype=complex)
         for code in range(4**n):
@@ -334,29 +366,7 @@ def qst(
         rho /= 2**n
         rho = (rho + rho.conj().T) / 2
     elif method == "mle":
-        rho = np.eye(2**n, dtype=complex) / 2**n
-        projs = {}
-        for setting in settings:
-            V = np.array([1.0], dtype=complex)
-            for ch in setting:
-                V = np.kron(V, {"Z": np.eye(2, dtype=complex), "X": _V_X, "Y": _V_Y}[ch])
-            projs[setting] = [np.outer(V[o, :].conj(), V[o, :]) for o in range(2**n)]
-        for it in range(max_iter):
-            R = np.zeros_like(rho)
-            for setting in settings:
-                f = freqs[setting]
-                for o, proj in enumerate(projs[setting]):
-                    pr = float(np.real(np.trace(proj @ rho)))
-                    if pr > 1e-12 and f[o] > 0:
-                        R += (f[o] / pr) * proj
-            new = R @ rho @ R
-            new /= np.trace(new).real
-            if np.abs(new - rho).max() < 1e-10:
-                rho = new
-                break
-            rho = new
-        else:
-            raise FitError(f"MLE did not converge in {max_iter} iterations")
+        rho, iterations = _mle(settings, np.concatenate([freqs[s] for s in settings]), max_iter)
     else:
         raise FitError(f"unknown method {method!r}")
 
@@ -364,7 +374,7 @@ def qst(
     tvec = target[block_idx]
     tvec = tvec / np.linalg.norm(tvec)
     fid = float(np.real(tvec.conj() @ rho @ tvec))
-    return QstResult(rho, fid, tvec, method, qubit_block=block)
+    return QstResult(rho, fid, tvec, method, qubit_block=block, iterations=iterations)
 
 
 # --- Floquet analysis ------------------------------------------------------------

@@ -10,12 +10,14 @@ run of the same sequence is
 
 and the depth curve is fitted with M(N) = l1 + l2·F^(2N+1).
 
-Depth n+1 repeats depth n's blocks and adds one, so a trial is one run:
-at each depth the register, the fresh address and the router's first pass
-are simulated once, and the readout (the last block's single pass) and the
-next paired block (a second pass) both continue from that shared state.
-The readout also reports the probability kept by every post-selection so
-far, the eraser's acceptance.
+Depth n+1 repeats depth n's blocks and adds one, so a trial is one run.
+On one router, at each depth the register, the fresh address and the
+router's first pass are simulated once, and the readout (the last block's
+single pass) and the next paired block (a second pass) both continue from
+that shared state.  The two-layer readout is instead a product of cached
+block maps on a few sites (see `_TwoLayerRun`).  The readout also reports
+the probability kept by every post-selection so far, the eraser's
+acceptance.
 
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
@@ -64,6 +66,7 @@ class RatResult:
     fit_iterations: int  # least-squares function evaluations
     kept: np.ndarray  # per depth, trial mean of the probability the post-selections kept
     m_per_trial: np.ndarray = field(repr=False, default=None)
+    counters: dict = field(default_factory=dict)  # per runner: block maps built, cache hits
 
 
 def rat_model(n, l1, l2, f):
@@ -86,12 +89,13 @@ def fit_rat(depths, m_values) -> FitReport:
     )
 
 
-def _rat_result(scheme: str, seed: int, per_trial: np.ndarray, kept: np.ndarray) -> RatResult:
+def _rat_result(scheme: str, seed: int, per_trial: np.ndarray, kept: np.ndarray,
+                counters: dict | None = None) -> RatResult:
     depths, m_values = np.arange(per_trial.shape[1]), per_trial.mean(axis=0)
     r = fit_rat(depths, m_values)
     return RatResult(depths, m_values, scheme, tuple(map(float, r.params)), r.residual_rms,
                      seed, len(per_trial), r.converged, r.iterations, kept.mean(axis=0),
-                     per_trial)
+                     per_trial, counters or {})
 
 
 def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
@@ -261,13 +265,38 @@ _MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
 _LEAF_DIMS = (2, 3, 2, 2)  # (M, C, D, D')
 
 
-class _TwoLayerRun:
-    """Paired-block evolution of the two-layer tree.
+def _choi_superop(block) -> np.ndarray:
+    """The 64×64 superoperator of a channel Φ on three qubits, from one run.
 
-    The root router runs directly on the 8-site register; each leaf router's
-    down(+up) passes are adjacent in the schedule, so they compose into a
-    cached 64×64 superoperator on (M, D, D') with the leaf address handled
-    internally (prep → idle during root stages → route → post-select → reset).
+    ``block`` maps a register over (system…, R) to one over (system'…, R),
+    where R is an 8-dimensional reference site it never touches.  Started
+    from |Ω⟩⟨Ω|, |Ω⟩ = Σ_i |i⟩|i⟩_R, it returns the Choi matrix
+    Σ_ij Φ(|i⟩⟨j|) ⊗ |i⟩⟨j|_R, and the reshuffle S[(a,b),(i,j)] = Φ(|i⟩⟨j|)[a,b]
+    is the row-major transfer matrix.  R is never contracted, so each column
+    is computed exactly as a run on the basis input |i⟩⟨j| would compute it.
+    """
+    omega = np.eye(8, dtype=complex).reshape(-1)
+    out = block(QuditRegister((2, 2, 2, 8), np.outer(omega, omega))).data
+    return out.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
+
+
+class _TwoLayerRun:
+    """Paired-block evolution of the two-layer tree over (Q_I, M_L, M_R, D1..D4).
+
+    A readout needs no 8-site register: it is a cached root map on
+    (Q_I, M_L, M_R) (attach C1 → init-window idle → root pass → Q_I/C1 idle
+    through the leaf stage → discard C1), one idle step on D1..D4 for the
+    init window and the root pass (the root gates do not touch them), then
+    the one-pass leaf maps on (M, D, D').  Each leaf router's down(+up)
+    passes are adjacent in the schedule, so they too compose into a cached
+    64×64 map, with the leaf address handled inside (prep → idle during the
+    root stages → route → post-select → reset).  Every map is built by one
+    run on a Choi state (`_choi_superop`), with the reference site quiet.
+
+    The paired block that advances the run keeps C1 live across its leaf
+    stage, so it runs the root router on the 384-dimensional register
+    (``root_wide``) down and up.  ``counters`` tallies map builds and cache
+    hits.
     """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
@@ -289,9 +318,13 @@ class _TwoLayerRun:
         leaf = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
                                sites=("M", "C", "D", "Dp"), dims=_LEAF_DIMS,
                                sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
-        self.leaf = compile_circuit(leaf, noise)
-        self.tau_router = leaf.duration_ns()
-        self._super_cache: dict[tuple[str, int], np.ndarray] = {}
+        # both routers with the Choi reference site R appended, quiet
+        self.root, self.leaf = (
+            compile_circuit(Circuit({**c.site_dims, "R": 8}, c.ops), noise, quiet=("R",))
+            for c in (root, leaf))
+        self.tau_router = leaf.duration_ns()  # the root router takes as long
+        self._maps: dict[tuple, np.ndarray] = {}
+        self.counters = {"leaf_maps_built": 0, "root_maps_built": 0, "map_cache_hits": 0}
         self.reset()
 
     def reset(self) -> None:
@@ -299,56 +332,60 @@ class _TwoLayerRun:
         input, leaves empty."""
         self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
 
-    def _leaf_superop(self, name: str, passes: int) -> np.ndarray:
-        key = (name, passes)
-        if key in self._super_cache:
-            return self._super_cache[key]
-        addr = _addr_rho(name, self.basis)
-        cols = []
-        for k in range(64):
-            e = np.zeros((8, 8), dtype=complex)
-            e[k // 8, k % 8] = 1.0
-            reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
+    def _cached_map(self, key: tuple, counter: str, block) -> np.ndarray:
+        if key in self._maps:
+            self.counters["map_cache_hits"] += 1
+        else:
+            self.counters[counter] += 1
+            self._maps[key] = _choi_superop(block)
+        return self._maps[key]
+
+    def _leaf_superop(self, name, passes: int) -> np.ndarray:
+        """The leaf map on (M, D, D') for ``passes`` router passes."""
+        def block(reg: QuditRegister) -> QuditRegister:
+            reg = attach_site(reg, 1, _addr_rho(name, self.basis))
             # the leaf address idles through the init window and the root pass
             reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1,))
             for _ in range(passes):
                 reg = self.leaf.run(reg).state
             reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1,))
-            cols.append(_discard_address(reg, self.scheme).data.reshape(-1))
-        S = np.stack(cols, axis=1)
-        self._super_cache[key] = S
-        return S
+            return _discard_address(reg, self.scheme)
 
-    def _root_down(self, a_root) -> QuditRegister:
-        reg = attach_site(self.state, 1, _addr_rho(a_root, self.basis))
-        reg = _idle(reg, self.noise, self.overhead, range(8))
-        return self.root_wide.run(reg).state
+        return self._cached_map(("leaf", name, passes), "leaf_maps_built", block)
 
-    def _finish_block(self, reg: QuditRegister, names, passes: int) -> QuditRegister:
-        # leaf stage: both branches on (M_L, D1, D2) and (M_R, D3, D4),
-        # then Q_I/C1 idle for its duration
-        for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
-            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, passes)))
-        reg = _idle(reg, self.noise, passes * self.tau_router, (0, 1))
-        if passes == 2:
-            reg = self.root_wide.run(reg).state  # root up
-        return _discard_address(reg, self.scheme)
+    def _root_map(self, name) -> np.ndarray:
+        """The readout's root map on (Q_I, M_L, M_R)."""
+        def block(reg: QuditRegister) -> QuditRegister:
+            reg = attach_site(reg, 1, _addr_rho(name, self.basis))
+            reg = _idle(reg, self.noise, self.overhead, range(4))
+            reg = self.root.run(reg).state
+            # Q_I and C1 idle while the leaves route once
+            reg = _idle(reg, self.noise, self.tau_router, (0, 1))
+            return _discard_address(reg, self.scheme)
 
-    def _readout(self, down: QuditRegister, names) -> tuple[np.ndarray, float]:
-        reg = self._finish_block(down, names, passes=1)
-        return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
+        return self._cached_map(("root", name), "root_maps_built", block)
 
     def measure_final(self, names) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, D1..D4) after a last, single down-routing
         block, and the probability the post-selections kept."""
-        return self._readout(self._root_down(names[0]), names)
+        reg = apply_channel(self.state, ChannelMap((0, 1, 2), self._root_map(names[0])))
+        reg = _idle(reg, self.noise, self.overhead + self.tau_router, range(3, 7))
+        for sites, name in (((1, 3, 4), names[1]), ((2, 5, 6), names[2])):
+            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 1)))
+        return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
 
     def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
-        """`measure_final`, then advance the run by the paired block, both
-        from one shared root down pass."""
-        down = self._root_down(names[0])
-        out = self._readout(down, names)
-        self.state = self._finish_block(down, names, passes=2)
+        """`measure_final`, then advance the run by the paired block: attach
+        C1 → idle → root down → two-pass leaf maps → Q_I/C1 idle → root up →
+        discard C1."""
+        out = self.measure_final(names)
+        reg = attach_site(self.state, 1, _addr_rho(names[0], self.basis))
+        reg = _idle(reg, self.noise, self.overhead, range(8))
+        reg = self.root_wide.run(reg).state
+        for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
+            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))
+        reg = _idle(reg, self.noise, 2 * self.tau_router, (0, 1))
+        self.state = _discard_address(self.root_wide.run(reg).state, self.scheme)
         return out
 
 
@@ -373,4 +410,5 @@ def rat_two_layer(
         flat = draw_addresses(seed, trial, 3 * (n_max + 1))
         blocks.append([tuple(flat[3 * k: 3 * k + 3]) for k in range(n_max + 1)])
     per_trial, kept = _run_trials(noisy, ideal, blocks)
-    return _rat_result(scheme, seed, per_trial, kept)
+    return _rat_result(scheme, seed, per_trial, kept,
+                       {"noisy": noisy.counters, "ideal": ideal.counters})

@@ -124,6 +124,11 @@ def test_qst_subcommand(tmp_path, capsys):
     assert code == 0
     blob = json.loads((tmp_path / "qst.json").read_text())
     assert blob["fidelity"] == pytest.approx(1.0, abs=1e-9)
+    assert blob["mle_iterations"] is None
+    code, _, _ = run(["qst", "--theta", "0.785398", "--method", "mle", "--noisy",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "qst.json").read_text())["mle_iterations"] > 0
 
 
 def test_floquet_subcommand(tmp_path, capsys):
@@ -162,3 +167,8 @@ def test_rat2_echoes_effective_depth(tmp_path, capsys):
     assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 7
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
     assert blob["postselection_kept"] == pytest.approx([1.0] * 7, abs=1e-12)
+    counters = blob["metadata"]["counters"]
+    assert set(counters) == {"noisy", "ideal"}
+    # the noisy runner looks up three maps per readout and two per paired block
+    assert sum(counters["noisy"].values()) == 3 * 7 + 2 * 6
+    assert counters["noisy"]["root_maps_built"] >= 1 and counters["ideal"]["leaf_maps_built"] >= 1

@@ -16,7 +16,7 @@ from qroutesim.gates import (Circuit, GateSpec, PostselectMarker, circuit_unitar
 from qroutesim.noise import (DecayRates, NoiseModel, apply_noise_step, qubit_transfer,
                              qutrit_channel, reference_rates)
 from qroutesim.protocols import AddressState, router_input
-from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate,
+from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate, attach_site,
                              new_basis_state, populations, postselect)
 
 
@@ -211,6 +211,34 @@ def test_compile_rejects_unknown_site_order():
     c.add_moment(GateSpec("x", ("a",), (), 30.0))
     with pytest.raises(ShapeError):
         compile_circuit(c, site_order=["b"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuits(), _RATES, st.sampled_from([2, 3, 8]), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_quiet_site_rides_along_untouched(circuit, rates, quiet_dim, where, seed):
+    """A noisy run on a register with an extra quiet site is the run without
+    it, tensored with that site's untouched state."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(circuit.site_dims.values())
+    state = QuditRegister(dims, _random_rho(rng, math.prod(dims)))
+    sigma = _random_rho(rng, quiet_dim)
+    pos = min(where, len(dims))
+    sites = list(circuit.site_dims.items())
+    sites.insert(pos, ("quiet", quiet_dim))
+    noise = NoiseModel(rates)
+    got = compile_circuit(Circuit(dict(sites), circuit.ops), noise, quiet=("quiet",)).run(
+        attach_site(state, pos, sigma)).state
+    want = attach_site(compile_circuit(circuit, noise).run(state).state, pos, sigma)
+    assert got.dims == want.dims
+    assert np.abs(got.data - want.data).max() <= 1e-15
+
+
+def test_compile_rejects_unknown_quiet_site():
+    c = Circuit({"a": 2})
+    c.add_moment(GateSpec("x", ("a",), (), 30.0))
+    with pytest.raises(ShapeError):
+        compile_circuit(c, NoiseModel(reference_rates()), quiet=("b",))
 
 
 # --- the contraction plan against tensordot, bit for bit ---------------------------

@@ -1,11 +1,13 @@
 """Protocol drivers: scans, tomography, Floquet analysis, Nelder-Mead."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qroutesim.errors import CapacityError
+from qroutesim import protocols
+from qroutesim.errors import CapacityError, FitError
 from qroutesim.noise import DecayRates, NoiseModel, reference_rates
 from qroutesim.protocols import (
     AddressState,
@@ -103,6 +105,45 @@ def test_qst_mle_converges():
     assert res.fidelity > 0.98
     vals = np.linalg.eigvalsh(res.rho)
     assert vals.min() > -1e-9
+
+
+def _loop_mle(block: np.ndarray, max_iter: int = 500) -> tuple[np.ndarray, int]:
+    """RρR with one trace per (setting, outcome), on exact probabilities of ``block``."""
+    n = int(round(math.log2(block.shape[0])))
+    settings = ["".join(s) for s in itertools.product("ZXY", repeat=n)]
+    freqs = {s: protocols._setting_probs(block, s) for s in settings}
+    projs = {}
+    for setting in settings:
+        V = protocols._setting_rotation(setting)
+        projs[setting] = [np.outer(V[o, :].conj(), V[o, :]) for o in range(2**n)]
+    rho = np.eye(2**n, dtype=complex) / 2**n
+    for it in range(max_iter):
+        R = np.zeros_like(rho)
+        for setting in settings:
+            f = freqs[setting]
+            for o, proj in enumerate(projs[setting]):
+                pr = float(np.real(np.trace(proj @ rho)))
+                if pr > 1e-12 and f[o] > 0:
+                    R += (f[o] / pr) * proj
+        new = R @ rho @ R
+        new /= np.trace(new).real
+        if np.abs(new - rho).max() < 1e-10:
+            return new, it + 1
+        rho = new
+    raise FitError(f"MLE did not converge in {max_iter} iterations")
+
+
+@pytest.mark.parametrize("theta", [0.785398, 0.3])
+def test_qst_mle_is_the_per_outcome_loop(theta):
+    res = qst(AddressState(theta, 0.0, "02"), "eraser", method="mle", noise=NoiseModel())
+    rho, iterations = _loop_mle(res.qubit_block)
+    assert res.iterations == iterations
+    assert np.abs(res.rho - rho).max() <= 1e-12
+
+
+def test_qst_mle_noiseless_exact_does_not_converge():
+    with pytest.raises(FitError, match="500 iterations"):
+        qst(AddressState(0.7, 0.0, "02"), "eraser", method="mle")
 
 
 def test_qst_site_cap():

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from qroutesim import rat
+from qroutesim import engine, rat
+from qroutesim.engine import compile_circuit
 from qroutesim.errors import FitError
+from qroutesim.gates import qrouter_circuit
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
-from qroutesim.qudit import ChannelMap, apply_channel, attach_site, project
+from qroutesim.protocols import ADDRESS_NAMES
+from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, partial_trace,
+                             populations, project)
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
 
@@ -149,13 +153,34 @@ def test_rat_single_golden_m_values(scheme):
 # rat_two_layer(n_max=3, scheme, reference rates, trials=1, seed=7) M per depth,
 # and the noisy eraser two_layer_landscape on a 3×3 grid of θ in [0.2, 1.3],
 # (θ1, θ2, D1..D4) flattened; float.hex, pinned bit for bit like the above.
+# Recorded when readouts moved onto block maps (D1..D4 idle in one step
+# instead of moment by moment), which moves last bits.  The values of the
+# stepped readout before that are kept below, and the new ones stay within
+# 1e-13 of them.
 _GOLDEN_TWO_LAYER_M_SEED7 = {
+    "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44770p-1 0x1.5201ba233fba0p-1 "
+              "0x1.206f2371b4c26p-1".split(),
+    "non-eraser": "0x1.c9cabfb0e8416p-1 0x1.8964889ddaa7cp-1 0x1.48b36e3e83113p-1 "
+                  "0x1.03ab926e3bf46p-1".split(),
+}
+_GOLDEN_LANDSCAPE = (
+    "0x1.254a66962c2e1p-10 0x1.f6909a4bd0ed9p-6 0x1.f40104e335bfbp-6 0x1.aad5843cd525ep-1 "
+    "0x1.c3b00ec75f53cp-7 0x1.3c4421edb33d4p-6 0x1.810532033d093p-2 0x1.f4e1ca9d0491dp-2 "
+    "0x1.db76be940eb4dp-6 0x1.70a57e49800b7p-8 0x1.9549864b2c21dp-1 0x1.320bbf6ac3bd1p-4 "
+    "0x1.c3b5de8438b71p-7 0x1.81ac2d28cca55p-2 0x1.250590783eefcp-6 0x1.f454e3877844ep-2 "
+    "0x1.5bd523be9814dp-3 0x1.c61a006cdf42ap-3 0x1.c3460e6fba0b9p-3 0x1.2623b6d2a1397p-2 "
+    "0x1.6e245768519c9p-2 0x1.21f10230e52f3p-5 0x1.db072d87ce413p-2 0x1.70de4d41a7ce8p-5 "
+    "0x1.db8438a7bbc6ap-6 0x1.95eed3f54a6b7p-1 0x1.601a5e55331ccp-9 0x1.2d0218ae2e69cp-4 "
+    "0x1.6e2a022c79071p-2 0x1.dc6c427bbb52bp-2 0x1.0f219170673abp-5 0x1.6b5a34c5f8c48p-5 "
+    "0x1.81703ef53de84p-1 0x1.23a88b0b5e8b1p-4 0x1.1d671581d9672p-4 0x1.3109e60bbe244p-7"
+).split()
+_STEPPED_TWO_LAYER_M_SEED7 = {
     "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44770p-1 0x1.5201ba233fba0p-1 "
               "0x1.206f2371b4c28p-1".split(),
     "non-eraser": "0x1.c9cabfb0e8415p-1 0x1.8964889ddaa7dp-1 0x1.48b36e3e83114p-1 "
                   "0x1.03ab926e3bf46p-1".split(),
 }
-_GOLDEN_LANDSCAPE = (
+_STEPPED_LANDSCAPE = (
     "0x1.254a66962c2e3p-10 0x1.f6909a4bd0edap-6 0x1.f40104e335bfcp-6 0x1.aad5843cd525ep-1 "
     "0x1.c3b00ec75f53ep-7 0x1.3c4421edb33d5p-6 0x1.810532033d092p-2 0x1.f4e1ca9d0491dp-2 "
     "0x1.db76be940eb4ep-6 0x1.70a57e49800b7p-8 0x1.9549864b2c21dp-1 0x1.320bbf6ac3bd1p-4 "
@@ -172,12 +197,16 @@ _GOLDEN_LANDSCAPE = (
 def test_rat_two_layer_golden_m_values(scheme):
     r = rat_two_layer(3, scheme, NoiseModel(reference_rates()), trials=1, seed=7)
     assert [float(m).hex() for m in r.m_values] == _GOLDEN_TWO_LAYER_M_SEED7[scheme]
+    stepped = [float.fromhex(v) for v in _STEPPED_TWO_LAYER_M_SEED7[scheme]]
+    assert np.abs(r.m_values - stepped).max() <= 1e-13
 
 
 def test_two_layer_landscape_golden():
     grid = np.linspace(0.2, 1.3, 3)
     surf = two_layer_landscape(grid, grid, "eraser", NoiseModel(reference_rates()))
     assert [float(v).hex() for v in surf.reshape(-1)] == _GOLDEN_LANDSCAPE
+    stepped = [float.fromhex(v) for v in _STEPPED_LANDSCAPE]
+    assert np.abs(surf.reshape(-1) - stepped).max() <= 1e-13
 
 
 # --- the shared first pass against the unshared block sequence ---------------------
@@ -246,3 +275,87 @@ def test_kept_is_the_post_selection_acceptance():
     ne = rat_single(6, "non-eraser", _LEAKY, trials=2, seed=3)
     assert np.all(np.diff(er.kept) < 0.0) and 0.0 < er.kept[-1] < er.kept[0] < 1.0
     assert np.abs(ne.kept - 1.0).max() < 1e-12
+
+
+# --- two-layer block maps against their stepped references -------------------------
+
+
+def _two_layer_run(scheme, noisy):
+    if noisy:
+        return rat._TwoLayerRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+    return rat._TwoLayerRun(scheme, None, 25.0, 30.0)
+
+
+def _loop_leaf_superop(run, name, passes):
+    """The leaf map column by column: one run of a leaf router without the
+    reference site per basis input |i⟩⟨j| on (M, D, D')."""
+    noisy = run.noise is not None
+    leaf = compile_circuit(qrouter_circuit(
+        run.scheme, parasitic=_PARASITIC if noisy else (0.0, 0.0),
+        theta=math.pi - (0.403 if noisy else 0.0), sites=("M", "C", "D", "Dp"),
+        dims=(2, 3, 2, 2), sqrt_cz_ns=25.0,
+        single_ns=rat._flip_single_ns(run.scheme, 30.0, True)), run.noise)
+    addr = rat._addr_rho(name, run.basis)
+    cols = []
+    for k in range(64):
+        e = np.zeros((8, 8), dtype=complex)
+        e[k // 8, k % 8] = 1.0
+        reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
+        reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, (1,))
+        for _ in range(passes):
+            reg = leaf.run(reg).state
+        reg = rat._idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, (1,))
+        cols.append(rat._discard_address(reg, run.scheme).data.reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
+    run = _two_layer_run(scheme, noisy)
+    for passes in (1, 2):
+        for name in ADDRESS_NAMES:
+            assert np.array_equal(run._leaf_superop(name, passes),
+                                  _loop_leaf_superop(run, name, passes))
+    assert run.counters == {"leaf_maps_built": 8, "root_maps_built": 0, "map_cache_hits": 0}
+
+
+def _stepped_readout(run, names):
+    """attach C1 → 8-site idle → root_wide → leaf maps → (Q_I, C1) idle →
+    discard → trace, on the 384-dimensional register."""
+    reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
+    reg = rat._idle(reg, run.noise, run.overhead, range(8))
+    reg = run.root_wide.run(reg).state
+    for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
+        reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 1)))
+    reg = rat._idle(reg, run.noise, run.tau_router, (0, 1))
+    reg = rat._discard_address(reg, run.scheme)
+    return rat._normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_factorised_readout_is_the_stepped_readout(scheme, noisy):
+    run = _two_layer_run(scheme, noisy)
+    for names in [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0"), ("0", "h", "-")]:
+        got_p, got_kept = run.measure_final(names)
+        want_p, want_kept = _stepped_readout(run, names)
+        assert np.abs(got_p - want_p).max() <= 1e-13
+        assert abs(got_kept - want_kept) <= 1e-13
+        run.measure_and_advance(names)
+
+
+def test_readouts_never_run_the_eight_site_register(monkeypatch):
+    wide_run = engine.CompiledCircuit.run
+
+    def guarded(self, state):
+        if self.dims == rat._MAIN_DIMS:
+            raise AssertionError("a readout ran root_wide")
+        return wide_run(self, state)
+
+    monkeypatch.setattr(engine.CompiledCircuit, "run", guarded)
+    run = _two_layer_run("eraser", True)
+    run.measure_final(("h", "+", "-"))
+    two_layer_landscape([0.3, 0.9], [0.5], "eraser", _LEAKY)
+    with pytest.raises(AssertionError, match="root_wide"):  # the guard is live
+        run.measure_and_advance(("h", "+", "-"))
