@@ -182,7 +182,7 @@ def run_theta_scan(cfg: RunConfig) -> int:
     dev = float(np.abs(r.p_left - np.sin(r.thetas) ** 2).max())
     _write(cfg, "theta_scan", ["theta", "p_left", "p_right", "p_input"], rows,
            {"scheme": cfg.scheme, "max_dev_from_sin2": dev,
-            "max_residual_input": float(r.p_input.max())})
+            "max_residual_input": float(r.p_input.max())}, counters=r.counters)
     return 0
 
 
@@ -192,7 +192,8 @@ def run_phi_scan(cfg: RunConfig) -> int:
     rows = [[p, po, pe, *pops] for p, po, pe, pops in
             zip(r.phis, r.p_odd, r.p_even, r.state_pops)]
     header = ["phi", "p_odd", "p_even"] + [f"p_{k:03b}" for k in range(8)]
-    _write(cfg, "phi_scan", header, rows, {"scheme": cfg.scheme, "phi0": r.phi0})
+    _write(cfg, "phi_scan", header, rows, {"scheme": cfg.scheme, "phi0": r.phi0},
+           counters=r.counters)
     return 0
 
 

@@ -29,11 +29,16 @@ from .qudit import ChannelMap, QuditRegister, apply_channel
 
 #: relative rate difference below which the Γ10→Γ21 limit forms kick in
 _DEGENERATE_RTOL = 1e-9
+#: rounding slack (1/μs) of the physical-region check on DecayRates
+_RATE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Per-site decay and dephasing rates (1/μs)."""
+    """Per-site decay and dephasing rates (1/μs).
+
+    Rates whose cascade channel is not completely positive at every t raise
+    ValueError (see `__post_init__`)."""
 
     gamma10: float = 1.0 / 15.0
     gamma21: float = 1.0 / 12.0
@@ -43,8 +48,24 @@ class DecayRates:
 
     def __post_init__(self):
         for name in ("gamma10", "gamma21", "gamma2", "gamma3", "gamma4"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative")
+        # The cascade channel is completely positive at every t exactly when it
+        # has a Lindblad generator: with diagonal dephasing operators the excess
+        # dephasing of coherence (i, j) is φ_ij = ½|v_i − v_j|², so each φ ≥ 0
+        # and √φ01, √φ02, √φ12 satisfy the triangle inequality.  Each φ may
+        # miss by the slack (a square root magnifies rounding near φ = 0).
+        a, b, c = phis = (self.gamma2 - self.gamma10 / 2, self.gamma3 - self.gamma21 / 2,
+                          self.gamma4 - (self.gamma10 + self.gamma21) / 2)
+        eps = _RATE_SLACK
+        if min(phis) < -eps or any(
+                math.sqrt(max(x - eps, 0.0)) > math.sqrt(y + eps) + math.sqrt(z + eps)
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))):
+            raise ValueError(
+                "rates are not physical: the excess dephasings φ01, φ02, φ12 = "
+                f"{phis[0]:.6g}, {phis[1]:.6g}, {phis[2]:.6g} (Γ2 − Γ10/2, Γ3 − Γ21/2, "
+                "Γ4 − (Γ10+Γ21)/2) must be ≥ 0 with square roots that satisfy the "
+                "triangle inequality")
 
     @property
     def degenerate(self) -> bool:

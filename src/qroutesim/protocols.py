@@ -3,6 +3,12 @@
 Address convention (fixed package-wide): an address cosθ|0⟩ + e^{iφ}sinθ|h⟩,
 with h the high level of the encoding (1 or 2), routes the sinθ component to
 Q_L and the cosθ component to Q_R, so a θ scan reads P_L = sin²θ.
+
+A θ or φ scan runs the router once, whatever its number of points.  The
+router is a fixed linear channel Φ and only the address ρ_C on Q_C changes
+between points, so one run on a Choi state (Q_C maximally entangled with a
+quiet reference site) gives the address response Φ(|i⟩⟨j|_C), and each
+point's populations are Σ_ij ρ_C[i, j]·Φ(|i⟩⟨j|_C) on the diagonal.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from .engine import compile_circuit, run_circuit
 from .errors import CapacityError, FitError
 from .gates import (
+    Circuit,
     FloquetParams,
     SqrtCzParams,
     qrouter_circuit,
@@ -25,6 +32,7 @@ from .noise import NoiseModel
 from .qudit import (
     QuditRegister,
     apply_gate,
+    choi_superop,
     from_site_states,
     partial_trace,
     populations,
@@ -117,10 +125,37 @@ def _ordered_sums(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights, axis=-1)[..., -1]
 
 
-def _path_populations(state: QuditRegister) -> tuple[float, float, float]:
-    """(P_L, P_R, P_I): marginal excitation of each path/input site."""
-    excited = np.indices(state.dims).reshape(state.n_sites, -1)[[2, 3, 0]] != 0
-    return tuple(_ordered_sums(np.where(excited, populations(state), 0.0)))
+def _address_response(scheme: str, noise: NoiseModel | None,
+                      interference: bool = False) -> np.ndarray:
+    """The router's address response: resp[a, i, j] = Φ(|i⟩⟨j|_C)[a, a], (24, 3, 3).
+
+    Φ is one router pass, then `_interference_layer` when ``interference``,
+    on |1⟩ at Q_I, empty paths and the operator |i⟩⟨j| on Q_C.  Every (i, j)
+    comes from one run on a Choi state with a quiet 3-dimensional reference
+    site R appended (`qudit.choi_superop`), so an address ρ_C gives the
+    populations Σ_ij ρ_C[i, j]·resp[:, i, j] for any number of addresses.
+    """
+    theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
+    circ = qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS)
+    router = compile_circuit(Circuit({**circ.site_dims, "R": 3}, circ.ops), noise, quiet=("R",))
+    basis = scheme_basis(scheme)
+
+    def block(reg: QuditRegister) -> QuditRegister:
+        out = router.run(reg).state
+        return _interference_layer(out, basis) if interference else out
+
+    one, zero = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    transfer = choi_superop(block, (one, 3, zero, zero))  # (24·24, 3·3)
+    return np.einsum("aaij->aij", transfer.reshape(24, 24, 3, 3))
+
+
+def _scan_populations(resp: np.ndarray, addresses: list[AddressState]) -> np.ndarray:
+    """(points, 24) router-output populations, one row per address, from the
+    address response; round-off negatives are clipped as in `populations`."""
+    c = np.array([a.site_vector() for a in addresses]).reshape(-1, 3)
+    p = np.einsum("pij,aij->pa", c[:, :, None] * c[:, None, :].conj(), resp).real
+    p[p < 0] = 0.0
+    return p
 
 
 @dataclass
@@ -130,20 +165,26 @@ class ThetaScanResult:
     p_right: np.ndarray
     p_input: np.ndarray
     scheme: str
+    counters: dict = field(default_factory=dict)  # router runs and scan points
+
+
+#: the excited Q_L, Q_R and Q_I digits of each router basis state
+_PATH_EXCITED = np.indices(ROUTER_DIMS).reshape(len(ROUTER_DIMS), -1)[[2, 3, 0]] != 0
 
 
 def theta_scan(thetas, scheme: str = "eraser", noise: NoiseModel | None = None,
                phi: float = 0.0) -> ThetaScanResult:
-    """Routing populations versus the address angle; noiseless law sin²θ/cos²θ."""
-    theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-    router = compile_circuit(qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS), noise)
+    """Routing populations versus the address angle; noiseless law sin²θ/cos²θ.
+
+    (P_L, P_R, P_I) are the marginal excitations of Q_L, Q_R and Q_I, read
+    off one router run for every θ."""
+    thetas = np.asarray(thetas, dtype=float)
     basis = scheme_basis(scheme)
-    rows = []
-    for th in np.asarray(thetas, dtype=float):
-        out = router.run(router_input(AddressState(th, phi, basis))).state
-        rows.append(_path_populations(out))
-    arr = np.array(rows)
-    return ThetaScanResult(np.asarray(thetas, float), arr[:, 0], arr[:, 1], arr[:, 2], scheme)
+    pops = _scan_populations(_address_response(scheme, noise),
+                             [AddressState(th, phi, basis) for th in thetas])
+    p_left, p_right, p_input = _ordered_sums(np.where(_PATH_EXCITED, pops[:, None], 0.0)).T
+    return ThetaScanResult(thetas, p_left, p_right, p_input, scheme,
+                           {"router_runs": 1, "points": len(thetas)})
 
 
 @dataclass
@@ -154,6 +195,7 @@ class PhiScanResult:
     state_pops: np.ndarray  # (n_phi, 8) over (Q_C, Q_L, Q_R) parity-basis states
     phi0: float
     scheme: str
+    counters: dict = field(default_factory=dict)  # router runs and scan points
 
 
 def _interference_layer(state: QuditRegister, basis: str) -> QuditRegister:
@@ -178,32 +220,24 @@ def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None) -> P
 
     The three π/2 rotations act on Q_C (in its address subspace), Q_L and
     Q_R; populations are read over those three sites with basis labels
-    mapping the high address level to 1.
+    mapping the high address level to 1.  One router run serves every φ.
     """
-    theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-    router = compile_circuit(qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS), noise)
+    phis = np.asarray(phis, dtype=float)
     basis = scheme_basis(scheme)
     high = 1 if basis == "01" else 2
-    phis = np.asarray(phis, dtype=float)
-    p_odd, p_even, per_state = [], [], []
-    for ph in phis:
-        out = router.run(router_input(AddressState(math.pi / 4, ph, basis))).state
-        out = _interference_layer(out, basis)
-        # Q_I = 0 (residual input excitation is not one of the 8 states), and
-        # Q_C at 0 or high (the eraser's leakage level is dropped): key 4c+2l+r
-        pops = populations(out).reshape(out.dims)[0, [0, high]].reshape(8)
-        po, pe = _ordered_sums(np.where([_ODD_KEYS, ~_ODD_KEYS], pops, 0.0))
-        p_odd.append(po)
-        p_even.append(pe)
-        per_state.append(pops)
-    p_odd = np.array(p_odd)
-    p_even = np.array(p_even)
+    pops = _scan_populations(_address_response(scheme, noise, interference=True),
+                             [AddressState(math.pi / 4, ph, basis) for ph in phis])
+    # Q_I = 0 (residual input excitation is not one of the 8 states), and
+    # Q_C at 0 or high (the eraser's leakage level is dropped): key 4c+2l+r
+    per_state = pops.reshape(-1, *ROUTER_DIMS)[:, 0, [0, high]].reshape(-1, 8)
+    p_odd, p_even = _ordered_sums(np.where([_ODD_KEYS, ~_ODD_KEYS], per_state[:, None], 0.0)).T
     # one shared offset: P_O = 1/2 − sin(φ+φ0)/2 ⇒ project onto sin/cos
     y = 0.5 - p_odd
     a = 2.0 * np.mean(y * np.sin(phis))
     b = 2.0 * np.mean(y * np.cos(phis))
     phi0 = math.atan2(b, a)
-    return PhiScanResult(phis, p_odd, p_even, np.array(per_state), phi0, scheme)
+    return PhiScanResult(phis, p_odd, p_even, per_state, phi0, scheme,
+                         {"router_runs": 1, "points": len(phis)})
 
 
 # --- quantum state tomography ---------------------------------------------------

@@ -330,6 +330,22 @@ def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     return C
 
 
+def choi_superop(block, site_states) -> np.ndarray:
+    """S[(a,b),(i,j)] = Φ(|i⟩⟨j|)[a,b] of the channel ``block`` on the open
+    sites, from one run.  ``site_states`` gives each input site as an int d
+    (open) or the vector it is held in; ``block`` maps (sites…, R) to
+    (sites'…, R) and never touches R, so running it once from |Ω⟩⟨Ω|,
+    |Ω⟩ = Σ_i |i⟩_open|i⟩_R, computes each column as a run on |i⟩⟨j| would."""
+    open_dims = [s for s in site_states if isinstance(s, int)]
+    r = math.prod(open_dims)
+    omega = np.eye(r, dtype=complex).reshape(*open_dims, r)
+    for pos in [k for k, s in enumerate(site_states) if not isinstance(s, int)]:
+        omega = np.moveaxis(np.tensordot(site_states[pos], omega, axes=0), 0, pos)
+    out = block(QuditRegister(omega.shape, np.outer(omega, omega.conj()))).data
+    d = out.shape[0] // r
+    return out.reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)
+
+
 def is_cptp(transfer: np.ndarray, eig_floor: float = -1e-9, tp_atol: float = 1e-9) -> bool:
     """Complete positivity (Choi ⪰ 0) and trace preservation."""
     d = int(round(np.sqrt(transfer.shape[0])))

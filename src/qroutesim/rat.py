@@ -39,8 +39,8 @@ from .fitting import FitReport, least_squares
 from .gates import Circuit, qrouter_circuit
 from .noise import NoiseModel, apply_noise_step
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
-from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, new_basis_state,
-                    partial_trace, populations, project)
+from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_superop,
+                    new_basis_state, partial_trace, populations, project)
 
 _SUPPORT_TOL = 1e-9
 
@@ -108,8 +108,11 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
 
 def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> QuditRegister:
     """Decoherence on ``sites`` only, for dt_ns.  This stays on the
-    transfer-matrix path: the fused engine kernel rounds differently, and a
-    one-trial F_RAT fit is ill-conditioned enough to amplify that."""
+    transfer-matrix path: the fused engine kernel rounds differently, and
+    the F_RAT fit passes such last-bit changes in M on, magnified.  The fit
+    is well conditioned (cond(J) ≈ 9–18 on one-trial depth-30 curves); the
+    cause is its stopping rule, trf's ``ftol`` test on the cost, which
+    resolves the parameters only to about √eps."""
     if noise is None:
         return reg
     rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
@@ -265,21 +268,6 @@ _MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
 _LEAF_DIMS = (2, 3, 2, 2)  # (M, C, D, D')
 
 
-def _choi_superop(block) -> np.ndarray:
-    """The 64×64 superoperator of a channel Φ on three qubits, from one run.
-
-    ``block`` maps a register over (system…, R) to one over (system'…, R),
-    where R is an 8-dimensional reference site it never touches.  Started
-    from |Ω⟩⟨Ω|, |Ω⟩ = Σ_i |i⟩|i⟩_R, it returns the Choi matrix
-    Σ_ij Φ(|i⟩⟨j|) ⊗ |i⟩⟨j|_R, and the reshuffle S[(a,b),(i,j)] = Φ(|i⟩⟨j|)[a,b]
-    is the row-major transfer matrix.  R is never contracted, so each column
-    is computed exactly as a run on the basis input |i⟩⟨j| would compute it.
-    """
-    omega = np.eye(8, dtype=complex).reshape(-1)
-    out = block(QuditRegister((2, 2, 2, 8), np.outer(omega, omega))).data
-    return out.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
-
-
 class _TwoLayerRun:
     """Paired-block evolution of the two-layer tree over (Q_I, M_L, M_R, D1..D4).
 
@@ -291,7 +279,7 @@ class _TwoLayerRun:
     passes are adjacent in the schedule, so they too compose into a cached
     64×64 map, with the leaf address handled inside (prep → idle during the
     root stages → route → post-select → reset).  Every map is built by one
-    run on a Choi state (`_choi_superop`), with the reference site quiet.
+    run on a Choi state (`qudit.choi_superop`), with the reference site quiet.
 
     The paired block that advances the run keeps C1 live across its leaf
     stage, so it runs the root router on the 384-dimensional register
@@ -337,7 +325,7 @@ class _TwoLayerRun:
             self.counters["map_cache_hits"] += 1
         else:
             self.counters[counter] += 1
-            self._maps[key] = _choi_superop(block)
+            self._maps[key] = choi_superop(block, (2, 2, 2))
         return self._maps[key]
 
     def _leaf_superop(self, name, passes: int) -> np.ndarray:

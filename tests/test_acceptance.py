@@ -159,6 +159,7 @@ def rat_results():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_06_rat_regression(rat_results):
     t0 = time.time()
     targets = {
@@ -178,6 +179,7 @@ def test_criterion_06_rat_regression(rat_results):
     report(6, not misses, f"fitted F_RAT {detail}" + (f" MISSES {misses}" if misses else ""))
 
 
+@pytest.mark.slow
 def test_criterion_06_fitted_values_pinned(rat_results):
     # exact F_RAT of the fixture runs: drift shows here long before it
     # leaves the criterion-6 bands (non-eraser 0% sits 0.04 points inside)
@@ -191,6 +193,7 @@ def test_criterion_06_fitted_values_pinned(rat_results):
         assert rat_results[key].fit[2] == pytest.approx(f, abs=1e-6), key
 
 
+@pytest.mark.slow
 def test_criterion_07_eraser_dominance(rat_results):
     worst = 1.0
     for tag in ("0%", "5%"):

@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qroutesim.cli import example_config, main
+from qroutesim.cli import SCHEMA, _fmt, example_config, main
+from qroutesim.noise import NoiseModel, reference_rates
+
+from conftest import per_point_phi_scan, per_point_theta_scan
 
 
 def run(args, capsys):
@@ -104,6 +109,17 @@ def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_nonphysical_rates_config_exit_2(tmp_path, capsys):
+    # the rates of DecayRates(1, 0, 0, 0, 0): no Lindblad generator has them
+    (tmp_path / "bad.ini").write_text(
+        "[noise]\ngamma10 = 1\ngamma21 = 0\ngamma2 = 0\ngamma3 = 0\ngamma4 = 0\n")
+    code, _, err = run(["theta-scan", "--noisy", "--config", str(tmp_path / "bad.ini"),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and "not physical" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exit_2(capsys):
     code, _, err = run(["rat", "--config", "/nonexistent.ini"], capsys)
     assert code == 2
@@ -172,3 +188,27 @@ def test_rat2_echoes_effective_depth(tmp_path, capsys):
     # the noisy runner looks up three maps per readout and two per paired block
     assert sum(counters["noisy"].values()) == 3 * 7 + 2 * 6
     assert counters["noisy"]["root_maps_built"] >= 1 and counters["ideal"]["leaf_maps_built"] >= 1
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+def test_noisy_scan_csvs_are_the_per_point_loop(scheme, tmp_path, capsys):
+    """The 101-point noisy scans write the bytes a router run per point
+    writes through the same formatting, and count one router run."""
+    noise = NoiseModel(reference_rates())
+    thetas = np.linspace(0.0, math.pi / 2, 101)
+    phis = np.linspace(0.0, 2 * math.pi, 101)
+    p_odd, p_even, per_state, _ = per_point_phi_scan(phis, scheme, noise)
+    expected = {
+        "theta_scan": (["theta", "p_left", "p_right", "p_input"],
+                       [[t, *p] for t, p in zip(thetas, per_point_theta_scan(thetas, scheme, noise))]),
+        "phi_scan": (["phi", "p_odd", "p_even"] + [f"p_{k:03b}" for k in range(8)],
+                     [[p, po, pe, *pops] for p, po, pe, pops in zip(phis, p_odd, p_even, per_state)]),
+    }
+    for cmd, (name, (header, rows)) in zip(["theta-scan", "phi-scan"], expected.items()):
+        code, _, _ = run([cmd, "--noisy", "--scheme", scheme, "--grid-points", "101",
+                          "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        lines = [SCHEMA, ",".join(header)] + [",".join(_fmt(float(v)) for v in row) for row in rows]
+        assert (tmp_path / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
+        blob = json.loads((tmp_path / f"{name}.json").read_text())
+        assert blob["metadata"]["counters"] == {"router_runs": 1, "points": 101}

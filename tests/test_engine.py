@@ -13,11 +13,12 @@ from qroutesim.engine import _apply_channel_table, _channel_table, compile_circu
 from qroutesim.errors import ShapeError
 from qroutesim.gates import (Circuit, GateSpec, PostselectMarker, circuit_unitary, dumps_circuit,
                              gate_matrix, loads_circuit, qrouter_circuit)
-from qroutesim.noise import (DecayRates, NoiseModel, apply_noise_step, qubit_transfer,
-                             qutrit_channel, reference_rates)
+from qroutesim.noise import NoiseModel, apply_noise_step, qubit_transfer, qutrit_channel, reference_rates
 from qroutesim.protocols import AddressState, router_input
 from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate, attach_site,
                              new_basis_state, populations, postselect)
+
+from conftest import physical_rates
 
 
 def test_run_circuit_routes_basis_label():
@@ -161,7 +162,7 @@ def _circuits(draw, max_sites: int = 3, wide: bool = False):
     return circuit
 
 
-_RATES = st.builds(DecayRates, *[st.floats(0.0, 1.0) for _ in range(5)])
+_RATES = physical_rates()
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qroutesim.errors import DegenerateRates, InvalidTime, RequiresMixed
 from qroutesim.fitting import find_root, ode_integrate
@@ -14,6 +16,7 @@ from qroutesim.noise import (
     amplitude_a110_leaky,
     amplitude_a120,
     amplitude_a120_leaky,
+    _transfer_cached,
     apply_noise_step,
     balance_point,
     reference_rates,
@@ -84,6 +87,38 @@ def test_channel_cptp_grid():
         for t in (0.0, 0.05, 0.5, 2.0, 10.0):
             T = qutrit_channel(rates, t).transfer
             assert is_cptp(T, eig_floor=-1e-9)
+
+
+def test_rates_outside_the_physical_region_are_rejected():
+    with pytest.raises(ValueError, match="not physical"):
+        DecayRates(1, 0, 0, 0, 0)  # φ01 = φ12 = −1/2
+    with pytest.raises(ValueError, match="triangle"):
+        DecayRates(0, 0, 0.01, 0.01, 1.0)  # √φ12 = 1 > √φ01 + √φ02 = 0.2
+    DecayRates(0, 0, 0.25, 0.25, 1.0)  # on the boundary: √φ12 = √φ01 + √φ02
+    with pytest.raises(ValueError, match="gamma10 must be nonnegative"):
+        DecayRates(math.nan)
+
+
+_SIXTEENTHS = st.integers(0, 16).map(lambda k: k / 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_SIXTEENTHS] * 5))
+def test_physical_region_is_complete_positivity(values):
+    """DecayRates accepts a rate set exactly when its qutrit transfer matrix
+    is CPTP at every time of a grid over [1e-4, 10] μs.  Rates on a 1/16
+    grid are exact binary fractions, so boundary cases stay on the boundary."""
+    unchecked = object.__new__(DecayRates)  # reaches rates the constructor rejects
+    for name, v in zip(("gamma10", "gamma21", "gamma2", "gamma3", "gamma4"), values):
+        object.__setattr__(unchecked, name, v)
+    try:
+        DecayRates(*values)
+        accepted = True
+    except ValueError:
+        accepted = False
+    cptp = all(is_cptp(_transfer_cached.__wrapped__(unchecked, t))
+               for t in np.geomspace(1e-4, 10.0, 9))
+    assert accepted == cptp
 
 
 def test_channel_degenerate_limit_continuous():

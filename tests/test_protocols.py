@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qroutesim import protocols
+from qroutesim import engine, protocols
 from qroutesim.errors import CapacityError, FitError
-from qroutesim.noise import DecayRates, NoiseModel, reference_rates
+from qroutesim.noise import DecayRates, LeakageSpec, NoiseModel, reference_rates
 from qroutesim.protocols import (
     AddressState,
     FloquetParams,
@@ -21,6 +23,8 @@ from qroutesim.protocols import (
     qst,
     theta_scan,
 )
+
+from conftest import per_point_phi_scan, per_point_theta_scan, physical_rates
 
 
 def test_splitmix_determinism():
@@ -71,6 +75,45 @@ def test_phi_scan_law_and_per_state(scheme):
     assert np.abs(per - pred_odd[:, None] / 4).max() < 1e-9
     even_states = [k for k in range(8) if bin(k).count("1") % 2 == 0]
     assert np.abs(r.state_pops[:, even_states] - (1 - pred_odd)[:, None] / 4).max() < 1e-9
+
+
+_ANGLES = st.floats(0.0, 2 * math.pi, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["eraser", "non-eraser"]), st.one_of(st.none(), physical_rates()),
+       st.floats(0.0, 0.5), st.lists(_ANGLES, max_size=10), st.lists(_ANGLES, max_size=10),
+       st.floats(-math.pi, math.pi))
+def test_scans_are_the_per_point_loop(scheme, rates, delta_theta, thetas, phis, phi):
+    """One Choi run of the address response reproduces a router run per
+    point, for every output of both scans."""
+    noise = None if rates is None else NoiseModel(rates, LeakageSpec(delta_theta))
+    thetas = np.array([0.0, math.pi / 2, *thetas])
+    phis = np.array([0.0, math.pi / 2, *phis])
+    r = theta_scan(thetas, scheme, noise, phi=phi)
+    want = per_point_theta_scan(thetas, scheme, noise, phi=phi)
+    assert np.abs(np.stack([r.p_left, r.p_right, r.p_input], axis=1) - want).max() <= 1e-14
+    q = phi_scan(phis, scheme, noise)
+    p_odd, p_even, per_state, phi0 = per_point_phi_scan(phis, scheme, noise)
+    assert np.abs(q.p_odd - p_odd).max() <= 1e-14
+    assert np.abs(q.p_even - p_even).max() <= 1e-14
+    assert np.abs(q.state_pops - per_state).max() <= 1e-14
+    assert abs(q.phi0 - phi0) <= 1e-14
+
+
+@pytest.mark.parametrize("scan", [theta_scan, phi_scan])
+def test_a_scan_runs_the_router_once(scan, monkeypatch):
+    calls = []
+    run = engine.CompiledCircuit.run
+
+    def counted(self, state):
+        calls.append(self.dims)
+        return run(self, state)
+
+    monkeypatch.setattr(engine.CompiledCircuit, "run", counted)
+    r = scan(np.linspace(0, math.pi / 2, 101), "eraser", NoiseModel(reference_rates()))
+    assert len(calls) == 1 and calls[0] == (2, 3, 2, 2, 3)  # the router and its reference R
+    assert r.counters == {"router_runs": 1, "points": 101}
 
 
 def test_qst_exact_noiseless_unit_fidelity():

@@ -99,6 +99,7 @@ def test_rat_two_layer_noisy_sane():
     assert np.all(np.diff(r.kept) < 0.0) and 0.0 < r.kept[-1] < r.kept[0] < 1.0
 
 
+@pytest.mark.slow
 def test_rat_two_layer_eraser_fit_dominates():
     # paired 30-trial runs at the reference rates: the eraser's fitted
     # fidelity and its whole depth curve sit above the non-eraser's
