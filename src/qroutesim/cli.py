@@ -29,7 +29,7 @@ from . import __version__
 from .errors import CapacityError, IncompatibleMode, QRouteSimError
 from .gates import dumps_circuit
 from .layout import GridSpec, TriangleLayout, best_layout, check_layout
-from .network import build_tree, compile_query, gate_counts, router_counts
+from .network import MODES, SCHEMES, build_tree, compile_query, gate_counts, router_counts
 from .noise import DecayRates, LeakageSpec, NoiseModel, amplitude_a110, amplitude_a120, balance_point
 from .protocols import FloquetParams, floquet_cost, floquet_populations, phi_scan, qst, theta_scan
 from .protocols import AddressState
@@ -41,6 +41,12 @@ SUBCOMMANDS = (
     "theta-scan", "phi-scan", "qst", "rat", "rat2", "floquet",
     "compile", "counts", "layout", "noise-curves",
 )
+#: the subcommands that simulate the router, and the schemes they run
+ROUTER_COMMANDS = ("theta-scan", "phi-scan", "qst", "rat", "rat2")
+ROUTER_SCHEMES = ("eraser", "non-eraser")
+#: the values of the ``scheme``, ``method`` and ``mode`` keys and flags
+CHOICES = {"scheme": ROUTER_SCHEMES + SCHEMES, "method": ("exact", "linear-inversion", "mle"),
+           "mode": MODES}
 
 
 @dataclass
@@ -102,6 +108,12 @@ def _check(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
+    for key, allowed in CHOICES.items():
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {getattr(cfg, key)!r}")
+    if cfg.experiment in ROUTER_COMMANDS and cfg.scheme not in ROUTER_SCHEMES:
+        raise ConfigError(f"{cfg.experiment} runs the router schemes {', '.join(ROUTER_SCHEMES)}, "
+                          f"not {cfg.scheme!r}")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -228,7 +240,7 @@ def run_rat2(cfg: RunConfig) -> int:
     # The depth cap stays: each depth of a trial advances the run by one
     # paired block, which runs the root router twice on the 384-dimensional
     # register (C1 stays live across its leaf stage), so `rat2 --noisy
-    # --n-max 6 --trials 30` already takes about 46 s on 2 cores.
+    # --n-max 6 --trials 30` already takes about 34 s on 2 cores.
     cfg = replace(cfg, n_max=min(cfg.n_max, 6))  # echo the depth actually run
     r = rat_two_layer(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials,
                       cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
@@ -357,21 +369,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="INI config file")
         sp.add_argument("--out-dir", dest="out_dir", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--scheme", default=None,
-                        choices=["eraser", "non-eraser", "clifford", "tcg-eraser",
-                                 "tcg-non-eraser", "sp-tcg"])
+        sp.add_argument("--scheme", default=None, choices=CHOICES["scheme"])
         sp.add_argument("--noisy", action="store_const", const=True, default=None)
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--shots", type=int, default=None)
         sp.add_argument("--n-max", dest="n_max", type=int, default=None)
         sp.add_argument("--grid-points", dest="grid_points", type=int, default=None)
         sp.add_argument("--layers", type=int, default=None)
-        sp.add_argument("--mode", default=None, choices=list(("full", "read-only", "write-only")))
+        sp.add_argument("--mode", default=None, choices=CHOICES["mode"])
         sp.add_argument("--grid", default=None, help="layout lattice, e.g. 12x6")
         sp.add_argument("--theta", type=float, default=None)
         sp.add_argument("--phi", type=float, default=None)
-        sp.add_argument("--method", default=None,
-                        choices=["exact", "linear-inversion", "mle"])
+        sp.add_argument("--method", default=None, choices=CHOICES["method"])
         sp.add_argument("--delta-theta", dest="delta_theta", type=float, default=None)
         sp.add_argument("--defects", default=None, help="disabled qubits, e.g. 0,0;5,3")
     return p
@@ -380,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "grid")}
+    overrides["experiment"] = args.command
     if getattr(args, "grid", None):
         try:
             rows, _, cols = args.grid.partition("x")
@@ -389,7 +399,6 @@ def main(argv=None) -> int:
             return 2
     try:
         cfg = load_config(args.config, overrides)
-        cfg.experiment = args.command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

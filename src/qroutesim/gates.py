@@ -307,11 +307,10 @@ def gate_matrix(spec: GateSpec, dims: tuple[int, ...]) -> np.ndarray:
     raise ShapeError(f"unknown gate {name!r}")
 
 
-def circuit_unitary(circuit: Circuit, site_order: list[str] | None = None) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (small registers; tests/oracles)."""
-    names = site_order or list(circuit.site_dims)
-    dims = tuple(circuit.site_dims[n] for n in names)
-    pos = {n: i for i, n in enumerate(names)}
+    dims = tuple(circuit.site_dims.values())
+    pos = {n: i for i, n in enumerate(circuit.site_dims)}
     dim = math.prod(dims)
     # the identity's columns ride along on a trailing axis
     U = np.eye(dim, dtype=complex)

@@ -30,6 +30,8 @@ from .gates import (
     qrouter_circuit,
     sp_qrouter_circuit,
 )
+from .protocols import AddressState, _ordered_sums, scheme_basis
+from .rat import _TwoLayerRun
 
 SCHEMES = ("clifford", "tcg-non-eraser", "tcg-eraser", "sp-tcg")
 MODES = ("full", "read-only", "write-only")
@@ -323,9 +325,6 @@ def two_layer_landscape(theta1s, theta2s, scheme: str = "eraser",
     surfaces P_D1 = sin²θ1 sin²θ2 ... P_D4 = cos²θ1 cos²θ2 noiselessly.
     Noisy runs include the standard per-block initialization window.
     """
-    from .protocols import AddressState, _ordered_sums, scheme_basis
-    from .rat import _TwoLayerRun
-
     if scheme not in ("eraser", "non-eraser"):
         raise ShapeError(f"unknown scheme {scheme!r}")
     basis = scheme_basis(scheme)

@@ -11,9 +11,9 @@ coherences, Γ3 the (0,2)/(2,0), Γ4 the (1,2)/(2,1).  The defaults keep
 observable.
 
 The cached 9×9 transfer matrix is the one place the decay factors are
-computed: a qubit site's channel is its {0, 1} restriction, and the
-compiled circuits' fused channel step reads its damping table and flows
-off the same matrix.
+computed: a qubit site's channel is its {0, 1} restriction.  Compiled
+circuits apply the same matrices, through the same kernel, as
+`apply_noise_step`.
 """
 
 from __future__ import annotations
@@ -156,6 +156,12 @@ def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
     return _transfer_cached(rates, float(t_us))[_QUBIT_BLOCK]
 
 
+def site_transfer(rates: DecayRates, t_us: float, dim: int) -> np.ndarray:
+    """The transfer matrix over t_us (μs) on a site of dimension ``dim``: the
+    qutrit channel, or its {0, 1} restriction on a qubit."""
+    return qutrit_channel(rates, t_us).transfer if dim == 3 else qubit_transfer(rates, t_us)
+
+
 def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister:
     """Site-wise decoherence over dt (μs); requires a mixed register.
 
@@ -170,12 +176,8 @@ def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister
         return state
     per_site = list(rates) if isinstance(rates, (list, tuple)) else [rates] * state.n_sites
     for site, r in enumerate(per_site):
-        if r is None:
-            continue
-        if state.dims[site] == 3:
-            state = apply_channel(state, qutrit_channel(r, dt_us, site))
-        else:
-            state = apply_channel(state, ChannelMap(site, qubit_transfer(r, dt_us)))
+        if r is not None:
+            state = apply_channel(state, ChannelMap(site, site_transfer(r, dt_us, state.dims[site])))
     return state
 
 

@@ -28,7 +28,7 @@ from .gates import (
     sqrt_cz_matrix,
     x01_half_matrix,
 )
-from .noise import NoiseModel
+from .noise import NoiseModel, apply_noise_step
 from .qudit import (
     QuditRegister,
     apply_gate,
@@ -455,8 +455,6 @@ def floquet_cost(params: FloquetParams, m: int = 15,
     """Average alternating |02⟩/|11⟩ population over 2m repeated gates."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    from .noise import apply_noise_step
-
     U = _floquet_composite(params.theta, params.eta, params.zeta)
     state = QuditRegister((3, 3), np.eye(9, dtype=complex)[4].astype(complex))
     if noise is not None:

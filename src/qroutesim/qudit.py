@@ -320,14 +320,9 @@ class ChannelMap:
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     """Choi matrix C = Σ_ij |i⟩⟨j| ⊗ Φ(|i⟩⟨j|) of a transfer matrix."""
     d = int(round(np.sqrt(transfer.shape[0])))
-    C = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out = (transfer @ unit.reshape(-1)).reshape(d, d)
-            C += np.kron(unit, out)
-    return C
+    # transfer[(a,b),(i,j)] = Φ(|i⟩⟨j|)[a,b] lands at C[(i,a),(j,b)]
+    return np.asarray(transfer, dtype=complex).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(
+        d * d, d * d)
 
 
 def choi_superop(block, site_states) -> np.ndarray:
@@ -352,15 +347,9 @@ def is_cptp(transfer: np.ndarray, eig_floor: float = -1e-9, tp_atol: float = 1e-
     C = choi_matrix(transfer)
     if np.linalg.eigvalsh((C + C.conj().T) / 2).min() < eig_floor:
         return False
-    for j in range(d):
-        for k in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[j, k] = 1.0
-            out = (transfer @ unit.reshape(-1)).reshape(d, d)
-            want = 1.0 if j == k else 0.0
-            if abs(np.trace(out) - want) > tp_atol:
-                return False
-    return True
+    # Tr Φ(|j⟩⟨k|) = δ_jk
+    traces = np.einsum("aajk->jk", np.reshape(transfer, (d, d, d, d)))
+    return bool(np.abs(traces - np.eye(d)).max() <= tp_atol)
 
 
 def apply_channel(state: QuditRegister, channel: ChannelMap) -> QuditRegister:

@@ -52,6 +52,9 @@ _SUPPORT_TOL = 1e-9
 #: LeakageSpec.from_leak_probability keeps the per-gate mapping.
 REFERENCE_LEAK_DELTA_THETA = 0.403
 
+#: parasitic phases (φ1, φ2) of the noisy runs: the constructive worst case
+PARASITIC = (math.pi / 2, math.pi / 2)
+
 
 @dataclass
 class RatResult:
@@ -107,12 +110,8 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
 
 
 def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> QuditRegister:
-    """Decoherence on ``sites`` only, for dt_ns.  This stays on the
-    transfer-matrix path: the fused engine kernel rounds differently, and
-    the F_RAT fit passes such last-bit changes in M on, magnified.  The fit
-    is well conditioned (cond(J) ≈ 9–18 on one-trial depth-30 curves); the
-    cause is its stopping rule, trf's ``ftol`` test on the cost, which
-    resolves the parameters only to about √eps."""
+    """Decoherence on ``sites`` only, for dt_ns: `apply_noise_step`, the
+    transfer matrices a compiled circuit's moments apply too."""
     if noise is None:
         return reg
     rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
@@ -174,12 +173,10 @@ def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
 # --- single-router RAT -----------------------------------------------------------
 
 
-def _flip_single_ns(scheme: str, single_ns: float, compiled_flip: bool) -> float:
+def _flip_single_ns(scheme: str, single_ns: float) -> float:
     """Wall time per flip gate: the eraser's three-component composite is
     compiled into one single-gate slot, so each component takes a third."""
-    if scheme == "eraser" and compiled_flip:
-        return single_ns / 3.0
-    return single_ns
+    return single_ns / 3.0 if scheme == "eraser" else single_ns
 
 
 class _SingleRouterRun:
@@ -187,7 +184,7 @@ class _SingleRouterRun:
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
-                 parasitic: tuple[float, float] = (0.0, 0.0), compiled_flip: bool = True):
+                 parasitic: tuple[float, float] = (0.0, 0.0)):
         self.scheme = scheme
         self.noise = noise
         self.basis = scheme_basis(scheme)
@@ -195,7 +192,7 @@ class _SingleRouterRun:
         theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
         self.router = compile_circuit(qrouter_circuit(
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
-            single_ns=_flip_single_ns(scheme, single_ns, compiled_flip)), noise)
+            single_ns=_flip_single_ns(scheme, single_ns)), noise)
         self.reset()
 
     def reset(self) -> None:
@@ -241,8 +238,6 @@ def rat_single(
     sqrt_cz_ns: float = 25.0,
     single_ns: float = 30.0,
     block_overhead_ns: float = 1200.0,
-    parasitic: tuple[float, float] = (math.pi / 2, math.pi / 2),
-    compiled_flip: bool = True,
 ) -> RatResult:
     """Single-router RAT over depths 0..n_max, averaged over trials.
 
@@ -251,11 +246,10 @@ def rat_single(
     configuration: a 1.2 μs per-block initialization window during which
     the freshly prepared address idles with the data register, the eraser
     flip composite compiled into one single-gate wall-time slot, and
-    parasitic phases at the constructive worst case π/2.
+    parasitic phases at the constructive worst case π/2 (`PARASITIC`).
     """
     ideal = _SingleRouterRun(scheme, None, sqrt_cz_ns, single_ns)
-    noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
-                             parasitic, compiled_flip)
+    noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns, PARASITIC)
     blocks = [draw_addresses(seed, trial, n_max + 1) for trial in range(trials)]
     per_trial, kept = _run_trials(noisy, ideal, blocks, shots, np.random.default_rng(seed))
     return _rat_result(scheme, seed, per_trial, kept)
@@ -266,6 +260,7 @@ def rat_single(
 # main register layout between leaf stages: (Q_I, C1, M_L, M_R, D1, D2, D3, D4)
 _MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
 _LEAF_DIMS = (2, 3, 2, 2)  # (M, C, D, D')
+_DATA_SITES = ("D1", "D2", "D3", "D4")
 
 
 class _TwoLayerRun:
@@ -283,26 +278,30 @@ class _TwoLayerRun:
 
     The paired block that advances the run keeps C1 live across its leaf
     stage, so it runs the root router on the 384-dimensional register
-    (``root_wide``) down and up.  ``counters`` tallies map builds and cache
+    (``root_wide``) down and up.  D1..D4 are quiet in ``root_wide``: they
+    idle in one step for the init window and the root down pass, and in
+    one for the root up pass.  ``counters`` tallies map builds and cache
     hits.
     """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
-                 parasitic: tuple[float, float] = (0.0, 0.0), compiled_flip: bool = True):
+                 parasitic: tuple[float, float] = (0.0, 0.0)):
         self.scheme = scheme
         self.noise = noise
         self.basis = scheme_basis(scheme)
         self.overhead = block_overhead_ns
         theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-        single_eff = _flip_single_ns(scheme, single_ns, compiled_flip)
+        single_eff = _flip_single_ns(scheme, single_ns)
         root_sites = ("Q_I", "C1", "M_L", "M_R")
         root = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
                                sites=root_sites, dims=(2, 3, 2, 2),
                                sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
-        names = root_sites + ("D1", "D2", "D3", "D4")
-        # the root router's moments over the whole 8-site register
-        self.root_wide = compile_circuit(Circuit(dict(zip(names, _MAIN_DIMS)), root.ops), noise)
+        names = root_sites + _DATA_SITES
+        # the root router's moments over the whole 8-site register; the root
+        # gates never touch D1..D4, which idle around it in one step each way
+        self.root_wide = compile_circuit(Circuit(dict(zip(names, _MAIN_DIMS)), root.ops), noise,
+                                         quiet=_DATA_SITES)
         leaf = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
                                sites=("M", "C", "D", "Dp"), dims=_LEAF_DIMS,
                                sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
@@ -364,16 +363,18 @@ class _TwoLayerRun:
 
     def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
         """`measure_final`, then advance the run by the paired block: attach
-        C1 → idle → root down → two-pass leaf maps → Q_I/C1 idle → root up →
-        discard C1."""
+        C1 → idle → root down → D1..D4 idle → two-pass leaf maps → Q_I/C1
+        idle → root up → D1..D4 idle → discard C1."""
         out = self.measure_final(names)
         reg = attach_site(self.state, 1, _addr_rho(names[0], self.basis))
-        reg = _idle(reg, self.noise, self.overhead, range(8))
+        reg = _idle(reg, self.noise, self.overhead, range(4))
         reg = self.root_wide.run(reg).state
+        reg = _idle(reg, self.noise, self.overhead + self.tau_router, range(4, 8))
         for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))
         reg = _idle(reg, self.noise, 2 * self.tau_router, (0, 1))
-        self.state = _discard_address(self.root_wide.run(reg).state, self.scheme)
+        reg = _idle(self.root_wide.run(reg).state, self.noise, self.tau_router, range(4, 8))
+        self.state = _discard_address(reg, self.scheme)
         return out
 
 
@@ -386,12 +387,9 @@ def rat_two_layer(
     sqrt_cz_ns: float = 25.0,
     single_ns: float = 30.0,
     block_overhead_ns: float = 1200.0,
-    parasitic: tuple[float, float] = (math.pi / 2, math.pi / 2),
-    compiled_flip: bool = True,
 ) -> RatResult:
     """Two-layer-network RAT; each block draws three addresses (root, leaves)."""
-    noisy = _TwoLayerRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns,
-                         parasitic, compiled_flip)
+    noisy = _TwoLayerRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns, PARASITIC)
     ideal = _TwoLayerRun(scheme, None, sqrt_cz_ns, single_ns)
     blocks = []
     for trial in range(trials):

@@ -98,7 +98,14 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["theta-scan", "--grid-points", "0"], None, "grid_points"),
     (["floquet"], "[protocol]\nm_repeats = 0\n", "m_repeats"),
     (["rat", "--shots", "-5"], None, "shots"),
-], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots"])
+    (["theta-scan"], "[run]\nscheme = bogus\n", "scheme"),
+    (["counts"], "[run]\nscheme = bogus\n", "scheme"),
+    (["rat"], "[run]\nscheme = bogus\n", "scheme"),
+    (["qst"], "[protocol]\nmethod = bogus\n", "method"),
+    (["compile"], "[protocol]\nmode = bogus\n", "mode"),
+    (["rat", "--scheme", "clifford"], None, "clifford"),
+], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
+        "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qroutesim import engine, gates
-from qroutesim.engine import _apply_channel_table, _channel_table, compile_circuit, run_circuit
+from qroutesim.engine import compile_circuit, run_circuit
 from qroutesim.errors import ShapeError
 from qroutesim.gates import (Circuit, GateSpec, PostselectMarker, circuit_unitary, dumps_circuit,
                              gate_matrix, loads_circuit, qrouter_circuit)
@@ -173,7 +173,7 @@ def test_compiled_run_matches_gate_by_gate_reference(circuit, rates, seed):
     noise = None if rates is None else NoiseModel(rates)
     got = compile_circuit(circuit, noise).run(state).state
     want, _ = _reference_run(state, circuit, noise)
-    assert np.abs(got.data - want.data).max() < 1e-12
+    assert np.array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("pure", [True, False])
@@ -202,16 +202,9 @@ def test_compiled_postselect_keeps_probability():
     want, kept = _reference_run(start, c, noise)
     for _ in range(2):
         res = compiled.run(start)
-        assert res.kept_probability == pytest.approx(kept, abs=1e-12)
-        assert np.abs(res.state.data - want.data).max() < 1e-12
+        assert res.kept_probability == kept
+        assert np.array_equal(res.state.data, want.data)
     assert 0.4 < kept < 0.6
-
-
-def test_compile_rejects_unknown_site_order():
-    c = Circuit({"a": 2})
-    c.add_moment(GateSpec("x", ("a",), (), 30.0))
-    with pytest.raises(ShapeError):
-        compile_circuit(c, site_order=["b"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,8 +268,9 @@ def _tensordot_gate(data: np.ndarray, dims: tuple, matrix: np.ndarray, sites) ->
 
 def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None):
     """The executor's moments with `_tensordot_gate` in place of its
-    precomputed contraction plan, and the same channel kernel."""
-    dims = state.dims
+    precomputed contraction plans, and each site's transfer matrix applied
+    through `_tensordot_into`."""
+    dims, n = state.dims, len(state.dims)
     pos = {s: i for i, s in enumerate(circuit.site_dims)}
     data = (state if noise is None else state.to_mixed()).data
     for m in circuit.moments():
@@ -285,8 +279,12 @@ def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | N
             data = _tensordot_gate(data, dims, engine.gate_matrix(g, tuple(dims[k] for k in sites)),
                                    sites)
         if noise is not None and m.duration_ns > 0:
-            data = np.ascontiguousarray(data)
-            _apply_channel_table(data, _channel_table(dims, noise.rates, m.duration_ns * 1e-3))
+            t_us, rho = m.duration_ns * 1e-3, data.reshape(dims + dims)
+            for s, d in enumerate(dims):
+                T = qutrit_channel(noise.rates, t_us).transfer if d == 3 else qubit_transfer(
+                    noise.rates, t_us)
+                rho = _tensordot_into(rho, T, [s, s + n])
+            data = rho.reshape(data.shape)
     return data
 
 

@@ -273,7 +273,7 @@ def test_serialization_round_trip():
     text = dumps_circuit(c)
     c2 = loads_circuit(text)
     assert dumps_circuit(c2) == text
-    assert circuit_unitary(c2, list(c2.site_dims)).shape == (81, 81)
+    assert circuit_unitary(c2).shape == (81, 81)
     U1 = circuit_unitary(Circuit(c.site_dims, [m for m in c.moments()]))
     U2 = circuit_unitary(Circuit(c2.site_dims, [m for m in c2.moments()]))
     assert np.abs(U1 - U2).max() < 1e-12

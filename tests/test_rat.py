@@ -8,7 +8,7 @@ import pytest
 from qroutesim import engine, rat
 from qroutesim.engine import compile_circuit
 from qroutesim.errors import FitError
-from qroutesim.gates import qrouter_circuit
+from qroutesim.gates import Circuit, qrouter_circuit
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
 from qroutesim.protocols import ADDRESS_NAMES
@@ -111,8 +111,11 @@ def test_rat_two_layer_eraser_fit_dominates():
 
 
 # M per depth of rat_single(30, scheme, reference rates with δϑ=0.403, trials=1,
-# seed=7), as float.hex.  A one-trial depth curve is an ill-conditioned fit, so
-# any change in how the simulator rounds shows here first.
+# seed=7), as float.hex.  M is read straight off the simulated populations,
+# so any change in how the simulator rounds shows here first.  (The F_RAT fit
+# of such a curve is well conditioned, but trf's cost-based stopping rule
+# resolves its parameters only to about √eps, so it passes last-bit changes
+# in M on, magnified.)
 _GOLDEN_M_SEED7 = {
     "eraser": (
         "0x1.bf8eac0f65482p-1 0x1.900d1565d3336p-1 0x1.6a6ade078a425p-1 "
@@ -154,20 +157,21 @@ def test_rat_single_golden_m_values(scheme):
 # rat_two_layer(n_max=3, scheme, reference rates, trials=1, seed=7) M per depth,
 # and the noisy eraser two_layer_landscape on a 3×3 grid of θ in [0.2, 1.3],
 # (θ1, θ2, D1..D4) flattened; float.hex, pinned bit for bit like the above.
-# Recorded when readouts moved onto block maps (D1..D4 idle in one step
-# instead of moment by moment), which moves last bits.  The values of the
-# stepped readout before that are kept below, and the new ones stay within
-# 1e-13 of them.
+# Recorded when the paired block's D1..D4 idled in one step each way
+# around the root passes (readouts already did), with compiled circuits
+# decohering through the transfer matrices; both move last bits.  The
+# values of the stepped readout before readouts moved onto block maps are
+# kept below, and the new ones stay within 1e-13 of them.
 _GOLDEN_TWO_LAYER_M_SEED7 = {
     "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44770p-1 0x1.5201ba233fba0p-1 "
-              "0x1.206f2371b4c26p-1".split(),
-    "non-eraser": "0x1.c9cabfb0e8416p-1 0x1.8964889ddaa7cp-1 0x1.48b36e3e83113p-1 "
-                  "0x1.03ab926e3bf46p-1".split(),
+              "0x1.206f2371b4c25p-1".split(),
+    "non-eraser": "0x1.c9cabfb0e8416p-1 0x1.8964889ddaa7cp-1 0x1.48b36e3e83112p-1 "
+                  "0x1.03ab926e3bf45p-1".split(),
 }
 _GOLDEN_LANDSCAPE = (
     "0x1.254a66962c2e1p-10 0x1.f6909a4bd0ed9p-6 0x1.f40104e335bfbp-6 0x1.aad5843cd525ep-1 "
     "0x1.c3b00ec75f53cp-7 0x1.3c4421edb33d4p-6 0x1.810532033d093p-2 0x1.f4e1ca9d0491dp-2 "
-    "0x1.db76be940eb4dp-6 0x1.70a57e49800b7p-8 0x1.9549864b2c21dp-1 0x1.320bbf6ac3bd1p-4 "
+    "0x1.db76be940eb4dp-6 0x1.70a57e49800b8p-8 0x1.9549864b2c21dp-1 0x1.320bbf6ac3bd1p-4 "
     "0x1.c3b5de8438b71p-7 0x1.81ac2d28cca55p-2 0x1.250590783eefcp-6 0x1.f454e3877844ep-2 "
     "0x1.5bd523be9814dp-3 0x1.c61a006cdf42ap-3 0x1.c3460e6fba0b9p-3 0x1.2623b6d2a1397p-2 "
     "0x1.6e245768519c9p-2 0x1.21f10230e52f3p-5 0x1.db072d87ce413p-2 0x1.70de4d41a7ce8p-5 "
@@ -228,12 +232,14 @@ def _single_paired_block(run, name):
 def _two_layer_paired_block(run, names):
     """attach → idle → root down → two-pass leaf maps → idle → root up → discard."""
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
-    reg = rat._idle(reg, run.noise, run.overhead, range(8))
+    reg = rat._idle(reg, run.noise, run.overhead, range(4))
     reg = run.root_wide.run(reg).state
+    reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 2)))
     reg = rat._idle(reg, run.noise, 2 * run.tau_router, (0, 1))
     reg = run.root_wide.run(reg).state
+    reg = rat._idle(reg, run.noise, run.tau_router, range(4, 8))
     return rat._discard_address(reg, run.scheme)
 
 
@@ -287,15 +293,19 @@ def _two_layer_run(scheme, noisy):
     return rat._TwoLayerRun(scheme, None, 25.0, 30.0)
 
 
+def _router(run, sites):
+    """The run's router circuit on ``sites``, built apart from the run."""
+    noisy = run.noise is not None
+    return qrouter_circuit(
+        run.scheme, parasitic=_PARASITIC if noisy else (0.0, 0.0),
+        theta=math.pi - (0.403 if noisy else 0.0), sites=sites, dims=(2, 3, 2, 2),
+        sqrt_cz_ns=25.0, single_ns=rat._flip_single_ns(run.scheme, 30.0))
+
+
 def _loop_leaf_superop(run, name, passes):
     """The leaf map column by column: one run of a leaf router without the
     reference site per basis input |i⟩⟨j| on (M, D, D')."""
-    noisy = run.noise is not None
-    leaf = compile_circuit(qrouter_circuit(
-        run.scheme, parasitic=_PARASITIC if noisy else (0.0, 0.0),
-        theta=math.pi - (0.403 if noisy else 0.0), sites=("M", "C", "D", "Dp"),
-        dims=(2, 3, 2, 2), sqrt_cz_ns=25.0,
-        single_ns=rat._flip_single_ns(run.scheme, 30.0, True)), run.noise)
+    leaf = compile_circuit(_router(run, ("M", "C", "D", "Dp")), run.noise)
     addr = rat._addr_rho(name, run.basis)
     cols = []
     for k in range(64):
@@ -322,11 +332,14 @@ def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
 
 
 def _stepped_readout(run, names):
-    """attach C1 → 8-site idle → root_wide → leaf maps → (Q_I, C1) idle →
-    discard → trace, on the 384-dimensional register."""
+    """attach C1 → 8-site idle → root pass with every site noisy → leaf maps
+    → (Q_I, C1) idle → discard → trace, on the 384-dimensional register."""
+    root = _router(run, ("Q_I", "C1", "M_L", "M_R"))
+    names8 = list(root.site_dims) + ["D1", "D2", "D3", "D4"]
+    root_wide = compile_circuit(Circuit(dict(zip(names8, rat._MAIN_DIMS)), root.ops), run.noise)
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(8))
-    reg = run.root_wide.run(reg).state
+    reg = root_wide.run(reg).state
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 1)))
     reg = rat._idle(reg, run.noise, run.tau_router, (0, 1))
