@@ -284,6 +284,7 @@ def run_compile(cfg: RunConfig) -> int:
             for g in q.schedule
         ],
         "stage_moments": q.stage_moments,
+        "metadata": {"counters": q.counters},
     }
     (out / "compile_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"{q.counts[0]} {q.counts[1]} {q.counts[2]}")

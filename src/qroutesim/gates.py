@@ -232,16 +232,17 @@ class Circuit:
     ops: list = field(default_factory=list)
 
     def add_moment(self, *gates: GateSpec) -> "Circuit":
-        m = Moment(list(gates))
-        seen: set[str] = set()
-        for g in gates:
-            for s in g.sites:
+        sites = [s for g in gates for s in g.sites]
+        seen = set(sites)
+        if len(seen) != len(sites) or not self.site_dims.keys() >= seen:
+            seen.clear()  # name the first offending site, in gate order
+            for s in sites:
                 if s in seen:
                     raise ShapeError(f"site {s} used twice in one moment")
                 if s not in self.site_dims:
                     raise ShapeError(f"unknown site {s}")
                 seen.add(s)
-        self.ops.append(m)
+        self.ops.append(Moment(list(gates)))
         return self
 
     def add_postselect(self, site: str, forbidden: int) -> "Circuit":
@@ -546,16 +547,22 @@ def dumps_circuit(circuit: Circuit) -> str:
     """Line-oriented text form: GATE name sites... params... duration_ns."""
     lines = [_HEADER]
     lines.append("SITES " + " ".join(f"{n}:{d}" for n, d in circuit.site_dims.items()))
+    # each gate object is formatted once; keyed by identity, since equal
+    # specs can print differently (0.0 == -0.0)
+    text: dict[int, str] = {}
     for op in circuit.ops:
         if isinstance(op, PostselectMarker):
             lines.append(f"POSTSELECT {op.site} {op.forbidden}")
             continue
         lines.append("MOMENT")
         for g in op.gates:
-            parts = ["GATE", g.name, *g.sites]
-            parts += [f"{k}={v!r}" for k, v in g.params]
-            parts.append(repr(g.duration_ns))
-            lines.append(" ".join(parts))
+            line = text.get(id(g))
+            if line is None:
+                parts = ["GATE", g.name, *g.sites]
+                parts += [f"{k}={v!r}" for k, v in g.params]
+                parts.append(repr(g.duration_ns))
+                line = text[id(g)] = " ".join(parts)
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -564,6 +571,7 @@ def loads_circuit(text: str) -> Circuit:
     ShapeError naming the line (for a moment's site checks, its MOMENT line)."""
     circuit: Circuit | None = None
     moment_ln, gates = 0, None  # the open MOMENT, added through add_moment when it closes
+    specs: dict[str, GateSpec] = {}  # each GATE line parsed under the current SITES
 
     def close_moment():
         if gates is not None:
@@ -574,6 +582,9 @@ def loads_circuit(text: str) -> Circuit:
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if gates is not None and line in specs:  # a GATE line met before
+            gates.append(specs[line])
+            continue
         if not line or line.startswith("#"):
             continue
         tok = line.split()
@@ -584,6 +595,7 @@ def loads_circuit(text: str) -> Circuit:
             if tok[0] == "SITES":
                 circuit = Circuit({name: int(d) for name, _, d in
                                    (item.partition(":") for item in tok[1:])})
+                specs.clear()
             elif circuit is None:
                 raise ShapeError(f"{tok[0]} before SITES")
             elif tok[0] == "MOMENT":
@@ -603,7 +615,8 @@ def loads_circuit(text: str) -> Circuit:
                         sites.append(item)
                     else:
                         duration = float(item)
-                gates.append(GateSpec(tok[1], tuple(sites), tuple(params), duration))
+                specs[line] = GateSpec(tok[1], tuple(sites), tuple(params), duration)
+                gates.append(specs[line])
             else:
                 raise ShapeError(f"unknown directive {tok[0]!r}")
         except (ShapeError, ValueError, IndexError) as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,13 +106,14 @@ class CompiledQuery:
     mode: str
     scheme: str
     stage_moments: dict[str, tuple[int, int]] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)  # passes built and appended
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int, int]:
     """(single-site gates, two-site gates, depth in non-empty moments)."""
-    n1 = sum(1 for g in circuit.gates() if g.n_sites == 1)
-    n2 = sum(1 for g in circuit.gates() if g.n_sites == 2)
-    return n1, n2, circuit.depth
+    moments = [op.gates for op in circuit.ops if isinstance(op, Moment) and op.gates]
+    n_sites = [len(g.sites) for gates in moments for g in gates]
+    return n_sites.count(1), n_sites.count(2), len(moments)
 
 
 def dependency_depth(circuit: Circuit) -> int:
@@ -169,73 +171,82 @@ def _transfer_moments(scheme: str, src: str, dst: str, reverse: bool = False,
     return core + [[x12]]
 
 
-def _append_parallel(circuit: Circuit, blocks: list[Circuit]) -> int:
-    """Zip the moments of site-disjoint blocks into shared moments.
+class _Pass(NamedTuple):
+    """A router pass or transfer group, built once per query: the zipped
+    moments of its site-disjoint blocks, its gate count and its sites."""
 
-    Returns the number of moments appended.
-    """
-    if not blocks:
-        return 0
-    lists = [b.moments() for b in blocks]
-    depth = max(len(ms) for ms in lists)
-    for k in range(depth):
-        gates = []
-        for ms in lists:
-            if k < len(ms):
-                gates.extend(ms[k].gates)
-        circuit.add_moment(*gates)
-    return depth
-
-
-def _append_moments(circuit: Circuit, moments: list[list[GateSpec]]) -> int:
-    for m in moments:
-        circuit.add_moment(*m)
-    return len(moments)
+    moments: tuple[tuple[GateSpec, ...], ...]
+    depth: int  # non-empty moments
+    gate_count: int
+    sites: tuple[str, ...]
 
 
 class _QueryBuilder:
+    """Appends passes to a query circuit, building each distinct router pass
+    ``(level, direction)`` and transfer group once; every use appends fresh
+    `Moment`s over the same frozen `GateSpec`s and an equal `ScheduleGroup`."""
+
     def __init__(self, tree: RoutingTree, scheme: str):
         self.tree = tree
         self.scheme = scheme
         self.circuit = Circuit(tree.site_dims())
         self.schedule: list[ScheduleGroup] = []
         self.stage_moments: dict[str, tuple[int, int]] = {}
+        self.depth = 0  # non-empty moments appended so far
+        # a pass here is a router pass or a transfer group
+        self.counters = {"passes_built": 0, "passes_appended": 0}
+        self._passes: dict[tuple, _Pass] = {}
         self._stage_start: int | None = None
         self._stage_name: str | None = None
 
     def start_stage(self, name: str) -> None:
         self._stage_name = name
-        self._stage_start = self.circuit.depth
+        self._stage_start = self.depth
 
     def end_stage(self) -> None:
-        self.stage_moments[self._stage_name] = (self._stage_start, self.circuit.depth)
+        self.stage_moments[self._stage_name] = (self._stage_start, self.depth)
         self._stage_name = None
 
-    def _group(self, level: int, blocks: list[Circuit]) -> None:
-        gates = sum(len(b.gates()) for b in blocks)
-        sites = tuple(s for b in blocks for m in b.moments() for g in m.gates for s in g.sites)
-        self.schedule.append(
-            ScheduleGroup(self._stage_name, level, level % 2, gates, tuple(sorted(set(sites))))
-        )
+    def _build(self, blocks: list[list[list[GateSpec]]]) -> _Pass:
+        """Zip the moments of site-disjoint blocks into shared moments, checked
+        against the query's sites once."""
+        check = Circuit(self.circuit.site_dims)
+        for k in range(max((len(b) for b in blocks), default=0)):
+            check.add_moment(*(g for b in blocks if k < len(b) for g in b[k]))
+        moments = tuple(tuple(m.gates) for m in check.ops)
+        gates = [g for m in moments for g in m]
+        self.counters["passes_built"] += 1
+        return _Pass(moments, sum(1 for m in moments if m), len(gates),
+                     tuple(sorted({s for g in gates for s in g.sites})))
+
+    def _append(self, level: int, key: tuple, blocks) -> None:
+        """Append the pass ``key``, building it from ``blocks()`` on first use."""
+        p = self._passes.get(key)
+        if p is None:
+            p = self._passes[key] = self._build(blocks())
+        self.schedule.append(ScheduleGroup(self._stage_name, level, level % 2, p.gate_count,
+                                           p.sites))
+        self.circuit.ops.extend(Moment(list(m)) for m in p.moments)
+        self.depth += p.depth
+        self.counters["passes_appended"] += 1
 
     def router_pass(self, level: int, direction: str) -> None:
-        blocks = []
-        for node in self.tree.level_nodes(level):
-            sites = (node.input_site, node.address_site, node.left_site, node.right_site)
-            dims = tuple(self.circuit.site_dims[s] for s in sites)
-            blocks.append(router_circuit_for(self.scheme, direction, sites, dims))
-        self._group(level, blocks)
-        _append_parallel(self.circuit, blocks)
+        def blocks():
+            out = []
+            for node in self.tree.level_nodes(level):
+                sites = (node.input_site, node.address_site, node.left_site, node.right_site)
+                dims = tuple(self.circuit.site_dims[s] for s in sites)
+                out.append([m.gates for m in
+                            router_circuit_for(self.scheme, direction, sites, dims).moments()])
+            return out
+
+        self._append(level, ("router", level, direction), blocks)
 
     def transfer(self, pairs: list[tuple[str, str]], reverse: bool = False,
                  level: int = 0, to_address: bool = False) -> None:
-        blocks = []
-        for src, dst in pairs:
-            b = Circuit({src: self.circuit.site_dims[src], dst: self.circuit.site_dims[dst]})
-            _append_moments(b, _transfer_moments(self.scheme, src, dst, reverse, to_address))
-            blocks.append(b)
-        self._group(level, blocks)
-        _append_parallel(self.circuit, blocks)
+        self._append(level, ("transfer", tuple(pairs), reverse, to_address),
+                     lambda: [_transfer_moments(self.scheme, src, dst, reverse, to_address)
+                              for src, dst in pairs])
 
     def leaf_layer(self, data_bits) -> None:
         gates = [
@@ -247,6 +258,7 @@ class _QueryBuilder:
             len(gates), tuple(self.tree.leaf_sites),
         ))
         self.circuit.add_moment(*gates)
+        self.depth += 1 if gates else 0
 
 
 def compile_query(
@@ -311,7 +323,7 @@ def compile_query(
     b.end_stage()
 
     return CompiledQuery(b.circuit, gate_counts(b.circuit), b.schedule, mode, scheme,
-                         b.stage_moments)
+                         b.stage_moments, b.counters)
 
 
 # --- two-layer landscape -----------------------------------------------------

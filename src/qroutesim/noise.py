@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateRates, InvalidTime, RequiresMixed
+from .errors import DegenerateRates, InvalidTime, RequiresMixed, ShapeError
 from .qudit import ChannelMap, QuditRegister, apply_channel
 
 #: relative rate difference below which the Γ10→Γ21 limit forms kick in
@@ -158,8 +158,13 @@ def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
 
 def site_transfer(rates: DecayRates, t_us: float, dim: int) -> np.ndarray:
     """The transfer matrix over t_us (μs) on a site of dimension ``dim``: the
-    qutrit channel, or its {0, 1} restriction on a qubit."""
-    return qutrit_channel(rates, t_us).transfer if dim == 3 else qubit_transfer(rates, t_us)
+    qutrit channel, or its {0, 1} restriction on a qubit.  The cascade is
+    defined on qubits and qutrits only; other dimensions raise ShapeError."""
+    if dim == 3:
+        return qutrit_channel(rates, t_us).transfer
+    if dim == 2:
+        return qubit_transfer(rates, t_us)
+    raise ShapeError(f"no decay channel for a site of dimension {dim}")
 
 
 def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -161,8 +162,14 @@ class _Plan(NamedTuple):
         return (matrix @ t).reshape(self.out).transpose(self.order)
 
 
-def _plan(shape: tuple, targets: list[int]) -> _Plan:
-    """The plan for a matrix on axes ``targets`` (in its own label order) of ``shape``."""
+def _plan(shape: tuple, targets) -> _Plan:
+    """The plan for a matrix on axes ``targets`` (in its own label order) of
+    ``shape``.  Plans are immutable, so they are memoised."""
+    return _plan_cached(tuple(shape), tuple(targets))
+
+
+@lru_cache(maxsize=4096)
+def _plan_cached(shape: tuple, targets: tuple) -> _Plan:
     targets = list(targets)
     rest = [a for a in range(len(shape)) if a not in targets]
     order = [0] * len(shape)

@@ -139,6 +139,8 @@ def test_compile_emits_report(tmp_path, capsys):
     report = json.loads((tmp_path / "compile_report.json").read_text())
     assert report["scheme"] == "tcg-eraser"
     assert set(report) >= {"mode", "scheme", "N1q", "N2q", "depth", "groups"}
+    # one layer: load, route and unload each use their own passes, none twice
+    assert report["metadata"]["counters"] == {"passes_built": 8, "passes_appended": 8}
     assert (tmp_path / "compiled_circuit.txt").read_text().startswith("# qroutesim-circuit v1")
 
 

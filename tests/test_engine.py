@@ -235,6 +235,18 @@ def test_compile_rejects_unknown_quiet_site():
         compile_circuit(c, NoiseModel(reference_rates()), quiet=("b",))
 
 
+@pytest.mark.parametrize("dim", [1, 4, 8])
+def test_noisy_site_of_another_dimension_rejected_at_compile(dim):
+    c = Circuit({"a": 3, "r": dim})
+    c.add_moment(GateSpec("x01", ("a",), (("phase", 0.0),), 30.0))
+    noise = NoiseModel(reference_rates())
+    with pytest.raises(ShapeError, match=f"dimension {dim}"):
+        compile_circuit(c, noise)
+    with pytest.raises(ShapeError, match=f"dimension {dim}"):
+        apply_noise_step(QuditRegister((3, dim), np.eye(3 * dim) / (3 * dim)), noise.rates, 0.03)
+    compile_circuit(c, noise, quiet=("r",))  # a quiet site may have any dimension
+
+
 # --- the contraction plan against tensordot, bit for bit ---------------------------
 
 _RAND3 = "rand3"  # a test-only 3-site gate: a seeded random complex matrix

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qroutesim import gates
 from qroutesim.engine import run_circuit
 from qroutesim.errors import ShapeError
 from qroutesim.gates import (
@@ -283,6 +284,50 @@ def test_moment_rejects_site_collision():
     c = Circuit({"a": 2, "b": 2})
     with pytest.raises(Exception):
         c.add_moment(GateSpec("x", ("a",)), GateSpec("x", ("a",)))
+
+
+def test_text_form_keeps_signed_zero_phases():
+    # 0.0 == -0.0, so equal specs can print differently: each keeps its own text
+    c = Circuit({"a": 3})
+    pos = GateSpec("x01", ("a",), (("phase", 0.0),))
+    neg = GateSpec("x01", ("a",), (("phase", -0.0),))
+    for g in (pos, neg, pos, neg):
+        c.add_moment(g)
+    text = dumps_circuit(c)
+    assert text.count("phase=0.0 ") == 2 and text.count("phase=-0.0 ") == 2
+    back = loads_circuit(text)
+    assert [math.copysign(1.0, m.gates[0].param("phase")) for m in back.moments()] == [1, -1, 1, -1]
+    assert dumps_circuit(back) == text
+
+
+def test_repeated_gate_line_in_a_clashing_moment_names_the_moment():
+    text = ("# qroutesim-circuit v1\nSITES a:2 b:3\nMOMENT\nGATE x a 30.0\n"
+            "MOMENT\nGATE x a 30.0\nGATE x a 30.0\n")
+    with pytest.raises(ShapeError, match="^line 5: site a used twice in one moment$"):
+        loads_circuit(text)
+
+
+def test_loads_circuit_builds_one_spec_per_distinct_gate_line(monkeypatch):
+    c = qrouter_circuit("eraser")
+    c.extend(qrouter_circuit("eraser"))
+    text = dumps_circuit(c)
+    built = []
+    real = gates.GateSpec
+    monkeypatch.setattr(gates, "GateSpec", lambda *args: built.append(args) or real(*args))
+    back = loads_circuit(text)
+    assert len(built) == len({ln for ln in text.splitlines() if ln.startswith("GATE")}) == 5
+    assert back.ops == c.ops
+
+
+def test_add_moment_names_the_first_offending_site():
+    c = Circuit({"a": 2, "b": 2})
+    with pytest.raises(ShapeError, match="^unknown site z$"):
+        c.add_moment(GateSpec("x", ("a",)), GateSpec("cx", ("z", "b")))
+    with pytest.raises(ShapeError, match="^unknown site z$"):
+        c.add_moment(GateSpec("cx", ("z", "a")), GateSpec("x", ("a",)))
+    with pytest.raises(ShapeError, match="^site a used twice in one moment$"):
+        c.add_moment(GateSpec("x", ("a",)), GateSpec("cx", ("a", "z")))
+    assert c.ops == []
 
 
 @pytest.mark.parametrize("body, line", [

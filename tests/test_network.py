@@ -1,11 +1,15 @@
 """Tree building, query compilation, gate accounting, schedule validity."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qroutesim import network
 from qroutesim.engine import run_circuit
 from qroutesim.errors import IncompatibleMode, ShapeError
-from qroutesim.gates import Circuit, GateSpec
+from qroutesim.gates import Circuit, GateSpec, dumps_circuit
 from qroutesim.network import (
     MODES,
     SCHEMES,
@@ -203,6 +207,107 @@ def test_compile_only_large_tree():
     q = compile_query(build_tree(5), "full", "tcg-eraser")
     assert q.counts[1] > 0
     assert len(q.circuit.site_dims) == 5 + 1 + 31 * 2 + 32
+
+
+# --- compiled queries pinned, and each pass built once -----------------------------
+
+
+def _seeded_query(layers, mode, scheme):
+    tree = build_tree(layers)
+    rng = np.random.default_rng((layers, MODES.index(mode), SCHEMES.index(scheme)))
+    bits = [int(b) for b in rng.integers(0, 2, size=len(tree.leaf_sites))]
+    return compile_query(tree, mode, scheme, bits)
+
+
+# SHA-256 of a query's text form, counts, schedule and stage_moments, with
+# data bits seeded by (layers, mode, scheme); recorded when every pass was
+# rebuilt on every use, so building each pass once must leave them as they are.
+_GOLDEN_QUERY_SHA256 = {
+    (2, "full", "clifford"): "9079569a41c00131520fab8aa5d81bf3702a51456f25dd998fce48c4580005f3",
+    (2, "full", "tcg-non-eraser"): "5b6ddbd6d0c55effb3874b5bd6befbbdd74c1b79140e020f5f02d43a625a742a",
+    (2, "full", "tcg-eraser"): "5da603b574f700dea03395dcce9f0e26133c784fdb30c75712bad7a904909d71",
+    (2, "read-only", "clifford"): "9c7c767544a6218613b83344cc429302b719f1a221d530b0d9f063756a9e9ffb",
+    (2, "read-only", "tcg-non-eraser"): "b406ca374595754a5a4b303ea6d421286def7922bedde44bf3b72d1aa33b51b6",
+    (2, "read-only", "tcg-eraser"): "e3ca0e2cd5bdc75ed7ee0dcfedb7d678dc9d2163b29e4692d157a4b19430d06f",
+    (2, "read-only", "sp-tcg"): "47d2748483a67f65b48f9d4d1cbe486664dece13ac9013c288d6cd622091e850",
+    (2, "write-only", "clifford"): "8116bf5038073f0d3715136f36e778731571cefc52a40d68b98facde82fec123",
+    (2, "write-only", "tcg-non-eraser"): "713d5e34bf564bfe1de520632c4186d3ce65bbf8fbfdbaafceffb33910dbf2ac",
+    (2, "write-only", "tcg-eraser"): "876cf6f2a535b32c9aec44452a0b152701acd23eda972430531a02292029816d",
+    (2, "write-only", "sp-tcg"): "c9ca22d1489b70f97a93587c154423b38b7ce28a9eb24c9a2627bcb74f6fd2c6",
+    (3, "full", "clifford"): "01863ba97751c41fa1a4c59121882453200cd551a92d875f1b7779b6ddbe5d83",
+    (3, "full", "tcg-non-eraser"): "59eea8c777a3a1928452bcaf69904ed1db509e84c1a6949231670996349e899f",
+    (3, "full", "tcg-eraser"): "7d08fcf9122e34e7e5409e62b6cb9989e0ad24c6b16a64aa535c2f56f08e9b32",
+    (3, "read-only", "clifford"): "d7d70cbc6f71023f65940c90d0f9a317d542a443683b8d9fcd421f4f83c8fc84",
+    (3, "read-only", "tcg-non-eraser"): "971cfee5789bfdd51c44c9542f0d02163e72682c61affc49df969f3b45d92f35",
+    (3, "read-only", "tcg-eraser"): "59461be15aa5c0f5de5a15d25f9cae93d45d202537f2ac5db37198d3f06d9891",
+    (3, "read-only", "sp-tcg"): "0915e80f45ab3f7e79e4de64efa3420c319a56ccee5faa6e80e129e7cc665bd8",
+    (3, "write-only", "clifford"): "536c427c11043bb25c1d9021321e1ff8cc17eb97f4cb4444313d5da9269a09c2",
+    (3, "write-only", "tcg-non-eraser"): "34cecf74249e91f039573f17ef2a58474d0304ce85c3fd4289f4ca0973b37c3a",
+    (3, "write-only", "tcg-eraser"): "696d9147340c26d8d7bc88ac6fbb2980717b69dc215e773d7d12f36b2e60773a",
+    (3, "write-only", "sp-tcg"): "1359f4c65da2ed3fc09951e5bf9e213afb9c0b2e837645611557336935831eae",
+    (4, "full", "clifford"): "e629b087d76f4806175bdf0e4b794b58d167cb1a28533d50f67242233c954bc4",
+    (4, "full", "tcg-non-eraser"): "d2a730916a93d410b98dfe7591c3255b841b43de9530624b98f256fcf77dcead",
+    (4, "full", "tcg-eraser"): "44e007e05162dc37d2f35748984f95b3730eeebd19f1b83f4239cb5fd6c6277d",
+    (4, "read-only", "clifford"): "b0e49e32a31f1a4ae216081ba6dac42365785ad4ae61a218e7655d75e6b0f262",
+    (4, "read-only", "tcg-non-eraser"): "492e5fbe310566ea4925585a56129415093a3d86e60ca83b46b340777de3456d",
+    (4, "read-only", "tcg-eraser"): "916398a78c14887ceacc0a88fa0edb11f157fd69017afb7131ddaf50a2a8187f",
+    (4, "read-only", "sp-tcg"): "00a12094710af7b498ca40aaff36b06febf085d75e7990cb3fcf4eefee9fd73f",
+    (4, "write-only", "clifford"): "68703cb4ba987e3fe4ced639138134c9367a1b238d87b75b2c6f148b385da218",
+    (4, "write-only", "tcg-non-eraser"): "3f601a9246eabcd1debeb53daf105877d2538dc868def6b592f8bd9505a06599",
+    (4, "write-only", "tcg-eraser"): "f12416d29c4a1a57e84368b4982486644519df6274ea0c477194937165af4356",
+    (4, "write-only", "sp-tcg"): "d7c469f26d800de2eda5a59a8b6a20abe8b3171d536703169d142dca34723294",
+    (5, "full", "clifford"): "f235a84bfa27f95d8605f801c1e8f3f386377e94beff0ddc719feccda08a3887",
+    (5, "full", "tcg-non-eraser"): "c0662ed0d1ae6dd6987eacec9315792c554352fcb13db2218cf20a72f4a0b248",
+    (5, "full", "tcg-eraser"): "f91c33c358ebc303dd6f43646d5b1989c64ce77213bcfa08514f9abd4d040b41",
+    (5, "read-only", "clifford"): "ee167db4ac14f8444bad2c557f9df769b0d33ebcb2c3b2dc4888f4092e077166",
+    (5, "read-only", "tcg-non-eraser"): "f869c0a392281d1ab8ae58ce407b44834fca1ec2f93702a29429e264e1af1e71",
+    (5, "read-only", "tcg-eraser"): "0d06160bacf2b4eacd184c1204ffeabcb384c9cbe9d12cdeca11559fdce19d77",
+    (5, "read-only", "sp-tcg"): "a0c780b13ed41e9ff78d0f749175f010c2bf76381dd08ae17b8dddba22d204e9",
+    (5, "write-only", "clifford"): "3cada6ae084a291651511365649f46f868b32cb6014fa969ccfb91c61ca06b5d",
+    (5, "write-only", "tcg-non-eraser"): "34d07c4e406ad102f62839c89dc4b33b017312b671e5689de8684d8ef55e225f",
+    (5, "write-only", "tcg-eraser"): "a7e21669d6faeb5363582918003d84d9b91720705b6dc2af8338a531b867aa5c",
+    (5, "write-only", "sp-tcg"): "3b53d48b242f1df3133fa8ac3b63426b38881056c2bd97613b9012be9a714b39",
+}
+
+
+@pytest.mark.parametrize("layers, mode, scheme", sorted(_GOLDEN_QUERY_SHA256))
+def test_compiled_query_golden_digest(layers, mode, scheme):
+    q = _seeded_query(layers, mode, scheme)
+    schedule = [(g.stage, g.level, g.parity, g.gate_count, g.sites) for g in q.schedule]
+    blob = "\n".join([dumps_circuit(q.circuit), repr(q.counts), repr(schedule),
+                      repr(list(q.stage_moments.items()))])
+    assert hashlib.sha256(blob.encode()).hexdigest() == _GOLDEN_QUERY_SHA256[layers, mode, scheme]
+
+
+def test_each_router_pass_built_once(monkeypatch):
+    built = Counter()
+    real = network.router_circuit_for
+
+    def counting(scheme, direction, sites, dims):
+        built[direction, sites] += 1
+        return real(scheme, direction, sites, dims)
+
+    monkeypatch.setattr(network, "router_circuit_for", counting)
+    tree = build_tree(5)
+    for mode in MODES:
+        for scheme in SCHEMES:
+            if scheme == "sp-tcg" and mode == "full":
+                continue
+            built.clear()
+            q = compile_query(tree, mode, scheme)
+            # one router block per node and direction: each (level, direction) pass once
+            assert max(built.values()) == 1
+            assert q.counters["passes_appended"] == len(q.schedule) - 1  # all but the leaf layer
+            assert q.counters["passes_built"] < q.counters["passes_appended"]
+
+
+def test_query_moments_are_fresh_and_specs_shared():
+    q = compile_query(build_tree(3), "full", "tcg-eraser")
+    moments = q.circuit.moments()
+    assert len({id(m) for m in moments}) == len(moments)
+    assert len({id(m.gates) for m in moments}) == len(moments)
+    gates = q.circuit.gates()
+    assert len({id(g) for g in gates}) < len(gates)  # repeated passes reuse frozen specs
 
 
 def test_two_layer_landscape_noiseless_product_law():

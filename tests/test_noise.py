@@ -24,6 +24,8 @@ from qroutesim.noise import (
 )
 from qroutesim.qudit import QuditRegister, choi_matrix, is_cptp, new_basis_state
 
+from conftest import physical_rates
+
 RATES = reference_rates()
 
 
@@ -119,6 +121,53 @@ def test_physical_region_is_complete_positivity(values):
     cptp = all(is_cptp(_transfer_cached.__wrapped__(unchecked, t))
                for t in np.geomspace(1e-4, 10.0, 9))
     assert accepted == cptp
+
+
+def _dephasing_points(rates):
+    """Points v_0, v_1, v_2 of the plane with ½|v_i − v_j|² = φ_ij, the excess
+    dephasings.  The longest side is laid on the x axis, so no coordinate is
+    divided by a short side."""
+    phi = {(0, 1): rates.gamma2 - rates.gamma10 / 2, (0, 2): rates.gamma3 - rates.gamma21 / 2,
+           (1, 2): rates.gamma4 - (rates.gamma10 + rates.gamma21) / 2}
+    side = {ij: math.sqrt(2 * max(p, 0.0)) for ij, p in phi.items()}
+    (i, j), base = max(side.items(), key=lambda item: item[1])
+    k = 3 - i - j
+    v = np.zeros((3, 2))
+    v[j, 0] = base
+    if base > 0:
+        to_i, to_j = side[tuple(sorted((i, k)))], side[tuple(sorted((j, k)))]
+        x = (base**2 + to_i**2 - to_j**2) / (2 * base)
+        v[k] = x, math.sqrt(max(to_i**2 - x**2, 0.0))
+    return v
+
+
+def _lindbladian(rates):
+    """The cascade's generator on the row-major vectorized ρ, built from its
+    jump operators √Γ10|0⟩⟨1|, √Γ21|1⟩⟨2| and one diagonal dephasing operator
+    per coordinate of the dephasing points: vec(AρB) = (A ⊗ Bᵀ) vec(ρ)."""
+    jumps = [np.zeros((3, 3)), np.zeros((3, 3))]
+    jumps[0][0, 1] = math.sqrt(rates.gamma10)
+    jumps[1][1, 2] = math.sqrt(rates.gamma21)
+    jumps += [np.diag(col) for col in _dephasing_points(rates).T]
+    eye = np.eye(3)
+    L = np.zeros((9, 9))
+    for J in jumps:
+        JdJ = J.T @ J
+        L += np.kron(J, J) - 0.5 * np.kron(JdJ, eye) - 0.5 * np.kron(eye, JdJ.T)
+    return L
+
+
+@settings(max_examples=200, deadline=None)
+@given(physical_rates(), st.floats(0.0, 10.0))
+def test_transfer_matrix_is_the_lindblad_exponential(rates, t):
+    """`_transfer_cached(r, t)` is expm(t·L) of the Lindblad generator.  The
+    closed form divides by Γ10 − Γ21, so near Γ10 = Γ21 it loses digits as
+    eps/|Γ10 − Γ21|; the bound allows that term and 1e-12 besides."""
+    from scipy.linalg import expm
+
+    gap = abs(rates.gamma10 - rates.gamma21)
+    tol = 1e-12 + (1e-15 / gap if gap else 0.0)
+    assert np.abs(_transfer_cached(rates, t) - expm(t * _lindbladian(rates))).max() <= tol
 
 
 def test_channel_degenerate_limit_continuous():
