@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,10 @@ def _check(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
+    if cfg.experiment in ("rat", "rat2") and cfg.n_max < 2:
+        raise ConfigError(f"n_max must be >= 2 (the fit needs 3 depths), got {cfg.n_max}")
+    if cfg.experiment == "compile" and cfg.layers < 1:
+        raise ConfigError(f"layers must be >= 1, got {cfg.layers}")
     for key, allowed in CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {getattr(cfg, key)!r}")
@@ -237,11 +241,6 @@ def run_rat(cfg: RunConfig) -> int:
 
 
 def run_rat2(cfg: RunConfig) -> int:
-    # The depth cap stays: each depth of a trial advances the run by one
-    # paired block, which runs the root router twice on the 384-dimensional
-    # register (C1 stays live across its leaf stage), so `rat2 --noisy
-    # --n-max 6 --trials 30` already takes about 34 s on 2 cores.
-    cfg = replace(cfg, n_max=min(cfg.n_max, 6))  # echo the depth actually run
     r = rat_two_layer(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials,
                       cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
     rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]

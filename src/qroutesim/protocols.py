@@ -135,8 +135,8 @@ def _address_response(scheme: str, noise: NoiseModel | None,
     site R appended (`qudit.choi_superop`), so an address ρ_C gives the
     populations Σ_ij ρ_C[i, j]·resp[:, i, j] for any number of addresses.
     """
-    theta_gate = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-    circ = qrouter_circuit(scheme, theta=theta_gate, dims=ROUTER_DIMS)
+    circ = qrouter_circuit(scheme, theta=noise.leakage.theta if noise else math.pi,
+                           dims=ROUTER_DIMS)
     router = compile_circuit(Circuit({**circ.site_dims, "R": 3}, circ.ops), noise, quiet=("R",))
     basis = scheme_basis(scheme)
 
@@ -324,20 +324,23 @@ def qst(
 
     Pre-rotations {I, X, Y} act on each site's qubit subspace ({0,1}, or
     {0,2} for the eraser address site); ``shots`` counts samples per basis
-    setting (0 = exact probabilities straight into the estimator).
+    setting (0 = exact probabilities straight into the estimator).  A noisy
+    run's √CZ gates under-rotate to ϑ = π − δϑ; the noiseless oracle that
+    fixes the target runs at ϑ = π.
     """
     sites = list(sites)
     if len(sites) > 3:
         raise CapacityError("tomography enumerated over at most 3 sites")
     basis = scheme_basis(scheme)
-    circ = qrouter_circuit(scheme, dims=ROUTER_DIMS)
+    ideal = qrouter_circuit(scheme, dims=ROUTER_DIMS)
+    circ = qrouter_circuit(scheme, theta=noise.leakage.theta, dims=ROUTER_DIMS) if noise else ideal
     out = run_circuit(router_input(address), circ, noise).state
     if noise is not None and scheme == "eraser":
         out, _ = postselect(out, 1, 1)
     reduced = partial_trace(out, sites)
 
     # noiseless oracle fixes the pure target
-    oracle = run_circuit(router_input(address), circ, None).state
+    oracle = run_circuit(router_input(address), ideal, None).state
     target_red = partial_trace(oracle, sites).data
     vals, vecs = np.linalg.eigh(target_red)
     target = vecs[:, -1]

@@ -14,8 +14,10 @@ Depth n+1 repeats depth n's blocks and adds one, so a trial is one run.
 On one router, at each depth the register, the fresh address and the
 router's first pass are simulated once, and the readout (the last block's
 single pass) and the next paired block (a second pass) both continue from
-that shared state.  The two-layer readout is instead a product of cached
-block maps on a few sites (see `_TwoLayerRun`).  The readout also reports
+that shared state.  The two-layer run is instead a product of cached
+maps, all built from one compiled router (see `_TwoLayerRun`): block maps
+on a few sites for the readout, and the router's own superoperator for the
+root passes of the paired block.  The readout also reports
 the probability kept by every post-selection so far, the eraser's
 acceptance.
 
@@ -189,7 +191,7 @@ class _SingleRouterRun:
         self.noise = noise
         self.basis = scheme_basis(scheme)
         self.overhead = block_overhead_ns
-        theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
+        theta = noise.leakage.theta if noise else math.pi
         self.router = compile_circuit(qrouter_circuit(
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
             single_ns=_flip_single_ns(scheme, single_ns)), noise)
@@ -257,31 +259,25 @@ def rat_single(
 
 # --- two-layer network RAT --------------------------------------------------------
 
-# main register layout between leaf stages: (Q_I, C1, M_L, M_R, D1, D2, D3, D4)
-_MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
-_LEAF_DIMS = (2, 3, 2, 2)  # (M, C, D, D')
-_DATA_SITES = ("D1", "D2", "D3", "D4")
-
-
 class _TwoLayerRun:
     """Paired-block evolution of the two-layer tree over (Q_I, M_L, M_R, D1..D4).
 
-    A readout needs no 8-site register: it is a cached root map on
+    One router circuit serves the root and both leaves, and every block is
+    a map built from it by one run on a Choi state (`qudit.choi_superop`),
+    with the reference site quiet.  A readout is a cached root map on
     (Q_I, M_L, M_R) (attach C1 → init-window idle → root pass → Q_I/C1 idle
     through the leaf stage → discard C1), one idle step on D1..D4 for the
     init window and the root pass (the root gates do not touch them), then
     the one-pass leaf maps on (M, D, D').  Each leaf router's down(+up)
     passes are adjacent in the schedule, so they too compose into a cached
     64×64 map, with the leaf address handled inside (prep → idle during the
-    root stages → route → post-select → reset).  Every map is built by one
-    run on a Choi state (`qudit.choi_superop`), with the reference site quiet.
+    root stages → route → post-select → reset).
 
     The paired block that advances the run keeps C1 live across its leaf
-    stage, so it runs the root router on the 384-dimensional register
-    (``root_wide``) down and up.  D1..D4 are quiet in ``root_wide``: they
-    idle in one step for the init window and the root down pass, and in
-    one for the root up pass.  ``counters`` tallies map builds and cache
-    hits.
+    stage, so its root passes apply the router's 576×576 superoperator on
+    (Q_I, C1, M_L, M_R), built on the first advance; D1..D4 idle in one
+    step for the init window and the root down pass, and in one for the
+    root up pass.  ``counters`` tallies map builds and cache hits.
     """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
@@ -291,27 +287,14 @@ class _TwoLayerRun:
         self.noise = noise
         self.basis = scheme_basis(scheme)
         self.overhead = block_overhead_ns
-        theta = math.pi - (noise.leakage.delta_theta if noise else 0.0)
-        single_eff = _flip_single_ns(scheme, single_ns)
-        root_sites = ("Q_I", "C1", "M_L", "M_R")
-        root = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
-                               sites=root_sites, dims=(2, 3, 2, 2),
-                               sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
-        names = root_sites + _DATA_SITES
-        # the root router's moments over the whole 8-site register; the root
-        # gates never touch D1..D4, which idle around it in one step each way
-        self.root_wide = compile_circuit(Circuit(dict(zip(names, _MAIN_DIMS)), root.ops), noise,
-                                         quiet=_DATA_SITES)
-        leaf = qrouter_circuit(scheme, parasitic=parasitic, theta=theta,
-                               sites=("M", "C", "D", "Dp"), dims=_LEAF_DIMS,
-                               sqrt_cz_ns=sqrt_cz_ns, single_ns=single_eff)
-        # both routers with the Choi reference site R appended, quiet
-        self.root, self.leaf = (
-            compile_circuit(Circuit({**c.site_dims, "R": 8}, c.ops), noise, quiet=("R",))
-            for c in (root, leaf))
-        self.tau_router = leaf.duration_ns()  # the root router takes as long
+        self.circuit = qrouter_circuit(
+            scheme, parasitic=parasitic, theta=noise.leakage.theta if noise else math.pi,
+            dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns, single_ns=_flip_single_ns(scheme, single_ns))
+        self.router = self._with_reference(8)  # for the maps on three sites
+        self.tau_router = self.circuit.duration_ns()
         self._maps: dict[tuple, np.ndarray] = {}
-        self.counters = {"leaf_maps_built": 0, "root_maps_built": 0, "map_cache_hits": 0}
+        self.counters = {"leaf_maps_built": 0, "root_maps_built": 0,
+                         "router_superops_built": 0, "map_cache_hits": 0}
         self.reset()
 
     def reset(self) -> None:
@@ -319,12 +302,17 @@ class _TwoLayerRun:
         input, leaves empty."""
         self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
 
-    def _cached_map(self, key: tuple, counter: str, block) -> np.ndarray:
+    def _with_reference(self, dim: int):
+        """The router compiled with a quiet Choi reference site R of ``dim``."""
+        c = self.circuit
+        return compile_circuit(Circuit({**c.site_dims, "R": dim}, c.ops), self.noise, quiet=("R",))
+
+    def _cached_map(self, key: tuple, counter: str, block, site_states=(2, 2, 2)) -> np.ndarray:
         if key in self._maps:
             self.counters["map_cache_hits"] += 1
         else:
             self.counters[counter] += 1
-            self._maps[key] = choi_superop(block, (2, 2, 2))
+            self._maps[key] = choi_superop(block, site_states)
         return self._maps[key]
 
     def _leaf_superop(self, name, passes: int) -> np.ndarray:
@@ -334,7 +322,7 @@ class _TwoLayerRun:
             # the leaf address idles through the init window and the root pass
             reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1,))
             for _ in range(passes):
-                reg = self.leaf.run(reg).state
+                reg = self.router.run(reg).state
             reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1,))
             return _discard_address(reg, self.scheme)
 
@@ -345,12 +333,19 @@ class _TwoLayerRun:
         def block(reg: QuditRegister) -> QuditRegister:
             reg = attach_site(reg, 1, _addr_rho(name, self.basis))
             reg = _idle(reg, self.noise, self.overhead, range(4))
-            reg = self.root.run(reg).state
+            reg = self.router.run(reg).state
             # Q_I and C1 idle while the leaves route once
             reg = _idle(reg, self.noise, self.tau_router, (0, 1))
             return _discard_address(reg, self.scheme)
 
         return self._cached_map(("root", name), "root_maps_built", block)
+
+    def _router_superop(self) -> np.ndarray:
+        """One router pass on (Q_I, C1, M_L, M_R), as a 576×576 superoperator."""
+        def block(reg: QuditRegister) -> QuditRegister:
+            return self._with_reference(24).run(reg).state
+
+        return self._cached_map(("router",), "router_superops_built", block, (2, 3, 2, 2))
 
     def measure_final(self, names) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, D1..D4) after a last, single down-routing
@@ -366,14 +361,15 @@ class _TwoLayerRun:
         C1 → idle → root down → D1..D4 idle → two-pass leaf maps → Q_I/C1
         idle → root up → D1..D4 idle → discard C1."""
         out = self.measure_final(names)
+        root = ChannelMap((0, 1, 2, 3), self._router_superop())
         reg = attach_site(self.state, 1, _addr_rho(names[0], self.basis))
         reg = _idle(reg, self.noise, self.overhead, range(4))
-        reg = self.root_wide.run(reg).state
-        reg = _idle(reg, self.noise, self.overhead + self.tau_router, range(4, 8))
+        reg = _idle(apply_channel(reg, root), self.noise, self.overhead + self.tau_router,
+                    range(4, 8))
         for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))
         reg = _idle(reg, self.noise, 2 * self.tau_router, (0, 1))
-        reg = _idle(self.root_wide.run(reg).state, self.noise, self.tau_router, range(4, 8))
+        reg = _idle(apply_channel(reg, root), self.noise, self.tau_router, range(4, 8))
         self.state = _discard_address(reg, self.scheme)
         return out
 

@@ -104,8 +104,12 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["qst"], "[protocol]\nmethod = bogus\n", "method"),
     (["compile"], "[protocol]\nmode = bogus\n", "mode"),
     (["rat", "--scheme", "clifford"], None, "clifford"),
+    (["rat", "--n-max", "1"], None, "n_max"),
+    (["rat2"], "[protocol]\nn_max = 1\n", "n_max"),
+    (["compile", "--layers", "0"], None, "layers"),
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
-        "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford"])
+        "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
+        "n_max-rat2", "layers-compile"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)
@@ -184,19 +188,22 @@ def test_example_config_parses(tmp_path, capsys):
 
 
 def test_rat2_echoes_effective_depth(tmp_path, capsys):
-    code, _, _ = run(["rat2", "--n-max", "30", "--trials", "1", "--out-dir", str(tmp_path)], capsys)
+    code, _, _ = run(["rat2", "--n-max", "8", "--trials", "1", "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     blob = json.loads((tmp_path / "rat2.json").read_text())
-    assert blob["config"]["n_max"] == 6
-    assert '"n_max": 6' in (tmp_path / "rat2.json").read_text()
-    assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 7
+    assert blob["config"]["n_max"] == 8
+    assert '"n_max": 8' in (tmp_path / "rat2.json").read_text()
+    assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 9
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
-    assert blob["postselection_kept"] == pytest.approx([1.0] * 7, abs=1e-12)
+    assert blob["postselection_kept"] == pytest.approx([1.0] * 9, abs=1e-12)
     counters = blob["metadata"]["counters"]
     assert set(counters) == {"noisy", "ideal"}
-    # the noisy runner looks up three maps per readout and two per paired block
-    assert sum(counters["noisy"].values()) == 3 * 7 + 2 * 6
+    # the noisy runner looks up three maps per readout and three per paired
+    # block (two leaf maps and the router superoperator)
+    assert sum(counters["noisy"].values()) == 3 * 9 + 3 * 8
     assert counters["noisy"]["root_maps_built"] >= 1 and counters["ideal"]["leaf_maps_built"] >= 1
+    assert counters["noisy"]["router_superops_built"] == 1
+    assert counters["ideal"]["router_superops_built"] == 0
 
 
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroutesim import engine, protocols
+from qroutesim import engine, gates, protocols
 from qroutesim.errors import CapacityError, FitError
 from qroutesim.noise import DecayRates, LeakageSpec, NoiseModel, reference_rates
+from qroutesim.qudit import partial_trace, postselect
 from qroutesim.protocols import (
     AddressState,
     FloquetParams,
@@ -187,6 +188,20 @@ def test_qst_mle_is_the_per_outcome_loop(theta):
 def test_qst_mle_noiseless_exact_does_not_converge():
     with pytest.raises(FitError, match="500 iterations"):
         qst(AddressState(0.7, 0.0, "02"), "eraser", method="mle")
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+def test_noisy_qst_runs_the_leaky_router(scheme):
+    address = AddressState(0.785398, 0.0, protocols.scheme_basis(scheme))
+    leaky = NoiseModel(reference_rates(), LeakageSpec(0.4))
+    res = qst(address, scheme, noise=leaky)
+    circ = gates.qrouter_circuit(scheme, theta=math.pi - 0.4, dims=protocols.ROUTER_DIMS)
+    out = engine.run_circuit(protocols.router_input(address), circ, leaky).state
+    if scheme == "eraser":
+        out, _ = postselect(out, 1, 1)
+    assert np.array_equal(res.rho, partial_trace(out, [1, 2, 3]).data)
+    plain = qst(address, scheme, noise=NoiseModel(reference_rates()))
+    assert np.abs(res.rho - plain.rho).max() > 1e-3
 
 
 def test_qst_site_cap():
