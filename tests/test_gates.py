@@ -341,3 +341,13 @@ def test_loads_circuit_rejects_malformed_text(body, line):
     text = "# qroutesim-circuit v1\nSITES a:2 b:3\n" + body
     with pytest.raises(ShapeError, match=f"^line {line}: "):
         loads_circuit(text)
+
+
+def test_loads_circuit_names_a_failing_block_after_valid_repeats():
+    block = "MOMENT\nGATE x a 30.0\nGATE x b 30.0\n"
+    text = ("# qroutesim-circuit v1\nSITES a:2 b:3\n" + block * 3
+            + "MOMENT\nGATE x a 30.0\nGATE x b 30.0\nGATE x a 30.0\n")
+    with pytest.raises(ShapeError, match="^line 12: site a used twice in one moment$"):
+        loads_circuit(text)
+    back = loads_circuit("# qroutesim-circuit v1\nSITES a:2 b:3\n" + block * 3)
+    assert [len(m.gates) for m in back.moments()] == [2, 2, 2]

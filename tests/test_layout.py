@@ -1,7 +1,9 @@
 """Triangle packing: constraint checking and growth search."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from qroutesim.layout import (
@@ -135,3 +137,69 @@ def test_seed_candidates_order():
     anchors = [s.anchor for s in seeds]
     assert anchors == sorted(anchors)
     assert len(seeds) == 4 * 12
+
+
+def _defect_grid(seed: int) -> GridSpec:
+    """A seeded defective lattice: 1–4 dead qubits, 0–2 dead couplers."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (12, 6) if seed % 3 else (8, 8)
+    cells = rng.choice(rows * cols, size=1 + seed % 4, replace=False)
+    qubits = frozenset(divmod(int(c), cols) for c in cells)
+    couplers = set()
+    for _ in range(seed % 3):
+        r, c = int(rng.integers(rows - 1)), int(rng.integers(cols - 1))
+        couplers.add(((r, c), (r, c + 1) if rng.integers(2) else (r + 1, c)))
+    return GridSpec(rows, cols, qubits, frozenset(couplers))
+
+
+def _layout_digest(grid: GridSpec, layers: int) -> str:
+    """Seed, triangles, parents and diagnostics (all but ``search``) of a search."""
+    seed, lay, diag = best_layout(grid, layers)
+    blob = {
+        "seed": None if seed is None else [*seed.anchor, seed.address_corner, seed.input_corner],
+        "triangles": None if lay is None else [[*t.anchor, t.address_corner, t.input_corner]
+                                               for t in lay.triangles],
+        "parents": None if lay is None else lay.parents,
+        "diagnostics": {k: v for k, v in diag.items() if k != "search"},
+    }
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
+
+
+#: recorded from the per-placement search before the footprint table
+_LAYOUT_DIGESTS = {
+    **{((12, 6), L): "31f0d9b075069a26" for L in range(3)},
+    ((12, 6), 3): "6a6447bae56852b6",
+    ((12, 6), 4): "2a449ac9f987a8fc",
+    ((12, 6), 5): "81279c4fdee70b61",
+    ((12, 6), 6): "b2ec9045706bae63",
+    ((8, 8), 4): "6cb8ebf33ec85cca",
+    ((8, 8), 5): "468f969d636fd874",
+}
+#: per defect seed, the digests of layers 4, 5 and 6
+_DEFECT_DIGESTS = {
+    0: ("6cb8ebf33ec85cca", "468f969d636fd874", "a4f97386888691c2"),
+    1: ("2a449ac9f987a8fc", "81279c4fdee70b61", "b2ec9045706bae63"),
+    2: ("1910e0f45ddc9862", "1896ddcc17af7e79", "b2ec9045706bae63"),
+    3: ("42c90b01eb51b4d2", "f9a0b2ca74e0782c", "b2ec9045706bae63"),
+    4: ("2a449ac9f987a8fc", "81279c4fdee70b61", "b2ec9045706bae63"),
+    5: ("2a449ac9f987a8fc", "81279c4fdee70b61", "b2ec9045706bae63"),
+    6: ("6cb8ebf33ec85cca", "468f969d636fd874", "b2ec9045706bae63"),
+    7: ("2a449ac9f987a8fc", "2ac742eea547b398", "b2ec9045706bae63"),
+    8: ("1910e0f45ddc9862", "2973adbadd7522ef", "b2ec9045706bae63"),
+    9: ("6cb8ebf33ec85cca", "468f969d636fd874", "b2ec9045706bae63"),
+    10: ("2a449ac9f987a8fc", "2973adbadd7522ef", "b2ec9045706bae63"),
+    11: ("55b82edd42eaf513", "17aced78f38fe09e", "b2ec9045706bae63"),
+}
+
+
+@pytest.mark.parametrize("shape, layers", list(_LAYOUT_DIGESTS))
+def test_layout_ladder_digests(shape, layers):
+    assert _layout_digest(GridSpec(*shape), layers) == _LAYOUT_DIGESTS[shape, layers]
+
+
+@pytest.mark.parametrize("seed", list(_DEFECT_DIGESTS))
+def test_defect_layout_digests(seed):
+    grid = _defect_grid(seed)
+    assert bool(grid.defect_couplers) == (seed % 3 > 0)
+    got = tuple(_layout_digest(grid, L) for L in (4, 5, 6))
+    assert got == _DEFECT_DIGESTS[seed]
