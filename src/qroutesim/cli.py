@@ -110,7 +110,7 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
     if cfg.experiment in ("rat", "rat2") and cfg.n_max < 2:
         raise ConfigError(f"n_max must be >= 2 (the fit needs 3 depths), got {cfg.n_max}")
-    if cfg.experiment == "compile" and cfg.layers < 1:
+    if cfg.experiment in ("compile", "layout") and cfg.layers < 1:
         raise ConfigError(f"layers must be >= 1, got {cfg.layers}")
     for key, allowed in CHOICES.items():
         if getattr(cfg, key) not in allowed:
@@ -164,14 +164,19 @@ def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     csv_path.write_text("\n".join(lines) + "\n")
+    _write_summary(cfg, out / f"{name}.json", summary, counters)
+    return csv_path
+
+
+def _write_summary(cfg: RunConfig, path: Path, summary: dict, counters: dict | None) -> None:
+    """The JSON summary, with the run's config and metadata echoed."""
     summary = dict(summary)
     summary["config"] = asdict(cfg)
     summary["metadata"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
                            "version": __version__}
     if counters is not None:
         summary["metadata"]["counters"] = counters
-    (out / f"{name}.json").write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
-    return csv_path
+    path.write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
 
 
 def _fmt(v) -> str:
@@ -315,6 +320,7 @@ def run_layout(cfg: RunConfig) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     seed, layout, diag = best_layout(grid, cfg.layers)
+    search = diag.pop("search")
     if layout is None:
         print(f"no {cfg.layers}-layer layout fits {cfg.rows}x{cfg.cols}: {diag}", file=sys.stderr)
         return 3
@@ -325,7 +331,7 @@ def run_layout(cfg: RunConfig) -> int:
     (out / "layout_coords.csv").write_text(layout.to_coordinate_csv())
     summary = {"layers": cfg.layers, "triangles": len(layout.triangles),
                "valid": report.valid, "diagnostics": diag}
-    (out / "layout_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_summary(cfg, out / "layout_summary.json", summary, search)
     print(f"layout: {len(layout.triangles)} triangles, valid={report.valid}")
     return 0
 
@@ -363,26 +369,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qroutesim",
                                 description="quantum-router / QRAM simulator toolkit")
     p.add_argument("--version", action="version", version=f"qroutesim {__version__}")
+    # every subcommand takes the same options, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", default=None, help="INI config file")
+    shared.add_argument("--out-dir", dest="out_dir", default=None)
+    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--scheme", default=None, choices=CHOICES["scheme"])
+    shared.add_argument("--noisy", action="store_const", const=True, default=None)
+    shared.add_argument("--trials", type=int, default=None)
+    shared.add_argument("--shots", type=int, default=None)
+    shared.add_argument("--n-max", dest="n_max", type=int, default=None)
+    shared.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    shared.add_argument("--layers", type=int, default=None)
+    shared.add_argument("--mode", default=None, choices=CHOICES["mode"])
+    shared.add_argument("--grid", default=None, help="layout lattice, e.g. 12x6")
+    shared.add_argument("--theta", type=float, default=None)
+    shared.add_argument("--phi", type=float, default=None)
+    shared.add_argument("--method", default=None, choices=CHOICES["method"])
+    shared.add_argument("--delta-theta", dest="delta_theta", type=float, default=None)
+    shared.add_argument("--defects", default=None, help="disabled qubits, e.g. 0,0;5,3")
     sub = p.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="INI config file")
-        sp.add_argument("--out-dir", dest="out_dir", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--scheme", default=None, choices=CHOICES["scheme"])
-        sp.add_argument("--noisy", action="store_const", const=True, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--shots", type=int, default=None)
-        sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-        sp.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-        sp.add_argument("--layers", type=int, default=None)
-        sp.add_argument("--mode", default=None, choices=CHOICES["mode"])
-        sp.add_argument("--grid", default=None, help="layout lattice, e.g. 12x6")
-        sp.add_argument("--theta", type=float, default=None)
-        sp.add_argument("--phi", type=float, default=None)
-        sp.add_argument("--method", default=None, choices=CHOICES["method"])
-        sp.add_argument("--delta-theta", dest="delta_theta", type=float, default=None)
-        sp.add_argument("--defects", default=None, help="disabled qubits, e.g. 0,0;5,3")
+        sub.add_parser(name, parents=[shared])
     return p
 
 

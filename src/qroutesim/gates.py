@@ -201,11 +201,12 @@ class GateSpec:
         return len(self.sites)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Moment:
-    """Gates executing in parallel; no site may appear twice."""
+    """Gates executing in parallel; no site may appear twice.  Immutable, so
+    one moment can stand at many places of a circuit."""
 
-    gates: list[GateSpec] = field(default_factory=list)
+    gates: tuple[GateSpec, ...] = ()
 
     @property
     def duration_ns(self) -> float:
@@ -242,7 +243,7 @@ class Circuit:
                 if s not in self.site_dims:
                     raise ShapeError(f"unknown site {s}")
                 seen.add(s)
-        self.ops.append(Moment(list(gates)))
+        self.ops.append(Moment(gates))
         return self
 
     def add_postselect(self, site: str, forbidden: int) -> "Circuit":
@@ -570,20 +571,30 @@ def loads_circuit(text: str) -> Circuit:
     """Parse the text form of `dumps_circuit`; malformed input raises
     ShapeError naming the line (for a moment's site checks, its MOMENT line)."""
     circuit: Circuit | None = None
-    moment_ln, gates = 0, None  # the open MOMENT, added through add_moment when it closes
+    moment_ln, gates = 0, None  # the open MOMENT's GATE lines, added when it closes
     specs: dict[str, GateSpec] = {}  # each GATE line parsed under the current SITES
+    # each distinct block of GATE lines checked once under the current SITES,
+    # keyed by its text since equal specs can print differently (0.0 == -0.0)
+    blocks: dict[tuple[str, ...], Moment] = {}
 
     def close_moment():
-        if gates is not None:
+        if gates is None:
+            return
+        key = tuple(gates)
+        moment = blocks.get(key)
+        if moment is None:
             try:
-                circuit.add_moment(*gates)
+                circuit.add_moment(*(specs[g] for g in key))
             except ShapeError as exc:
                 raise ShapeError(f"line {moment_ln}: {exc}") from exc
+            blocks[key] = circuit.ops[-1]
+        else:
+            circuit.ops.append(moment)
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if gates is not None and line in specs:  # a GATE line met before
-            gates.append(specs[line])
+            gates.append(line)
             continue
         if not line or line.startswith("#"):
             continue
@@ -596,6 +607,7 @@ def loads_circuit(text: str) -> Circuit:
                 circuit = Circuit({name: int(d) for name, _, d in
                                    (item.partition(":") for item in tok[1:])})
                 specs.clear()
+                blocks.clear()
             elif circuit is None:
                 raise ShapeError(f"{tok[0]} before SITES")
             elif tok[0] == "MOMENT":
@@ -616,7 +628,7 @@ def loads_circuit(text: str) -> Circuit:
                     else:
                         duration = float(item)
                 specs[line] = GateSpec(tok[1], tuple(sites), tuple(params), duration)
-                gates.append(specs[line])
+                gates.append(line)
             else:
                 raise ShapeError(f"unknown directive {tok[0]!r}")
         except (ShapeError, ValueError, IndexError) as exc:

@@ -14,12 +14,23 @@ input-bus level, the routing levels, and the data-leaf level — so a
 12×6 lattice accommodates exactly up to five system layers (7 triangles);
 six layers need 15 corner-linked cells, which require at least a 12×8
 lattice (verified by exhaustive search, independent of the qubit budget).
+
+`best_layout` tries root placements in lexicographic order and grows a
+tree from each by depth-first search, one tree level at a time.  Once per
+call it tabulates, for every lattice point, the placements having that
+point as a vertex that are in bounds and avoid every defect qubit and
+coupler, each with the bitmask of its three other corners; every seed's
+search shares that table and tracks occupancy as one int bitmask.  The
+search prunes a level when the free qubits cannot hold the triangles still
+to come, and when its (occupancy, frontier points) state already failed
+under the same seed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,8 +254,74 @@ def _triangle_ok(grid: GridSpec, t: Triangle, occupied: set[Coord], attach: Coor
     return True
 
 
-def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int):
-    """Grow a binary triangle tree from the seed to the requested depth.
+class _Placement(NamedTuple):
+    """A statically valid triangle at a point: the bitmask of its three
+    corners other than that point, and its output vertices."""
+
+    triangle: Triangle
+    fresh: int
+    outputs: tuple[Coord, Coord]
+
+
+@dataclass
+class Footprints:
+    """Every lattice point's statically valid placements, in `_placements_at`
+    order, built once per `best_layout` call and shared by each seed's
+    search; also the tallies of those searches."""
+
+    at: dict[Coord, tuple[_Placement, ...]]
+    nodes_expanded: int = 0  # frontier states whose children were tried
+    dead_states: int = 0  # frontier states that failed, summed over seeds
+
+
+#: per input corner, each address corner and the two output corners left
+_OUTPUT_CORNERS = tuple(
+    tuple((a, tuple(j for j in range(4) if j not in (a, k))) for a in range(4) if a != k)
+    for k in range(4))
+
+
+def _bit(grid: GridSpec, q: Coord) -> int:
+    return 1 << (q[0] * grid.cols + q[1])
+
+
+def footprints(grid: GridSpec) -> Footprints:
+    """The placement table: in bounds, off defect qubits and defect couplers.
+
+    Those checks see only a placement's 2×2 cell, so they run once per cell.
+    """
+    dead_couplers = {frozenset(p) for p in grid.defect_couplers}
+    cells = {}  # anchor -> corners and their bitmask, for each usable cell
+    for r in range(grid.rows - 1):
+        for c in range(grid.cols - 1):
+            cell = Triangle((r, c), 0, 1)  # every triangle of a cell has its corners and edges
+            corners = cell.corners()
+            if (grid.defect_qubits.isdisjoint(corners)
+                    and dead_couplers.isdisjoint(map(frozenset, cell.edges()))):
+                cells[r, c] = corners, sum(_bit(grid, q) for q in corners)
+    at = {}
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            row = []
+            for k, (dr, dc) in enumerate(_CORNERS):  # the `_placements_at` order
+                if (cell := cells.get((r - dr, c - dc))) is None:
+                    continue
+                corners, mask = cell
+                fresh = mask & ~_bit(grid, (r, c))
+                for addr, (i, j) in _OUTPUT_CORNERS[k]:
+                    row.append(_Placement(Triangle((r - dr, c - dc), addr, k), fresh,
+                                          (corners[i], corners[j])))
+            at[r, c] = tuple(row)
+    return Footprints(at)
+
+
+def _occupied(grid: GridSpec, occ: int) -> set[Coord]:
+    return {divmod(i, grid.cols) for i in range(grid.rows * grid.cols) if occ >> i & 1}
+
+
+def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int,
+                table: Footprints | None = None):
+    """Grow a binary triangle tree from the seed to the requested depth,
+    placing triangles from ``table`` (built here when not given).
 
     Returns (TriangleLayout, achieved_layers); the layout is None when the
     target could not be reached, with achieved_layers reporting the deepest
@@ -258,50 +335,47 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int):
         return None, _max_layers_by_count(free)
     if not _triangle_ok(grid, seed, set(), seed.input):
         return None, 1
+    if table is None:
+        table = footprints(grid)
+    at = table.at
 
     levels = target_layers - 2  # triangle-tree depth
     best_achieved = 3
 
     tris = [seed]
     parents = [-1]
-    occupied = set(seed.qubits())
+    occ = sum(_bit(grid, q) for q in seed.qubits())
     dead: set[tuple] = set()
-
-    def frontier_key(points):
-        return (frozenset(occupied), tuple(sorted(points)))
 
     def attach_children(points: list[tuple[int, Coord]], level: int) -> bool:
         nonlocal best_achieved
         best_achieved = max(best_achieved, level + 2)
         if level >= levels:
-            if not _holes(grid, occupied):
-                return True
-            return False
+            return not _holes(grid, _occupied(grid, occ))
         remaining_levels = levels - level
         # each new triangle adds exactly 3 fresh qubits
-        free_now = grid.rows * grid.cols - len(grid.defect_qubits) - len(occupied)
-        if free_now < 3 * len(points) * (2 ** remaining_levels - 1):
+        if free - occ.bit_count() < 3 * len(points) * (2 ** remaining_levels - 1):
             return False
-        key = frontier_key([p for _, p in points])
+        key = (occ, tuple(sorted(p for _, p in points)))
         if key in dead:
             return False
+        table.nodes_expanded += 1
 
         def assign(idx: int, next_points: list) -> bool:
+            nonlocal occ
             if idx == len(points):
                 return attach_children(next_points, level + 1)
             parent_idx, pt = points[idx]
-            for child in _placements_at(grid, pt):
-                if not _triangle_ok(grid, child, occupied, pt):
+            for child, fresh, outputs in at[pt]:
+                if occ & fresh:
                     continue
                 tris.append(child)
                 parents.append(parent_idx)
-                added = [q for q in child.qubits() if q != pt]
-                occupied.update(added)
-                child_pts = [(len(tris) - 1, out) for out in child.outputs()]
+                occ |= fresh
+                child_pts = [(len(tris) - 1, out) for out in outputs]
                 if assign(idx + 1, next_points + child_pts):
                     return True
-                for q in added:
-                    occupied.discard(q)
+                occ ^= fresh
                 tris.pop()
                 parents.pop()
             return False
@@ -309,11 +383,12 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int):
         if assign(0, []):
             return True
         dead.add(key)
+        table.dead_states += 1
         return False
 
     start_points = [(0, out) for out in seed.outputs()]
     if levels == 1:
-        if _holes(grid, occupied):
+        if _holes(grid, _occupied(grid, occ)):
             return None, best_achieved
         return TriangleLayout(tris, parents), 3
     if attach_children(start_points, 1):
@@ -345,10 +420,12 @@ def best_layout(grid: GridSpec, target_layers: int):
 
     Returns (seed, layout, diagnostics) or (None, None, diagnostics) on
     failure.  Diagnostics include the winning seed's distance from the grid
-    center — the packing observation, reported, never asserted.
+    center — the packing observation, reported, never asserted — and under
+    ``search`` the seeds tried, frontier states expanded and dead states.
     """
+    search = {"seeds_tried": 0, "nodes_expanded": 0, "dead_states": 0}
     if _router_budget(target_layers) == 0:
-        return None, TriangleLayout([], []), {"note": "no routers requested"}
+        return None, TriangleLayout([], []), {"note": "no routers requested", "search": search}
     free = grid.rows * grid.cols - len(grid.defect_qubits)
     if 3 * _router_budget(target_layers) + 1 > free:
         return None, None, {
@@ -356,13 +433,22 @@ def best_layout(grid: GridSpec, target_layers: int):
             "needed": 3 * _router_budget(target_layers) + 1,
             "available": free,
             "max_layers_by_count": _max_layers_by_count(free),
+            "search": search,
         }
+    table = footprints(grid)
     deepest = 1
+    layout = None
     for seed in seed_candidates(grid):
-        layout, achieved = grow_layout(grid, seed, target_layers)
+        search["seeds_tried"] += 1
+        layout, achieved = grow_layout(grid, seed, target_layers, table)
         deepest = max(deepest, achieved)
         if layout is not None:
-            center = ((grid.rows - 1) / 2, (grid.cols - 1) / 2)
-            d = abs(seed.anchor[0] + 0.5 - center[0]) + abs(seed.anchor[1] + 0.5 - center[1])
-            return seed, layout, {"seed_center_distance": d}
-    return None, None, {"reason": "search exhausted", "deepest_layers": deepest}
+            break
+    search["nodes_expanded"] = table.nodes_expanded
+    search["dead_states"] = table.dead_states
+    if layout is None:
+        return None, None, {"reason": "search exhausted", "deepest_layers": deepest,
+                            "search": search}
+    center = ((grid.rows - 1) / 2, (grid.cols - 1) / 2)
+    d = abs(seed.anchor[0] + 0.5 - center[0]) + abs(seed.anchor[1] + 0.5 - center[1])
+    return seed, layout, {"seed_center_distance": d, "search": search}

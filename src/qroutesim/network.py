@@ -173,18 +173,19 @@ def _transfer_moments(scheme: str, src: str, dst: str, reverse: bool = False,
 
 class _Pass(NamedTuple):
     """A router pass or transfer group, built once per query: the zipped
-    moments of its site-disjoint blocks, its gate count and its sites."""
+    moments of its site-disjoint blocks, its tallies and its sites."""
 
-    moments: tuple[tuple[GateSpec, ...], ...]
-    depth: int  # non-empty moments
+    moments: tuple[Moment, ...]
+    counts: tuple[int, int, int]  # (N1q, N2q, depth), as `gate_counts` tallies
     gate_count: int
     sites: tuple[str, ...]
 
 
 class _QueryBuilder:
     """Appends passes to a query circuit, building each distinct router pass
-    ``(level, direction)`` and transfer group once; every use appends fresh
-    `Moment`s over the same frozen `GateSpec`s and an equal `ScheduleGroup`."""
+    ``(level, direction)`` and transfer group once; every use appends the
+    pass's own immutable `Moment`s and an equal `ScheduleGroup`, and adds the
+    pass's tallies to the query's."""
 
     def __init__(self, tree: RoutingTree, scheme: str):
         self.tree = tree
@@ -192,7 +193,7 @@ class _QueryBuilder:
         self.circuit = Circuit(tree.site_dims())
         self.schedule: list[ScheduleGroup] = []
         self.stage_moments: dict[str, tuple[int, int]] = {}
-        self.depth = 0  # non-empty moments appended so far
+        self.counts = (0, 0, 0)  # (N1q, N2q, depth) appended so far
         # a pass here is a router pass or a transfer group
         self.counters = {"passes_built": 0, "passes_appended": 0}
         self._passes: dict[tuple, _Pass] = {}
@@ -201,11 +202,14 @@ class _QueryBuilder:
 
     def start_stage(self, name: str) -> None:
         self._stage_name = name
-        self._stage_start = self.depth
+        self._stage_start = self.counts[2]
 
     def end_stage(self) -> None:
-        self.stage_moments[self._stage_name] = (self._stage_start, self.depth)
+        self.stage_moments[self._stage_name] = (self._stage_start, self.counts[2])
         self._stage_name = None
+
+    def _tally(self, counts: tuple[int, int, int]) -> None:
+        self.counts = tuple(a + b for a, b in zip(self.counts, counts))
 
     def _build(self, blocks: list[list[list[GateSpec]]]) -> _Pass:
         """Zip the moments of site-disjoint blocks into shared moments, checked
@@ -213,10 +217,9 @@ class _QueryBuilder:
         check = Circuit(self.circuit.site_dims)
         for k in range(max((len(b) for b in blocks), default=0)):
             check.add_moment(*(g for b in blocks if k < len(b) for g in b[k]))
-        moments = tuple(tuple(m.gates) for m in check.ops)
-        gates = [g for m in moments for g in m]
+        gates = [g for m in check.ops for g in m.gates]
         self.counters["passes_built"] += 1
-        return _Pass(moments, sum(1 for m in moments if m), len(gates),
+        return _Pass(tuple(check.ops), gate_counts(check), len(gates),
                      tuple(sorted({s for g in gates for s in g.sites})))
 
     def _append(self, level: int, key: tuple, blocks) -> None:
@@ -226,8 +229,8 @@ class _QueryBuilder:
             p = self._passes[key] = self._build(blocks())
         self.schedule.append(ScheduleGroup(self._stage_name, level, level % 2, p.gate_count,
                                            p.sites))
-        self.circuit.ops.extend(Moment(list(m)) for m in p.moments)
-        self.depth += p.depth
+        self.circuit.ops.extend(p.moments)
+        self._tally(p.counts)
         self.counters["passes_appended"] += 1
 
     def router_pass(self, level: int, direction: str) -> None:
@@ -258,7 +261,7 @@ class _QueryBuilder:
             len(gates), tuple(self.tree.leaf_sites),
         ))
         self.circuit.add_moment(*gates)
-        self.depth += 1 if gates else 0
+        self._tally((len(gates), 0, 1 if gates else 0))
 
 
 def compile_query(
@@ -322,7 +325,7 @@ def compile_query(
         b.transfer([(f"A{k}", "IN1")], reverse=True)
     b.end_stage()
 
-    return CompiledQuery(b.circuit, gate_counts(b.circuit), b.schedule, mode, scheme,
+    return CompiledQuery(b.circuit, b.counts, b.schedule, mode, scheme,
                          b.stage_moments, b.counters)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qroutesim.cli import SCHEMA, _fmt, example_config, main
+from qroutesim.cli import SCHEMA, SUBCOMMANDS, _fmt, build_parser, example_config, main
 from qroutesim.noise import NoiseModel, reference_rates
 
 from conftest import per_point_phi_scan, per_point_theta_scan
@@ -34,6 +34,42 @@ def test_layout_exit_codes(tmp_path, capsys):
     code, _, err = run(["layout", "--grid", "12x6", "--layers", "6",
                         "--out-dir", str(tmp_path)], capsys)
     assert code == 3
+
+
+def test_layout_summary_echoes_config_and_search(tmp_path, capsys):
+    argv = ["layout", "--grid", "12x6", "--layers", "4", "--defects", "0,0;5,3"]
+    code, _, _ = run([*argv, "--out-dir", str(tmp_path / "a")], capsys)
+    assert code == 0
+    blob = json.loads((tmp_path / "a" / "layout_summary.json").read_text())
+    assert blob["diagnostics"] == {"seed_center_distance": 6.0}
+    assert (blob["config"]["rows"], blob["config"]["cols"]) == (12, 6)
+    assert blob["config"]["defects"] == "0,0;5,3" and blob["config"]["layers"] == 4
+    assert "timestamp" in blob["metadata"]
+    # the twelve anchor-(0,0) seeds touch the defect at (0,0)
+    assert blob["metadata"]["counters"] == {"seeds_tried": 13, "nodes_expanded": 1,
+                                            "dead_states": 0}
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\n" + "".join(f"{k} = {blob['config'][k]}\n"
+                                       for k in ("rows", "cols", "layers", "defects")))
+    code, _, _ = run(["layout", "--config", str(ini), "--out-dir", str(tmp_path / "b")], capsys)
+    assert code == 0
+    for name in ("layout.json", "layout_coords.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_every_subcommand_takes_the_shared_options():
+    parser = build_parser()
+    want = {"command": "rat", "config": None, "out_dir": None, "seed": 7, "scheme": None,
+            "noisy": True, "trials": 100, "shots": None, "n_max": 30, "grid_points": None,
+            "layers": None, "mode": None, "grid": None, "theta": None, "phi": None,
+            "method": None, "delta_theta": None, "defects": None}
+    args = parser.parse_args(["rat", "--noisy", "--n-max", "30", "--trials", "100", "--seed", "7"])
+    assert vars(args) == want
+    for name in SUBCOMMANDS:
+        args = parser.parse_args([name, "--layers", "4", "--defects", "0,0;5,3", "--phi", "1.5"])
+        assert vars(args) == {**want, "command": name, "seed": None, "noisy": None,
+                              "trials": None, "n_max": None, "layers": 4,
+                              "defects": "0,0;5,3", "phi": 1.5}
 
 
 def test_theta_scan_deterministic_bytes(tmp_path, capsys):
@@ -107,9 +143,11 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["rat", "--n-max", "1"], None, "n_max"),
     (["rat2"], "[protocol]\nn_max = 1\n", "n_max"),
     (["compile", "--layers", "0"], None, "layers"),
+    (["layout", "--layers", "0"], None, "layers"),
+    (["layout", "--layers", "-1"], None, "layers"),
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
         "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
-        "n_max-rat2", "layers-compile"])
+        "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)

@@ -351,3 +351,5 @@ def test_loads_circuit_names_a_failing_block_after_valid_repeats():
         loads_circuit(text)
     back = loads_circuit("# qroutesim-circuit v1\nSITES a:2 b:3\n" + block * 3)
     assert [len(m.gates) for m in back.moments()] == [2, 2, 2]
+    # a repeated block is checked once and stands as one moment object
+    assert len({id(m) for m in back.moments()}) == 1

@@ -5,13 +5,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qroutesim.layout import (
     GridSpec,
     Triangle,
     TriangleLayout,
+    _placements_at,
+    _triangle_ok,
     best_layout,
     check_layout,
+    footprints,
     grow_layout,
     seed_candidates,
 )
@@ -203,3 +208,44 @@ def test_defect_layout_digests(seed):
     assert bool(grid.defect_couplers) == (seed % 3 > 0)
     got = tuple(_layout_digest(grid, L) for L in (4, 5, 6))
     assert got == _DEFECT_DIGESTS[seed]
+
+
+@st.composite
+def _defective_grids(draw):
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    qubits = draw(st.frozensets(cells, max_size=6))
+    couplers = set()
+    for r, c in draw(st.lists(cells, max_size=6)):
+        nb = (r, c + 1) if draw(st.booleans()) else (r + 1, c)
+        if nb[0] < rows and nb[1] < cols:
+            couplers.add(((r, c), nb) if draw(st.booleans()) else (nb, (r, c)))
+    return GridSpec(rows, cols, qubits, frozenset(couplers))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_defective_grids())
+def test_footprint_table_is_the_static_placement_filter(grid):
+    table = footprints(grid)
+    assert set(table.at) == {(r, c) for r in range(grid.rows) for c in range(grid.cols)}
+    for p, row in table.at.items():
+        assert [e.triangle for e in row] == [
+            t for t in _placements_at(grid, p) if _triangle_ok(grid, t, set(), p)]
+        for t, fresh, outputs in row:
+            assert fresh == sum(1 << (r * grid.cols + c) for r, c in t.qubits() if (r, c) != p)
+            assert outputs == t.outputs()
+
+
+def test_search_counters():
+    grid = GridSpec(12, 6)
+    seeds = seed_candidates(grid)
+    for layers in (3, 4, 5):
+        seed, _, diag = best_layout(grid, layers)
+        assert diag["search"]["seeds_tried"] == 1 + seeds.index(seed)
+    _, layout, diag = best_layout(grid, 6)
+    assert layout is None
+    assert diag["search"]["seeds_tried"] == len(seeds)
+    # an exhausted search records every frontier state it expanded as dead
+    assert diag["search"]["nodes_expanded"] == diag["search"]["dead_states"] > 0
+    assert best_layout(grid, 2)[2]["search"] == {"seeds_tried": 0, "nodes_expanded": 0,
+                                                 "dead_states": 0}

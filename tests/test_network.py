@@ -1,5 +1,6 @@
 """Tree building, query compilation, gate accounting, schedule validity."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -301,13 +302,30 @@ def test_each_router_pass_built_once(monkeypatch):
             assert q.counters["passes_built"] < q.counters["passes_appended"]
 
 
-def test_query_moments_are_fresh_and_specs_shared():
+def test_query_moments_are_frozen_and_shared_per_pass(monkeypatch):
+    appended = []
+    real = network._QueryBuilder._append
+
+    def spy(self, level, key, blocks):
+        start = len(self.circuit.ops)
+        real(self, level, key, blocks)
+        appended.append((key, self.circuit.ops[start:]))
+
+    monkeypatch.setattr(network._QueryBuilder, "_append", spy)
     q = compile_query(build_tree(3), "full", "tcg-eraser")
-    moments = q.circuit.moments()
-    assert len({id(m) for m in moments}) == len(moments)
-    assert len({id(m.gates) for m in moments}) == len(moments)
-    gates = q.circuit.gates()
-    assert len({id(g) for g in gates}) < len(gates)  # repeated passes reuse frozen specs
+    moment = q.circuit.moments()[0]
+    assert isinstance(moment.gates, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        moment.gates = ()
+    # a pass appended k times contributes the same moment objects k times
+    uses = Counter(key for key, _ in appended)
+    assert max(uses.values()) > 1
+    first = {}
+    for key, ops in appended:
+        assert all(a is b for a, b in zip(first.setdefault(key, ops), ops, strict=True))
+    in_query = Counter(map(id, q.circuit.ops))
+    for key, ops in first.items():
+        assert all(in_query[id(m)] == uses[key] for m in ops)
 
 
 def test_two_layer_landscape_noiseless_product_law():
