@@ -108,6 +108,14 @@ def _check(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
+    for key in ("theta", "phi"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
+    if not (math.isfinite(cfg.sqrt_cz_ns) and cfg.sqrt_cz_ns > 0):
+        raise ConfigError(f"sqrt_cz_ns must be finite and > 0, got {cfg.sqrt_cz_ns}")
+    for key in ("single_ns", "block_overhead_ns"):
+        if not (math.isfinite(getattr(cfg, key)) and getattr(cfg, key) >= 0):
+            raise ConfigError(f"{key} must be finite and >= 0, got {getattr(cfg, key)}")
     if cfg.experiment in ("rat", "rat2") and cfg.n_max < 2:
         raise ConfigError(f"n_max must be >= 2 (the fit needs 3 depths), got {cfg.n_max}")
     if cfg.experiment in ("compile", "layout") and cfg.layers < 1:
@@ -288,9 +296,8 @@ def run_compile(cfg: RunConfig) -> int:
             for g in q.schedule
         ],
         "stage_moments": q.stage_moments,
-        "metadata": {"counters": q.counters},
     }
-    (out / "compile_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_summary(cfg, out / "compile_report.json", report, q.counters)
     print(f"{q.counts[0]} {q.counts[1]} {q.counts[2]}")
     return 0
 

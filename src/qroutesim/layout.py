@@ -51,6 +51,11 @@ class GridSpec:
         for r, c in self.defect_qubits:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"defect qubit {(r, c)} outside {self.rows}x{self.cols}")
+        for a, b in self.defect_couplers:
+            if not (self.in_bounds(a) and self.in_bounds(b)
+                    and abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1):
+                raise ValueError(f"defect coupler {(a, b)} is not a coupler of the "
+                                 f"{self.rows}x{self.cols} lattice")
 
     def in_bounds(self, q: Coord) -> bool:
         return 0 <= q[0] < self.rows and 0 <= q[1] < self.cols

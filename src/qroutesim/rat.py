@@ -17,9 +17,10 @@ single pass) and the next paired block (a second pass) both continue from
 that shared state.  The two-layer run is instead a product of cached
 maps, all built from one compiled router (see `_TwoLayerRun`): block maps
 on a few sites for the readout, and the router's own superoperator for the
-root passes of the paired block.  The readout also reports
-the probability kept by every post-selection so far, the eraser's
-acceptance.
+root passes of the paired block.  Every idle is inside the map of the
+block whose sites it acts on, so a readout or an advance is only attach,
+maps and discard.  The readout also reports the probability kept by every
+post-selection so far, the eraser's acceptance.
 
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
@@ -264,20 +265,22 @@ class _TwoLayerRun:
 
     One router circuit serves the root and both leaves, and every block is
     a map built from it by one run on a Choi state (`qudit.choi_superop`),
-    with the reference site quiet.  A readout is a cached root map on
-    (Q_I, M_L, M_R) (attach C1 → init-window idle → root pass → Q_I/C1 idle
-    through the leaf stage → discard C1), one idle step on D1..D4 for the
-    init window and the root pass (the root gates do not touch them), then
-    the one-pass leaf maps on (M, D, D').  Each leaf router's down(+up)
-    passes are adjacent in the schedule, so they too compose into a cached
-    64×64 map, with the leaf address handled inside (prep → idle during the
-    root stages → route → post-select → reset).
+    with the reference site quiet.  Each idle lives in the map of the block
+    whose sites it acts on:
 
-    The paired block that advances the run keeps C1 live across its leaf
-    stage, so its root passes apply the router's 576×576 superoperator on
-    (Q_I, C1, M_L, M_R), built on the first advance; D1..D4 idle in one
-    step for the init window and the root down pass, and in one for the
-    root up pass.  ``counters`` tallies map builds and cache hits.
+    - the readout's root map on (Q_I, M_L, M_R): attach C1 → init-window
+      idle → root pass → Q_I/C1 idle through the leaf stage → discard C1;
+    - the leaf maps on (M, D, D'), one per address and pass count: attach
+      the leaf address → C, D, D' idle through the init window and the
+      root down pass (the root gates never touch them) → the leaf router's
+      adjacent down(+up) passes → after two passes, C, D, D' idle through
+      the root up pass → post-select → reset;
+    - the paired block's two root passes on (Q_I, C1, M_L, M_R), which keep
+      C1 live across the leaf stage: 576×576 superoperators, the down pass
+      after the init-window idle of all four sites, the up pass after the
+      Q_I/C1 idle through the leaf stage, built on the first advance.
+
+    ``counters`` tallies map builds and cache hits.
     """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
@@ -319,11 +322,10 @@ class _TwoLayerRun:
         """The leaf map on (M, D, D') for ``passes`` router passes."""
         def block(reg: QuditRegister) -> QuditRegister:
             reg = attach_site(reg, 1, _addr_rho(name, self.basis))
-            # the leaf address idles through the init window and the root pass
-            reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1,))
+            reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1, 2, 3))
             for _ in range(passes):
                 reg = self.router.run(reg).state
-            reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1,))
+            reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1, 2, 3))
             return _discard_address(reg, self.scheme)
 
         return self._cached_map(("leaf", name, passes), "leaf_maps_built", block)
@@ -340,36 +342,33 @@ class _TwoLayerRun:
 
         return self._cached_map(("root", name), "root_maps_built", block)
 
-    def _router_superop(self) -> np.ndarray:
-        """One router pass on (Q_I, C1, M_L, M_R), as a 576×576 superoperator."""
-        def block(reg: QuditRegister) -> QuditRegister:
-            return self._with_reference(24).run(reg).state
+    def _root_pass(self, direction: str) -> np.ndarray:
+        """The paired block's root pass ``direction`` ("down" or "up") on
+        (Q_I, C1, M_L, M_R), with the idle before it."""
+        idle = (self.overhead, range(4)) if direction == "down" else (2 * self.tau_router, (0, 1))
 
-        return self._cached_map(("router",), "router_superops_built", block, (2, 3, 2, 2))
+        def block(reg: QuditRegister) -> QuditRegister:
+            return self._with_reference(24).run(_idle(reg, self.noise, *idle)).state
+
+        return self._cached_map((direction,), "router_superops_built", block, (2, 3, 2, 2))
 
     def measure_final(self, names) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, D1..D4) after a last, single down-routing
         block, and the probability the post-selections kept."""
         reg = apply_channel(self.state, ChannelMap((0, 1, 2), self._root_map(names[0])))
-        reg = _idle(reg, self.noise, self.overhead + self.tau_router, range(3, 7))
         for sites, name in (((1, 3, 4), names[1]), ((2, 5, 6), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 1)))
         return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
 
     def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
         """`measure_final`, then advance the run by the paired block: attach
-        C1 → idle → root down → D1..D4 idle → two-pass leaf maps → Q_I/C1
-        idle → root up → D1..D4 idle → discard C1."""
+        C1 → root down → two-pass leaf maps → root up → discard C1."""
         out = self.measure_final(names)
-        root = ChannelMap((0, 1, 2, 3), self._router_superop())
         reg = attach_site(self.state, 1, _addr_rho(names[0], self.basis))
-        reg = _idle(reg, self.noise, self.overhead, range(4))
-        reg = _idle(apply_channel(reg, root), self.noise, self.overhead + self.tau_router,
-                    range(4, 8))
+        reg = apply_channel(reg, ChannelMap((0, 1, 2, 3), self._root_pass("down")))
         for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))
-        reg = _idle(reg, self.noise, 2 * self.tau_router, (0, 1))
-        reg = _idle(apply_channel(reg, root), self.noise, self.tau_router, range(4, 8))
+        reg = apply_channel(reg, ChannelMap((0, 1, 2, 3), self._root_pass("up")))
         self.state = _discard_address(reg, self.scheme)
         return out
 

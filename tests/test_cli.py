@@ -2,10 +2,13 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qroutesim.cli import SCHEMA, SUBCOMMANDS, _fmt, build_parser, example_config, main
 from qroutesim.noise import NoiseModel, reference_rates
@@ -145,9 +148,18 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["compile", "--layers", "0"], None, "layers"),
     (["layout", "--layers", "0"], None, "layers"),
     (["layout", "--layers", "-1"], None, "layers"),
+    (["qst", "--theta", "nan"], None, "theta"),
+    (["theta-scan", "--phi", "inf", "--grid-points", "3"], None, "phi"),
+    (["rat", "--noisy"], "[noise]\nsqrt_cz_ns = -25\n", "sqrt_cz_ns"),
+    (["rat", "--noisy"], "[noise]\nsqrt_cz_ns = 0\n", "sqrt_cz_ns"),
+    (["rat", "--noisy"], "[noise]\nsingle_ns = inf\n", "single_ns"),
+    (["rat", "--noisy"], "[noise]\nblock_overhead_ns = -1200\n", "block_overhead_ns"),
+    (["rat", "--noisy"], "[noise]\nblock_overhead_ns = nan\n", "block_overhead_ns"),
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
         "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
-        "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative"])
+        "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative",
+        "theta-nan", "phi-inf", "sqrt_cz_ns-negative", "sqrt_cz_ns-0", "single_ns-inf",
+        "block_overhead_ns-negative", "block_overhead_ns-nan"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)
@@ -156,6 +168,19 @@ def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     assert code == 2
     assert err.startswith("config error:") and word in err
     assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag=st.sampled_from(["--theta", "--phi", "--delta-theta"]), value=st.floats(),
+       command=st.sampled_from([["qst"], ["theta-scan", "--grid-points", "3"]]))
+def test_float_flags_exit_0_or_2_without_traceback(flag, value, command):
+    with tempfile.TemporaryDirectory() as out:
+        # "--theta=-1e+16": argparse reads a bare "-1e+16" as an option
+        code = main([*command, f"{flag}={value!r}", "--out-dir", out])
+        assert code in (0, 2)
+        if code == 0:
+            csv = next(Path(out).glob("*.csv")).read_text().splitlines()[2:]
+            assert np.isfinite([float(v) for line in csv for v in line.split(",")]).all()
 
 
 def test_nonphysical_rates_config_exit_2(tmp_path, capsys):
@@ -183,6 +208,8 @@ def test_compile_emits_report(tmp_path, capsys):
     assert set(report) >= {"mode", "scheme", "N1q", "N2q", "depth", "groups"}
     # one layer: load, route and unload each use their own passes, none twice
     assert report["metadata"]["counters"] == {"passes_built": 8, "passes_appended": 8}
+    assert set(report["metadata"]) == {"timestamp", "version", "counters"}
+    assert report["config"]["experiment"] == "compile" and report["config"]["layers"] == 1
     assert (tmp_path / "compiled_circuit.txt").read_text().startswith("# qroutesim-circuit v1")
 
 
@@ -236,11 +263,11 @@ def test_rat2_echoes_effective_depth(tmp_path, capsys):
     assert blob["postselection_kept"] == pytest.approx([1.0] * 9, abs=1e-12)
     counters = blob["metadata"]["counters"]
     assert set(counters) == {"noisy", "ideal"}
-    # the noisy runner looks up three maps per readout and three per paired
-    # block (two leaf maps and the router superoperator)
-    assert sum(counters["noisy"].values()) == 3 * 9 + 3 * 8
+    # the noisy runner looks up three maps per readout and four per paired
+    # block (two leaf maps and the two root passes)
+    assert sum(counters["noisy"].values()) == 3 * 9 + 4 * 8
     assert counters["noisy"]["root_maps_built"] >= 1 and counters["ideal"]["leaf_maps_built"] >= 1
-    assert counters["noisy"]["router_superops_built"] == 1
+    assert counters["noisy"]["router_superops_built"] == 2
     assert counters["ideal"]["router_superops_built"] == 0
 
 

@@ -61,6 +61,15 @@ def test_defect_rejection():
     assert any("defective coupler" in v for v in rep2.violations)
 
 
+@pytest.mark.parametrize("pair", [((0, 0), (9, 9)), ((0, 0), (2, 2)), ((0, 0), (1, 1)),
+                                  ((1, 1), (1, 1)), ((3, 3), (3, 4)), ((-1, 0), (0, 0))])
+def test_defect_coupler_must_be_a_lattice_coupler(pair):
+    with pytest.raises(ValueError, match="defect coupler"):
+        GridSpec(4, 4, defect_couplers=frozenset({pair}))
+    # a lattice coupler is accepted, in either order
+    GridSpec(4, 4, defect_couplers=frozenset({((1, 2), (1, 3)), ((3, 0), (2, 0))}))
+
+
 def test_hole_detection():
     # ring of triangles around an empty interior region
     grid = GridSpec(8, 8)

@@ -12,8 +12,8 @@ from qroutesim.gates import Circuit, qrouter_circuit
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
 from qroutesim.protocols import ADDRESS_NAMES
-from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, partial_trace,
-                             populations, project)
+from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_matrix,
+                             partial_trace, populations, project)
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
 
@@ -99,7 +99,6 @@ def test_rat_two_layer_noisy_sane():
     assert np.all(np.diff(r.kept) < 0.0) and 0.0 < r.kept[-1] < r.kept[0] < 1.0
 
 
-@pytest.mark.slow
 def test_rat_two_layer_eraser_fit_dominates():
     # paired 30-trial runs at the reference rates: the eraser's fitted
     # fidelity and its whole depth curve sit above the non-eraser's
@@ -157,17 +156,18 @@ def test_rat_single_golden_m_values(scheme):
 # rat_two_layer(n_max=3, scheme, reference rates, trials=1, seed=7) M per depth,
 # and the noisy eraser two_layer_landscape on a 3×3 grid of θ in [0.2, 1.3],
 # (θ1, θ2, D1..D4) flattened; float.hex, pinned bit for bit like the above.
-# The M values were recorded when the paired block's root passes became one
-# application of the router's superoperator (last bits move against the
-# stepped 8-site run); the landscape when compiled circuits began decohering
-# through the transfer matrices.  The values of the stepped readout before
-# readouts moved onto block maps are kept below, and the new ones stay
-# within 1e-13 of them.
+# The M values were recorded when every idle of the data sites moved into
+# the leaf maps and the paired block's root passes into two superoperators
+# with their idles inside (last bits move against the stepped 8-site run);
+# the landscape when compiled circuits began decohering through the
+# transfer matrices.  The values of the stepped readout before readouts
+# moved onto block maps are kept below, and the new ones stay within 1e-13
+# of them.
 _GOLDEN_TWO_LAYER_M_SEED7 = {
-    "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44771p-1 0x1.5201ba233fba0p-1 "
+    "eraser": "0x1.ca0e95c2c658ap-1 0x1.8b2d159b44770p-1 0x1.5201ba233fba0p-1 "
               "0x1.206f2371b4c25p-1".split(),
     "non-eraser": "0x1.c9cabfb0e8416p-1 0x1.8964889ddaa7cp-1 0x1.48b36e3e83112p-1 "
-                  "0x1.03ab926e3bf46p-1".split(),
+                  "0x1.03ab926e3bf45p-1".split(),
 }
 _GOLDEN_LANDSCAPE = (
     "0x1.254a66962c2e1p-10 0x1.f6909a4bd0ed9p-6 0x1.f40104e335bfbp-6 0x1.aad5843cd525ep-1 "
@@ -231,15 +231,16 @@ def _single_paired_block(run, name):
 
 
 def _two_layer_paired_block(run, names):
-    """attach → idle → root down → two-pass leaf maps → idle → root up →
-    discard, with the root router stepped on the 384-dimensional register."""
+    """attach → idle → root down → D1..D4 idle → two-pass leaf loop maps
+    (address idles only) → idle → root up → D1..D4 idle → discard, with the
+    root router stepped on the 384-dimensional register."""
     root_wide = _root_wide(run, quiet=_DATA_SITES)
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
     reg = root_wide.run(reg).state
     reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
-        reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 2)))
+        reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 2, (1,))))
     reg = rat._idle(reg, run.noise, 2 * run.tau_router, (0, 1))
     reg = root_wide.run(reg).state
     reg = rat._idle(reg, run.noise, run.tau_router, range(4, 8))
@@ -321,9 +322,10 @@ def _root_wide(run, quiet=()):
                            quiet=quiet)
 
 
-def _loop_leaf_superop(run, name, passes):
+def _loop_leaf_superop(run, name, passes, idle_sites):
     """The leaf map column by column: one run of a leaf router without the
-    reference site per basis input |i⟩⟨j| on (M, D, D')."""
+    reference site per basis input |i⟩⟨j| on (M, D, D'), idling
+    ``idle_sites`` of (M, C, D, D') before and after the passes."""
     leaf = compile_circuit(_router(run, ("M", "C", "D", "Dp")), run.noise)
     addr = rat._addr_rho(name, run.basis)
     cols = []
@@ -331,10 +333,10 @@ def _loop_leaf_superop(run, name, passes):
         e = np.zeros((8, 8), dtype=complex)
         e[k // 8, k % 8] = 1.0
         reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
-        reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, (1,))
+        reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, idle_sites)
         for _ in range(passes):
             reg = leaf.run(reg).state
-        reg = rat._idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, (1,))
+        reg = rat._idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, idle_sites)
         cols.append(rat._discard_address(reg, run.scheme).data.reshape(-1))
     return np.stack(cols, axis=1)
 
@@ -346,20 +348,21 @@ def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
     for passes in (1, 2):
         for name in ADDRESS_NAMES:
             assert np.array_equal(run._leaf_superop(name, passes),
-                                  _loop_leaf_superop(run, name, passes))
+                                  _loop_leaf_superop(run, name, passes, (1, 2, 3)))
     assert run.counters == {"leaf_maps_built": 8, "root_maps_built": 0,
                             "router_superops_built": 0, "map_cache_hits": 0}
 
 
 def _stepped_readout(run, names):
-    """attach C1 → 8-site idle → root pass with every site noisy → leaf maps
-    → (Q_I, C1) idle → discard → trace, on the 384-dimensional register."""
+    """attach C1 → 8-site idle → root pass with every site noisy → leaf loop
+    maps (address idles only) → (Q_I, C1) idle → discard → trace, on the
+    384-dimensional register."""
     root_wide = _root_wide(run)
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(8))
     reg = root_wide.run(reg).state
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
-        reg = apply_channel(reg, ChannelMap(sites, run._leaf_superop(name, 1)))
+        reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 1, (1,))))
     reg = rat._idle(reg, run.noise, run.tau_router, (0, 1))
     reg = rat._discard_address(reg, run.scheme)
     return rat._normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
@@ -387,21 +390,38 @@ def test_paired_advance_is_the_stepped_advance(scheme, noisy):
         run.measure_and_advance(names)
         oracle.state = _two_layer_paired_block(oracle, names)
         assert np.abs(run.state.data - oracle.state.data).max() <= 1e-13
-    assert run.counters["router_superops_built"] == 1
+    assert run.counters["router_superops_built"] == 2
 
 
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
 @pytest.mark.parametrize("noisy", [True, False])
-def test_router_superop_is_the_compiled_run(scheme, noisy):
+def test_root_passes_are_idle_then_compiled_run(scheme, noisy):
     run = _two_layer_run(scheme, noisy)
-    phi = run._router_superop()
     router = compile_circuit(_router(run, ("Q_I", "C1", "M_L", "M_R")), run.noise)
+    idles = {"down": (run.overhead, range(4)), "up": (2 * run.tau_router, (0, 1))}
     rng = np.random.default_rng(11)
-    for _ in range(3):
-        a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
-        rho = QuditRegister((2, 3, 2, 2), a @ a.conj().T / np.trace(a @ a.conj().T))
-        got = apply_channel(rho, ChannelMap((0, 1, 2, 3), phi)).data
-        assert np.abs(got - router.run(rho).state.data).max() <= 1e-14
+    for direction, (idle_ns, sites) in idles.items():
+        phi = run._root_pass(direction)
+        for _ in range(3):
+            a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+            rho = QuditRegister((2, 3, 2, 2), a @ a.conj().T / np.trace(a @ a.conj().T))
+            want = router.run(rat._idle(rho, run.noise, idle_ns, sites)).state.data
+            got = apply_channel(rho, ChannelMap((0, 1, 2, 3), phi)).data
+            assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+def test_block_maps_are_trace_non_increasing_cp(scheme):
+    run = _two_layer_run(scheme, True)
+    maps = [run._root_pass("down"), run._root_pass("up")]
+    for name in ADDRESS_NAMES:
+        maps += [run._root_map(name), run._leaf_superop(name, 1), run._leaf_superop(name, 2)]
+    for s in maps:
+        d = int(round(math.sqrt(s.shape[0])))
+        assert np.linalg.eigvalsh(choi_matrix(s)).min() >= -1e-12
+        # Tr Φ(ρ) = Tr(Tρ) with T[j, i] = Σ_a Φ(|i⟩⟨j|)[a, a]: T ⪯ 1
+        t = np.einsum("aaij->ji", s.reshape(d, d, d, d))
+        assert np.linalg.eigvalsh(np.eye(d) - (t + t.conj().T) / 2).min() >= -1e-12
 
 
 def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
@@ -420,6 +440,6 @@ def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
     two_layer_landscape([0.3, 0.9], [0.5], "eraser", _LEAKY)
     assert built == [] and run.counters["router_superops_built"] == 0
     r = rat_two_layer(3, "eraser", _LEAKY, trials=2, seed=4)
-    assert len(built) == 1
-    assert r.counters["noisy"]["router_superops_built"] == 1
+    assert len(built) == 2
+    assert r.counters["noisy"]["router_superops_built"] == 2
     assert r.counters["ideal"]["router_superops_built"] == 0
