@@ -372,6 +372,22 @@ RUNNERS = {
 }
 
 
+#: the float-valued flags, whose values may be negative with an exponent
+FLOAT_FLAGS = ("--theta", "--phi", "--delta-theta")
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Write ``--theta -1e-3`` as ``--theta=-1e-3``: argparse takes a token that
+    starts with '-' for an option unless it reads as -digits or -digits.digits."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in FLOAT_FLAGS and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qroutesim",
                                 description="quantum-router / QRAM simulator toolkit")
@@ -390,10 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--layers", type=int, default=None)
     shared.add_argument("--mode", default=None, choices=CHOICES["mode"])
     shared.add_argument("--grid", default=None, help="layout lattice, e.g. 12x6")
-    shared.add_argument("--theta", type=float, default=None)
-    shared.add_argument("--phi", type=float, default=None)
     shared.add_argument("--method", default=None, choices=CHOICES["method"])
-    shared.add_argument("--delta-theta", dest="delta_theta", type=float, default=None)
+    for flag in FLOAT_FLAGS:
+        shared.add_argument(flag, type=float, default=None)
     shared.add_argument("--defects", default=None, help="disabled qubits, e.g. 0,0;5,3")
     sub = p.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
@@ -402,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "grid")}
     overrides["experiment"] = args.command
     if getattr(args, "grid", None):

@@ -2,8 +2,9 @@
 
 Gates inside a moment are ideal and instantaneous; the moment's duration
 (max over its gates) is then charged as a decoherence interval on every
-site, idle or not.  Post-selection markers project and renormalize,
-accumulating the kept probability.
+site, idle or not.  A run maps a register to a register; post-selection
+(the eraser's discard) is `qudit.project`/`postselect`, applied by the
+callers between runs.
 
 `compile_circuit` builds everything a run needs once: site positions, one
 `qudit.Operator` per gate (its matrix, conjugate and contraction plans),
@@ -25,15 +26,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ShapeError
-from .gates import Circuit, Moment, PostselectMarker, gate_matrix
+from .gates import Circuit, gate_matrix
 from .noise import NoiseModel, site_transfer
-from .qudit import Operator, QuditRegister, _plan, bind_operator, postselect
-
-
-@dataclass
-class RunResult:
-    state: QuditRegister
-    kept_probability: float = 1.0
+from .qudit import Operator, QuditRegister, _plan, bind_operator
 
 
 class _Moment(NamedTuple):
@@ -46,10 +41,10 @@ class CompiledCircuit:
     """A circuit bound to its site order and a noise model, ready to run."""
 
     dims: tuple[int, ...]
-    steps: tuple  # _Moment entries and (site position, forbidden digit) markers
+    steps: tuple[_Moment, ...]
     noise: NoiseModel | None
 
-    def run(self, state: QuditRegister) -> RunResult:
+    def run(self, state: QuditRegister) -> QuditRegister:
         """Run on a register with the compiled dims (never modifying its array);
         with a NoiseModel, ρ decoheres after each moment that has gates."""
         dims, noise = self.dims, self.noise
@@ -57,17 +52,13 @@ class CompiledCircuit:
             raise ShapeError(f"register dims {state.dims} != circuit dims {dims}")
         if noise is not None:
             state = state.to_mixed()
-        data, kept, shape = state.data, 1.0, state.data.shape
+        data, shape = state.data, state.data.shape
         for step in self.steps:
-            if not isinstance(step, _Moment):
-                reg, k = postselect(QuditRegister(dims, data.reshape(shape)), *step)
-                data, kept = reg.data, kept * k
-                continue
             for g in step.gates:
                 data = g.apply(data)
             for plan, transfer in step.channels:
                 data = plan.apply(transfer, data)
-        return RunResult(QuditRegister(dims, data.reshape(shape)), kept)
+        return QuditRegister(dims, data.reshape(shape))
 
 
 def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float,
@@ -97,16 +88,12 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None, quiet=())
     quiet_pos = frozenset(pos[s] for s in quiet)
     channels: dict[float, tuple] = {}
     steps = []
-    for op in circuit.ops:
-        if isinstance(op, PostselectMarker):
-            steps.append((pos[op.site], op.forbidden))
-            continue
-        assert isinstance(op, Moment)
+    for m in circuit.ops:
         gates = []
-        for g in op.gates:
+        for g in m.gates:
             sites = [pos[s] for s in g.sites]
             gates.append(bind_operator(gate_matrix(g, tuple(dims[k] for k in sites)), dims, sites))
-        t_us = op.duration_ns * 1e-3
+        t_us = m.duration_ns * 1e-3
         if t_us not in channels:
             channels[t_us] = _channels(dims, noise, t_us, quiet_pos)
         steps.append(_Moment(tuple(gates), channels[t_us]))
@@ -114,6 +101,6 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None, quiet=())
 
 
 def run_circuit(state: QuditRegister, circuit: Circuit,
-                noise: NoiseModel | None = None) -> RunResult:
+                noise: NoiseModel | None = None) -> QuditRegister:
     """Run a circuit once on a register whose sites match the circuit's."""
     return compile_circuit(circuit, noise).run(state)

@@ -212,25 +212,13 @@ class Moment:
     def duration_ns(self) -> float:
         return max((g.duration_ns for g in self.gates), default=0.0)
 
-    def sites(self) -> set[str]:
-        out: set[str] = set()
-        for g in self.gates:
-            out.update(g.sites)
-        return out
-
-
-@dataclass(frozen=True)
-class PostselectMarker:
-    site: str
-    forbidden: int
-
 
 @dataclass
 class Circuit:
-    """Ordered timed layers over named sites, plus post-selection markers."""
+    """Ordered timed moments over named sites."""
 
     site_dims: dict[str, int]
-    ops: list = field(default_factory=list)
+    ops: list[Moment] = field(default_factory=list)
 
     def add_moment(self, *gates: GateSpec) -> "Circuit":
         sites = [s for g in gates for s in g.sites]
@@ -246,33 +234,23 @@ class Circuit:
         self.ops.append(Moment(gates))
         return self
 
-    def add_postselect(self, site: str, forbidden: int) -> "Circuit":
-        if site not in self.site_dims:
-            raise ShapeError(f"unknown site {site}")
-        if not 0 <= forbidden < self.site_dims[site]:
-            raise ShapeError(f"digit {forbidden} out of range for site {site}")
-        self.ops.append(PostselectMarker(site, forbidden))
-        return self
-
-    def moments(self) -> list[Moment]:
-        return [op for op in self.ops if isinstance(op, Moment)]
-
     def gates(self) -> list[GateSpec]:
-        return [g for m in self.moments() for g in m.gates]
+        return [g for m in self.ops for g in m.gates]
 
     def extend(self, other: "Circuit") -> "Circuit":
         for name, d in other.site_dims.items():
-            if self.site_dims.setdefault(name, d) != d:
+            if self.site_dims.get(name, d) != d:
                 raise ShapeError(f"site {name} dimension clash")
+        self.site_dims.update(other.site_dims)
         self.ops.extend(other.ops)
         return self
 
     @property
     def depth(self) -> int:
-        return sum(1 for m in self.moments() if m.gates)
+        return sum(1 for m in self.ops if m.gates)
 
     def duration_ns(self) -> float:
-        return sum(m.duration_ns for m in self.moments())
+        return sum(m.duration_ns for m in self.ops)
 
 
 def gate_matrix(spec: GateSpec, dims: tuple[int, ...]) -> np.ndarray:
@@ -414,26 +392,15 @@ def qrouter_circuit(
         raise ShapeError(f"unknown scheme {scheme!r}")
     qi, qc, ql, qr = sites
     phi1, phi2 = parasitic
+    flips = [("x01", phi1)]
+    if scheme == "eraser":
+        flips = [("x12", phi2), ("x01", phi1), ("x12", phi2)]
     c = Circuit(dict(zip(sites, dims)))
-
-    def add_cswap(out_site):
-        a = _cz(qi, qc, theta, duration=sqrt_cz_ns)
-        b = _cz(out_site, qc, theta, duration=sqrt_cz_ns)
-        for g in (a, b, a):
-            c.add_moment(g)
-
-    def flip_slot():
-        if scheme == "non-eraser":
-            c.add_moment(_sq("x01", qc, phi1, single_ns))
-        else:
-            c.add_moment(_sq("x12", qc, phi2, single_ns))
-            c.add_moment(_sq("x01", qc, phi1, single_ns))
-            c.add_moment(_sq("x12", qc, phi2, single_ns))
-
-    add_cswap(ql)
-    flip_slot()
-    add_cswap(qr)
-    flip_slot()
+    for out, d_out in ((ql, dims[2]), (qr, dims[3])):
+        c.extend(cswap_sequence(qi, qc, out, theta=theta, dims=(dims[0], dims[1], d_out),
+                                sqrt_cz_ns=sqrt_cz_ns))
+        for name, phase in flips:
+            c.add_moment(_sq(name, qc, phase, single_ns))
     return c
 
 
@@ -455,17 +422,10 @@ def sp_qrouter_circuit(
     qi, qc, ql, qr = sites
     basis = "01" if direction == "down" else "02"
     c = Circuit(dict(zip(sites, dims)))
-
-    def add_sp(out_site):
-        a = _cz(qi, qc, theta, duration=sqrt_cz_ns)
-        b = _cz(out_site, qc, theta, duration=sqrt_cz_ns)
-        for g in ((a, b) if basis == "01" else (b, a)):
-            c.add_moment(g)
-
-    add_sp(ql)
-    c.add_moment(_sq("x01", qc, 0.0, single_ns))
-    add_sp(qr)
-    c.add_moment(_sq("x01", qc, 0.0, single_ns))
+    for out, d_out in ((ql, dims[2]), (qr, dims[3])):
+        c.extend(sp_cswap_sequence(qi, qc, out, basis, theta=theta, dims=(dims[0], dims[1], d_out),
+                                   sqrt_cz_ns=sqrt_cz_ns))
+        c.add_moment(_sq("x01", qc, 0.0, single_ns))
     return c
 
 
@@ -551,12 +511,9 @@ def dumps_circuit(circuit: Circuit) -> str:
     # each gate object is formatted once; keyed by identity, since equal
     # specs can print differently (0.0 == -0.0)
     text: dict[int, str] = {}
-    for op in circuit.ops:
-        if isinstance(op, PostselectMarker):
-            lines.append(f"POSTSELECT {op.site} {op.forbidden}")
-            continue
+    for m in circuit.ops:
         lines.append("MOMENT")
-        for g in op.gates:
+        for g in m.gates:
             line = text.get(id(g))
             if line is None:
                 parts = ["GATE", g.name, *g.sites]
@@ -612,9 +569,6 @@ def loads_circuit(text: str) -> Circuit:
                 raise ShapeError(f"{tok[0]} before SITES")
             elif tok[0] == "MOMENT":
                 moment_ln, gates = ln, []
-            elif tok[0] == "POSTSELECT":
-                site, forbidden = tok[1:]
-                circuit.add_postselect(site, int(forbidden))
             elif tok[0] == "GATE":
                 if gates is None:
                     raise ShapeError("GATE outside a MOMENT")

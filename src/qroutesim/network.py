@@ -111,7 +111,7 @@ class CompiledQuery:
 
 def gate_counts(circuit: Circuit) -> tuple[int, int, int]:
     """(single-site gates, two-site gates, depth in non-empty moments)."""
-    moments = [op.gates for op in circuit.ops if isinstance(op, Moment) and op.gates]
+    moments = [m.gates for m in circuit.ops if m.gates]
     n_sites = [len(g.sites) for gates in moments for g in gates]
     return n_sites.count(1), n_sites.count(2), len(moments)
 
@@ -128,7 +128,12 @@ def dependency_depth(circuit: Circuit) -> int:
     return best
 
 
+#: the only scheme whose router block depends on the direction ("down"/"up")
+DIRECTIONAL_SCHEMES = ("sp-tcg",)
+
+
 def router_circuit_for(scheme: str, direction: str, sites, dims) -> Circuit:
+    """One router block; ``direction`` matters only for `DIRECTIONAL_SCHEMES`."""
     if scheme == "clifford":
         return clifford_qrouter_circuit(sites, dims)
     if scheme == "tcg-non-eraser":
@@ -183,9 +188,9 @@ class _Pass(NamedTuple):
 
 class _QueryBuilder:
     """Appends passes to a query circuit, building each distinct router pass
-    ``(level, direction)`` and transfer group once; every use appends the
-    pass's own immutable `Moment`s and an equal `ScheduleGroup`, and adds the
-    pass's tallies to the query's."""
+    (per level, and per direction for `DIRECTIONAL_SCHEMES`) and transfer
+    group once; every use appends the pass's own immutable `Moment`s and an
+    equal `ScheduleGroup`, and adds the pass's tallies to the query's."""
 
     def __init__(self, tree: RoutingTree, scheme: str):
         self.tree = tree
@@ -234,13 +239,16 @@ class _QueryBuilder:
         self.counters["passes_appended"] += 1
 
     def router_pass(self, level: int, direction: str) -> None:
+        if self.scheme not in DIRECTIONAL_SCHEMES:
+            direction = "down"  # the same block either way: one pass per level
+
         def blocks():
             out = []
             for node in self.tree.level_nodes(level):
                 sites = (node.input_site, node.address_site, node.left_site, node.right_site)
                 dims = tuple(self.circuit.site_dims[s] for s in sites)
                 out.append([m.gates for m in
-                            router_circuit_for(self.scheme, direction, sites, dims).moments()])
+                            router_circuit_for(self.scheme, direction, sites, dims).ops])
             return out
 
         self._append(level, ("router", level, direction), blocks)

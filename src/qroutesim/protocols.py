@@ -141,7 +141,7 @@ def _address_response(scheme: str, noise: NoiseModel | None,
     basis = scheme_basis(scheme)
 
     def block(reg: QuditRegister) -> QuditRegister:
-        out = router.run(reg).state
+        out = router.run(reg)
         return _interference_layer(out, basis) if interference else out
 
     one, zero = np.array([0.0, 1.0]), np.array([1.0, 0.0])
@@ -334,13 +334,13 @@ def qst(
     basis = scheme_basis(scheme)
     ideal = qrouter_circuit(scheme, dims=ROUTER_DIMS)
     circ = qrouter_circuit(scheme, theta=noise.leakage.theta, dims=ROUTER_DIMS) if noise else ideal
-    out = run_circuit(router_input(address), circ, noise).state
+    out = run_circuit(router_input(address), circ, noise)
     if noise is not None and scheme == "eraser":
         out, _ = postselect(out, 1, 1)
     reduced = partial_trace(out, sites)
 
     # noiseless oracle fixes the pure target
-    oracle = run_circuit(router_input(address), ideal, None).state
+    oracle = run_circuit(router_input(address), ideal, None)
     target_red = partial_trace(oracle, sites).data
     vals, vecs = np.linalg.eigh(target_red)
     target = vecs[:, -1]
@@ -571,7 +571,7 @@ def leakage_repetition_scan(
     reps, survival = [], []
     cur = state
     for k in range(1, max_reps + 1):
-        cur = router.run(router.run(cur).state).state
+        cur = router.run(router.run(cur))
         reps.append(k)
         survival.append(float(populations(cur)[idx]))
     return LeakageScan(np.array(reps), np.array(survival), scheme, phase)

@@ -207,7 +207,7 @@ class _SingleRouterRun:
         # idles for the overhead before the routers fire
         reg = attach_site(self.state, 1, _addr_rho(name, self.basis))
         reg = _idle(reg, self.noise, self.overhead, range(4))
-        return self.router.run(reg).state
+        return self.router.run(reg)
 
     def _readout(self, reg: QuditRegister) -> tuple[np.ndarray, float]:
         return _normalized(populations(_discard_address(reg, self.scheme)))
@@ -222,7 +222,7 @@ class _SingleRouterRun:
         from one shared first pass."""
         reg = self._first_pass(name)
         out = self._readout(reg)
-        self.state = _discard_address(self.router.run(reg).state, self.scheme)
+        self.state = _discard_address(self.router.run(reg), self.scheme)
         return out
 
 
@@ -324,7 +324,7 @@ class _TwoLayerRun:
             reg = attach_site(reg, 1, _addr_rho(name, self.basis))
             reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1, 2, 3))
             for _ in range(passes):
-                reg = self.router.run(reg).state
+                reg = self.router.run(reg)
             reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1, 2, 3))
             return _discard_address(reg, self.scheme)
 
@@ -335,7 +335,7 @@ class _TwoLayerRun:
         def block(reg: QuditRegister) -> QuditRegister:
             reg = attach_site(reg, 1, _addr_rho(name, self.basis))
             reg = _idle(reg, self.noise, self.overhead, range(4))
-            reg = self.router.run(reg).state
+            reg = self.router.run(reg)
             # Q_I and C1 idle while the leaves route once
             reg = _idle(reg, self.noise, self.tau_router, (0, 1))
             return _discard_address(reg, self.scheme)
@@ -348,7 +348,7 @@ class _TwoLayerRun:
         idle = (self.overhead, range(4)) if direction == "down" else (2 * self.tau_router, (0, 1))
 
         def block(reg: QuditRegister) -> QuditRegister:
-            return self._with_reference(24).run(_idle(reg, self.noise, *idle)).state
+            return self._with_reference(24).run(_idle(reg, self.noise, *idle))
 
         return self._cached_map((direction,), "router_superops_built", block, (2, 3, 2, 2))
 

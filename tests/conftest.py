@@ -53,7 +53,7 @@ def per_point_theta_scan(thetas, scheme, noise=None, phi=0.0):
     router, basis = _per_point_router(scheme, noise), scheme_basis(scheme)
     rows = []
     for th in np.asarray(thetas, dtype=float):
-        out = router.run(router_input(AddressState(th, phi, basis))).state
+        out = router.run(router_input(AddressState(th, phi, basis)))
         excited = np.indices(out.dims).reshape(out.n_sites, -1)[[2, 3, 0]] != 0
         rows.append(_ordered_sums(np.where(excited, populations(out), 0.0)))
     return np.array(rows)
@@ -67,7 +67,7 @@ def per_point_phi_scan(phis, scheme, noise=None):
     phis = np.asarray(phis, dtype=float)
     p_odd, p_even, per_state = [], [], []
     for ph in phis:
-        out = router.run(router_input(AddressState(math.pi / 4, ph, basis))).state
+        out = router.run(router_input(AddressState(math.pi / 4, ph, basis)))
         out = _interference_layer(out, basis)
         pops = populations(out).reshape(out.dims)[0, [0, high]].reshape(8)
         po, pe = _ordered_sums(np.where([_ODD_KEYS, ~_ODD_KEYS], pops, 0.0))

@@ -172,11 +172,13 @@ def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
 
 @settings(max_examples=40, deadline=None)
 @given(flag=st.sampled_from(["--theta", "--phi", "--delta-theta"]), value=st.floats(),
+       joined=st.booleans(),
        command=st.sampled_from([["qst"], ["theta-scan", "--grid-points", "3"]]))
-def test_float_flags_exit_0_or_2_without_traceback(flag, value, command):
+def test_float_flags_exit_0_or_2_without_traceback(flag, value, joined, command):
+    # both "--theta=-1e+16" and "--theta -1e+16" (a bare "-1e+16" looks like an option)
+    args = [f"{flag}={value!r}"] if joined else [flag, repr(value)]
     with tempfile.TemporaryDirectory() as out:
-        # "--theta=-1e+16": argparse reads a bare "-1e+16" as an option
-        code = main([*command, f"{flag}={value!r}", "--out-dir", out])
+        code = main([*command, *args, "--out-dir", out])
         assert code in (0, 2)
         if code == 0:
             csv = next(Path(out).glob("*.csv")).read_text().splitlines()[2:]
@@ -206,8 +208,8 @@ def test_compile_emits_report(tmp_path, capsys):
     report = json.loads((tmp_path / "compile_report.json").read_text())
     assert report["scheme"] == "tcg-eraser"
     assert set(report) >= {"mode", "scheme", "N1q", "N2q", "depth", "groups"}
-    # one layer: load, route and unload each use their own passes, none twice
-    assert report["metadata"]["counters"] == {"passes_built": 8, "passes_appended": 8}
+    # one layer: route-down and route-up share the router pass; each transfer group is its own
+    assert report["metadata"]["counters"] == {"passes_built": 7, "passes_appended": 8}
     assert set(report["metadata"]) == {"timestamp", "version", "counters"}
     assert report["config"]["experiment"] == "compile" and report["config"]["layers"] == 1
     assert (tmp_path / "compiled_circuit.txt").read_text().startswith("# qroutesim-circuit v1")
@@ -293,3 +295,12 @@ def test_noisy_scan_csvs_are_the_per_point_loop(scheme, tmp_path, capsys):
         assert (tmp_path / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
         blob = json.loads((tmp_path / f"{name}.json").read_text())
         assert blob["metadata"]["counters"] == {"router_runs": 1, "points": 101}
+
+
+def test_negative_float_with_exponent_as_separate_value(tmp_path):
+    # argparse alone reads "-1e-3" as an unknown option and exits 2
+    for form, argv in (("joined", ["--theta=-1e-3"]), ("split", ["--theta", "-1e-3"])):
+        assert main(["qst", *argv, "--phi", "-2E-1", "--out-dir", str(tmp_path / form)]) == 0
+    joined, split = (next((tmp_path / form).glob("*.csv")).read_bytes()
+                     for form in ("joined", "split"))
+    assert joined == split

@@ -1,4 +1,4 @@
-"""Circuit runner: moment execution, layer-wise noise, post-selection markers."""
+"""Circuit runner: moment execution and layer-wise noise, register in, register out."""
 
 import math
 from unittest import mock
@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from qroutesim import engine, gates
 from qroutesim.engine import compile_circuit, run_circuit
 from qroutesim.errors import ShapeError
-from qroutesim.gates import (Circuit, GateSpec, PostselectMarker, circuit_unitary, dumps_circuit,
-                             gate_matrix, loads_circuit, qrouter_circuit)
+from qroutesim.gates import (Circuit, GateSpec, circuit_unitary, dumps_circuit, gate_matrix,
+                             loads_circuit, qrouter_circuit)
 from qroutesim.noise import NoiseModel, apply_noise_step, qubit_transfer, qutrit_channel, reference_rates
 from qroutesim.protocols import AddressState, router_input
 from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate, attach_site,
-                             new_basis_state, populations, postselect)
+                             new_basis_state, populations)
 
 from conftest import physical_rates
 
@@ -24,21 +24,11 @@ from conftest import physical_rates
 def test_run_circuit_routes_basis_label():
     circ = qrouter_circuit("non-eraser", dims=(2, 3, 2, 2))
     out = run_circuit(new_basis_state((2, 3, 2, 2), "1100"), circ)
-    p = populations(out.state)
+    p = populations(out)
     # address |1⟩ routes left: (Q_I,Q_C,Q_L,Q_R) = (0,1,1,0)
     idx = int(np.argmax(p))
     assert p[idx] == pytest.approx(1.0)
     assert idx == ((0 * 3 + 1) * 2 + 1) * 2 + 0
-
-
-def test_postselect_marker_tracks_kept_probability():
-    c = Circuit({"q": 3})
-    c.add_moment(GateSpec("x01_half", ("q",), (("phase", 0.0),), 30.0))
-    c.add_postselect("q", 1)
-    res = run_circuit(new_basis_state([3], "0"), c)
-    assert res.kept_probability == pytest.approx(0.5)
-    p = populations(res.state)
-    assert p[1] < 1e-12
 
 
 def test_noise_promotes_to_density_matrix():
@@ -46,8 +36,8 @@ def test_noise_promotes_to_density_matrix():
     c = Circuit({"q": 3})
     c.add_moment(GateSpec("x01", ("q",), (("phase", 0.0),), 1000.0))  # 1 μs layer
     res = run_circuit(new_basis_state([3], "0"), c, nm)
-    assert not res.state.is_pure
-    p = populations(res.state)
+    assert not res.is_pure
+    p = populations(res)
     assert p[1] == pytest.approx(math.exp(-reference_rates().gamma10 * 1.0), abs=1e-12)
 
 
@@ -59,7 +49,7 @@ def test_layer_noise_matches_manual_channel():
     T = qutrit_channel(reference_rates(), 0.5).transfer
     r_a = (T @ np.outer([0, 1, 0], [0, 1, 0]).reshape(9).astype(complex)).reshape(3, 3)
     r_b = (T @ np.outer([0, 0, 1], [0, 0, 1]).reshape(9).astype(complex)).reshape(3, 3)
-    assert np.abs(res.state.data - np.kron(r_a, r_b)).max() < 1e-12
+    assert np.abs(res.data - np.kron(r_a, r_b)).max() < 1e-12
 
 
 def test_idle_sites_accrue_layer_duration():
@@ -68,7 +58,7 @@ def test_idle_sites_accrue_layer_duration():
     c.add_moment(GateSpec("x", ("a",), (), 2000.0))
     res = run_circuit(new_basis_state([2, 3], "02"), c, nm)
     # idle qutrit b decays from |2⟩ for the full 2 μs layer
-    p = populations(res.state)
+    p = populations(res)
     rho22 = sum(p[i] for i in range(6) if i % 3 == 2)
     assert rho22 == pytest.approx(math.exp(-reference_rates().gamma21 * 2.0), abs=1e-12)
 
@@ -97,22 +87,16 @@ _QUTRIT_ONLY = ("x12", "x12_half")
 
 
 def _reference_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | None):
-    """apply_gate per gate, apply_noise_step per moment, postselect per marker."""
-    names = list(circuit.site_dims)
-    pos = {n: i for i, n in enumerate(names)}
+    """apply_gate per gate, apply_noise_step per moment."""
+    pos = {n: i for i, n in enumerate(circuit.site_dims)}
     reg = state.to_mixed() if noise is not None else state
-    kept = 1.0
-    for op in circuit.ops:
-        if isinstance(op, PostselectMarker):
-            reg, k = postselect(reg, pos[op.site], op.forbidden)
-            kept *= k
-            continue
-        for g in op.gates:
+    for m in circuit.ops:
+        for g in m.gates:
             gdims = tuple(circuit.site_dims[s] for s in g.sites)
             reg = apply_gate(reg, gate_matrix(g, gdims), [pos[s] for s in g.sites])
-        if noise is not None and op.gates:
-            reg = apply_noise_step(reg, noise.rates, op.duration_ns * 1e-3)
-    return reg, kept
+        if noise is not None and m.gates:
+            reg = apply_noise_step(reg, noise.rates, m.duration_ns * 1e-3)
+    return reg
 
 
 def _random_rho(rng, dim: int) -> np.ndarray:
@@ -171,8 +155,8 @@ def test_compiled_run_matches_gate_by_gate_reference(circuit, rates, seed):
     dims = tuple(circuit.site_dims.values())
     state = QuditRegister(dims, _random_rho(np.random.default_rng(seed), math.prod(dims)))
     noise = None if rates is None else NoiseModel(rates)
-    got = compile_circuit(circuit, noise).run(state).state
-    want, _ = _reference_run(state, circuit, noise)
+    got = compile_circuit(circuit, noise).run(state)
+    want = _reference_run(state, circuit, noise)
     assert np.array_equal(got.data, want.data)
 
 
@@ -184,27 +168,10 @@ def test_compiled_circuit_reruns_identically_without_mutating_input(pure):
     if not pure:
         start = start.to_mixed()
     before = start.data.copy()
-    first = compiled.run(start).state.data
-    second = compiled.run(start).state.data
+    first = compiled.run(start).data
+    second = compiled.run(start).data
     assert np.array_equal(first, second)
     assert np.array_equal(start.data, before)
-
-
-def test_compiled_postselect_keeps_probability():
-    noise = NoiseModel(reference_rates())
-    c = Circuit({"a": 2, "q": 3})
-    c.add_moment(GateSpec("x01_half", ("q",), (("phase", 0.2),), 500.0))
-    c.add_postselect("q", 1)
-    c.add_moment(GateSpec("x12_half", ("q",), (("phase", 0.1),), 300.0),
-                 GateSpec("h", ("a",), (), 30.0))
-    start = new_basis_state([2, 3], "10")
-    compiled = compile_circuit(c, noise)
-    want, kept = _reference_run(start, c, noise)
-    for _ in range(2):
-        res = compiled.run(start)
-        assert res.kept_probability == kept
-        assert np.array_equal(res.state.data, want.data)
-    assert 0.4 < kept < 0.6
 
 
 @settings(max_examples=80, deadline=None)
@@ -222,8 +189,8 @@ def test_quiet_site_rides_along_untouched(circuit, rates, quiet_dim, where, seed
     sites.insert(pos, ("quiet", quiet_dim))
     noise = NoiseModel(rates)
     got = compile_circuit(Circuit(dict(sites), circuit.ops), noise, quiet=("quiet",)).run(
-        attach_site(state, pos, sigma)).state
-    want = attach_site(compile_circuit(circuit, noise).run(state).state, pos, sigma)
+        attach_site(state, pos, sigma))
+    want = attach_site(compile_circuit(circuit, noise).run(state), pos, sigma)
     assert got.dims == want.dims
     assert np.abs(got.data - want.data).max() <= 1e-15
 
@@ -285,7 +252,7 @@ def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | N
     dims, n = state.dims, len(state.dims)
     pos = {s: i for i, s in enumerate(circuit.site_dims)}
     data = (state if noise is None else state.to_mixed()).data
-    for m in circuit.moments():
+    for m in circuit.ops:
         for g in m.gates:
             sites = [pos[s] for s in g.sites]
             data = _tensordot_gate(data, dims, engine.gate_matrix(g, tuple(dims[k] for k in sites)),
@@ -316,7 +283,7 @@ def test_contraction_plan_is_tensordot_bit_for_bit(circuit, rates, pure, seed):
     state = _random_state(np.random.default_rng(seed), dims, pure)
     noise = None if rates is None else NoiseModel(rates)
     with mock.patch.object(engine, "gate_matrix", _gate_matrix_with_rand3):
-        got = compile_circuit(circuit, noise).run(state).state.data
+        got = compile_circuit(circuit, noise).run(state).data
         want = _tensordot_run(state, circuit, noise)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -364,19 +331,8 @@ def test_circuit_unitary_is_tensordot_bit_for_bit(circuit):
     assert np.array_equal(got, want.reshape(dim, dim))
 
 
-@st.composite
-def _circuits_with_postselects(draw):
-    circuit = draw(_circuits(max_sites=4, wide=True))
-    names = list(circuit.site_dims)
-    for _ in range(draw(st.integers(0, 3))):
-        site = draw(st.sampled_from(names))
-        marker = PostselectMarker(site, draw(st.integers(0, circuit.site_dims[site] - 1)))
-        circuit.ops.insert(draw(st.integers(0, len(circuit.ops))), marker)
-    return circuit
-
-
 @settings(max_examples=150, deadline=None)
-@given(_circuits_with_postselects())
+@given(_circuits(max_sites=4, wide=True))
 def test_text_form_round_trips(circuit):
     text = dumps_circuit(circuit)
     back = loads_circuit(text)

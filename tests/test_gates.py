@@ -209,7 +209,7 @@ def test_qrouter_transfers_all_weight():
         theta, phi = rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)
         addr = np.array([math.cos(theta), 0, np.exp(1j * phi) * math.sin(theta)])
         v = np.kron([0, 1], np.kron(addr, np.kron([1, 0], [1, 0]))).astype(complex)
-        out = run_circuit(QuditRegister((2, 3, 2, 2), v), circ).state
+        out = run_circuit(QuditRegister((2, 3, 2, 2), v), circ)
         p_in = sum(abs(a) ** 2 for i, a in enumerate(out.data) if i >= 12)
         assert p_in < 1e-10
 
@@ -270,14 +270,11 @@ def test_floquet_params_special_point():
 
 def test_serialization_round_trip():
     c = qrouter_circuit("eraser", parasitic=(0.3, 0.7), theta=0.97 * math.pi)
-    c.add_postselect("Q_C", 1)
     text = dumps_circuit(c)
     c2 = loads_circuit(text)
     assert dumps_circuit(c2) == text
     assert circuit_unitary(c2).shape == (81, 81)
-    U1 = circuit_unitary(Circuit(c.site_dims, [m for m in c.moments()]))
-    U2 = circuit_unitary(Circuit(c2.site_dims, [m for m in c2.moments()]))
-    assert np.abs(U1 - U2).max() < 1e-12
+    assert np.abs(circuit_unitary(c) - circuit_unitary(c2)).max() < 1e-12
 
 
 def test_moment_rejects_site_collision():
@@ -296,7 +293,7 @@ def test_text_form_keeps_signed_zero_phases():
     text = dumps_circuit(c)
     assert text.count("phase=0.0 ") == 2 and text.count("phase=-0.0 ") == 2
     back = loads_circuit(text)
-    assert [math.copysign(1.0, m.gates[0].param("phase")) for m in back.moments()] == [1, -1, 1, -1]
+    assert [math.copysign(1.0, m.gates[0].param("phase")) for m in back.ops] == [1, -1, 1, -1]
     assert dumps_circuit(back) == text
 
 
@@ -319,6 +316,15 @@ def test_loads_circuit_builds_one_spec_per_distinct_gate_line(monkeypatch):
     assert back.ops == c.ops
 
 
+def test_extend_with_a_dimension_clash_leaves_the_circuit_unchanged():
+    c = Circuit({"a": 2})
+    c.add_moment(GateSpec("x", ("a",)))
+    other = Circuit({"b": 3, "a": 3})
+    with pytest.raises(ShapeError, match="^site a dimension clash$"):
+        c.extend(other)
+    assert c.site_dims == {"a": 2} and len(c.ops) == 1
+
+
 def test_add_moment_names_the_first_offending_site():
     c = Circuit({"a": 2, "b": 2})
     with pytest.raises(ShapeError, match="^unknown site z$"):
@@ -333,13 +339,19 @@ def test_add_moment_names_the_first_offending_site():
 @pytest.mark.parametrize("body, line", [
     ("MOMENT\nGATE x a 30\nGATE x a 30\n", 3),  # site used twice in one moment
     ("MOMENT\nGATE x01 zz 30\n", 4),            # unknown site token
-    ("POSTSELECT zz 1\n", 3),                   # post-selection on an unknown site
-    ("POSTSELECT a\n", 3),                      # missing forbidden digit
+    ("POSTSELECT zz 1\n", 3),                   # unknown directive
     ("SITES a:x\n", 3),                         # non-integer dimension
 ])
 def test_loads_circuit_rejects_malformed_text(body, line):
     text = "# qroutesim-circuit v1\nSITES a:2 b:3\n" + body
     with pytest.raises(ShapeError, match=f"^line {line}: "):
+        loads_circuit(text)
+
+
+def test_loads_circuit_rejects_postselect_as_unknown_directive():
+    # a circuit is moments only; post-selection acts on registers (qudit.postselect)
+    text = "# qroutesim-circuit v1\nSITES a:2 b:3\nPOSTSELECT b 1\n"
+    with pytest.raises(ShapeError, match="^line 3: unknown directive 'POSTSELECT'$"):
         loads_circuit(text)
 
 
@@ -350,6 +362,6 @@ def test_loads_circuit_names_a_failing_block_after_valid_repeats():
     with pytest.raises(ShapeError, match="^line 12: site a used twice in one moment$"):
         loads_circuit(text)
     back = loads_circuit("# qroutesim-circuit v1\nSITES a:2 b:3\n" + block * 3)
-    assert [len(m.gates) for m in back.moments()] == [2, 2, 2]
+    assert [len(m.gates) for m in back.ops] == [2, 2, 2]
     # a repeated block is checked once and stands as one moment object
-    assert len({id(m) for m in back.moments()}) == 1
+    assert len({id(m) for m in back.ops}) == 1

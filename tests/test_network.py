@@ -12,6 +12,7 @@ from qroutesim.engine import run_circuit
 from qroutesim.errors import IncompatibleMode, ShapeError
 from qroutesim.gates import Circuit, GateSpec, dumps_circuit
 from qroutesim.network import (
+    DIRECTIONAL_SCHEMES,
     MODES,
     SCHEMES,
     build_tree,
@@ -52,7 +53,7 @@ def test_gate_counts_additive():
     q = compile_query(t, "full", "tcg-non-eraser")
     total = gate_counts(q.circuit)
     per_stage = [0, 0]
-    for m in q.circuit.moments():
+    for m in q.circuit.ops:
         for g in m.gates:
             per_stage[g.n_sites - 1] += 1
     assert (per_stage[0], per_stage[1]) == total[:2]
@@ -70,14 +71,14 @@ def test_compile_all_modes_schemes(mode, scheme):
         return
     q = compile_query(build_tree(2), mode, scheme)
     n1, n2, depth = q.counts
-    assert depth == len([m for m in q.circuit.moments() if m.gates])
+    assert depth == len([m for m in q.circuit.ops if m.gates])
     assert depth >= dependency_depth(q.circuit) - 0  # moments are an upper bound
     assert dependency_depth(q.circuit) <= depth
 
 
 def test_moment_schedule_validity():
     q = compile_query(build_tree(2), "full", "tcg-eraser")
-    for m in q.circuit.moments():
+    for m in q.circuit.ops:
         sites = [s for g in m.gates for s in g.sites]
         assert len(sites) == len(set(sites))
 
@@ -128,7 +129,7 @@ def _simulate_query(q, address_bits, layers):
     for k, bit in enumerate(address_bits):
         label[names.index(f"A{k + 1}")] = bit
     init = new_basis_state(dims, "".join(map(str, label)))
-    out = run_circuit(init, q.circuit).state
+    out = run_circuit(init, q.circuit)
     p = populations(out)
     idx = int(np.argmax(p))
     return p[idx], dict(zip(names, digits_of(idx, dims)))
@@ -194,7 +195,7 @@ def test_route_stage_reduction_about_two_thirds():
             if name not in q.stage_moments:
                 continue
             a, b = q.stage_moments[name]
-            for m in q.circuit.moments()[a:b]:
+            for m in q.circuit.ops[a:b]:
                 total += sum(1 for g in m.gates if g.n_sites == 2)
         return total
 
@@ -298,6 +299,9 @@ def test_each_router_pass_built_once(monkeypatch):
             q = compile_query(tree, mode, scheme)
             # one router block per node and direction: each (level, direction) pass once
             assert max(built.values()) == 1
+            # a block that ignores the direction serves both from one pass per level
+            ups = any(direction == "up" for direction, _ in built)
+            assert ups == (scheme in DIRECTIONAL_SCHEMES)
             assert q.counters["passes_appended"] == len(q.schedule) - 1  # all but the leaf layer
             assert q.counters["passes_built"] < q.counters["passes_appended"]
 
@@ -313,7 +317,7 @@ def test_query_moments_are_frozen_and_shared_per_pass(monkeypatch):
 
     monkeypatch.setattr(network._QueryBuilder, "_append", spy)
     q = compile_query(build_tree(3), "full", "tcg-eraser")
-    moment = q.circuit.moments()[0]
+    moment = q.circuit.ops[0]
     assert isinstance(moment.gates, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         moment.gates = ()

@@ -196,7 +196,7 @@ def test_noisy_qst_runs_the_leaky_router(scheme):
     leaky = NoiseModel(reference_rates(), LeakageSpec(0.4))
     res = qst(address, scheme, noise=leaky)
     circ = gates.qrouter_circuit(scheme, theta=math.pi - 0.4, dims=protocols.ROUTER_DIMS)
-    out = engine.run_circuit(protocols.router_input(address), circ, leaky).state
+    out = engine.run_circuit(protocols.router_input(address), circ, leaky)
     if scheme == "eraser":
         out, _ = postselect(out, 1, 1)
     assert np.array_equal(res.rho, partial_trace(out, [1, 2, 3]).data)

@@ -226,7 +226,7 @@ def _single_paired_block(run, name):
     reg = attach_site(run.state, 1, rat._addr_rho(name, run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
     for _ in range(2):
-        reg = run.router.run(reg).state
+        reg = run.router.run(reg)
     return rat._discard_address(reg, run.scheme)
 
 
@@ -237,12 +237,12 @@ def _two_layer_paired_block(run, names):
     root_wide = _root_wide(run, quiet=_DATA_SITES)
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
-    reg = root_wide.run(reg).state
+    reg = root_wide.run(reg)
     reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 2, (1,))))
     reg = rat._idle(reg, run.noise, 2 * run.tau_router, (0, 1))
-    reg = root_wide.run(reg).state
+    reg = root_wide.run(reg)
     reg = rat._idle(reg, run.noise, run.tau_router, range(4, 8))
     return rat._discard_address(reg, run.scheme)
 
@@ -283,7 +283,7 @@ def test_kept_is_the_post_selection_acceptance():
     run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
     run.state = _single_paired_block(run, "+")
     reg = attach_site(run.state, 1, rat._addr_rho("h", run.basis))
-    reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4))).state
+    reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4)))
     assert run.measure_final("h")[1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
     er = rat_single(6, "eraser", _LEAKY, trials=2, seed=3)
     ne = rat_single(6, "non-eraser", _LEAKY, trials=2, seed=3)
@@ -335,7 +335,7 @@ def _loop_leaf_superop(run, name, passes, idle_sites):
         reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
         reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, idle_sites)
         for _ in range(passes):
-            reg = leaf.run(reg).state
+            reg = leaf.run(reg)
         reg = rat._idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, idle_sites)
         cols.append(rat._discard_address(reg, run.scheme).data.reshape(-1))
     return np.stack(cols, axis=1)
@@ -360,7 +360,7 @@ def _stepped_readout(run, names):
     root_wide = _root_wide(run)
     reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(8))
-    reg = root_wide.run(reg).state
+    reg = root_wide.run(reg)
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 1, (1,))))
     reg = rat._idle(reg, run.noise, run.tau_router, (0, 1))
@@ -405,7 +405,7 @@ def test_root_passes_are_idle_then_compiled_run(scheme, noisy):
         for _ in range(3):
             a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
             rho = QuditRegister((2, 3, 2, 2), a @ a.conj().T / np.trace(a @ a.conj().T))
-            want = router.run(rat._idle(rho, run.noise, idle_ns, sites)).state.data
+            want = router.run(rat._idle(rho, run.noise, idle_ns, sites)).data
             got = apply_channel(rho, ChannelMap((0, 1, 2, 3), phi)).data
             assert np.abs(got - want).max() <= 1e-14
 
