@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -206,7 +207,7 @@ def _json_default(o):
 
 def run_theta_scan(cfg: RunConfig) -> int:
     thetas = np.linspace(0.0, math.pi / 2, cfg.grid_points)
-    r = theta_scan(thetas, cfg.scheme, cfg.noise_model(), phi=cfg.phi)
+    r = theta_scan(thetas, cfg.scheme, cfg.noise_model(), cfg.phi, cfg.sqrt_cz_ns, cfg.single_ns)
     rows = [[t, pl, pr, pi] for t, pl, pr, pi in zip(r.thetas, r.p_left, r.p_right, r.p_input)]
     dev = float(np.abs(r.p_left - np.sin(r.thetas) ** 2).max())
     _write(cfg, "theta_scan", ["theta", "p_left", "p_right", "p_input"], rows,
@@ -217,7 +218,7 @@ def run_theta_scan(cfg: RunConfig) -> int:
 
 def run_phi_scan(cfg: RunConfig) -> int:
     phis = np.linspace(0.0, 2 * math.pi, cfg.grid_points)
-    r = phi_scan(phis, cfg.scheme, cfg.noise_model())
+    r = phi_scan(phis, cfg.scheme, cfg.noise_model(), cfg.sqrt_cz_ns, cfg.single_ns)
     rows = [[p, po, pe, *pops] for p, po, pe, pops in
             zip(r.phis, r.p_odd, r.p_even, r.state_pops)]
     header = ["phi", "p_odd", "p_even"] + [f"p_{k:03b}" for k in range(8)]
@@ -229,7 +230,7 @@ def run_phi_scan(cfg: RunConfig) -> int:
 def run_qst(cfg: RunConfig) -> int:
     addr = AddressState(cfg.theta, cfg.phi, "02" if cfg.scheme == "eraser" else "01")
     r = qst(addr, cfg.scheme, method=cfg.method, shots=cfg.shots, seed=cfg.seed,
-            noise=cfg.noise_model())
+            noise=cfg.noise_model(), sqrt_cz_ns=cfg.sqrt_cz_ns, single_ns=cfg.single_ns)
     rows = [[i, j, r.rho[i, j].real, r.rho[i, j].imag]
             for i in range(r.rho.shape[0]) for j in range(r.rho.shape[1])]
     _write(cfg, "qst", ["row", "col", "re", "im"], rows,
@@ -388,7 +389,10 @@ def _join_float_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every `main` call reuses it."""
     p = argparse.ArgumentParser(prog="qroutesim",
                                 description="quantum-router / QRAM simulator toolkit")
     p.add_argument("--version", action="version", version=f"qroutesim {__version__}")

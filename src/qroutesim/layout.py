@@ -48,6 +48,8 @@ class GridSpec:
     defect_couplers: frozenset = frozenset()  # frozenset of sorted coord pairs
 
     def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {self.rows}x{self.cols}")
         for r, c in self.defect_qubits:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"defect qubit {(r, c)} outside {self.rows}x{self.cols}")

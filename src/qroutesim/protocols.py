@@ -21,6 +21,8 @@ import numpy as np
 from .engine import compile_circuit, run_circuit
 from .errors import CapacityError, FitError
 from .gates import (
+    SINGLE_NS,
+    SQRT_CZ_NS,
     Circuit,
     FloquetParams,
     SqrtCzParams,
@@ -125,8 +127,8 @@ def _ordered_sums(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights, axis=-1)[..., -1]
 
 
-def _address_response(scheme: str, noise: NoiseModel | None,
-                      interference: bool = False) -> np.ndarray:
+def _address_response(scheme: str, noise: NoiseModel | None, sqrt_cz_ns: float,
+                      single_ns: float, interference: bool = False) -> np.ndarray:
     """The router's address response: resp[a, i, j] = Φ(|i⟩⟨j|_C)[a, a], (24, 3, 3).
 
     Φ is one router pass, then `_interference_layer` when ``interference``,
@@ -136,7 +138,7 @@ def _address_response(scheme: str, noise: NoiseModel | None,
     populations Σ_ij ρ_C[i, j]·resp[:, i, j] for any number of addresses.
     """
     circ = qrouter_circuit(scheme, theta=noise.leakage.theta if noise else math.pi,
-                           dims=ROUTER_DIMS)
+                           dims=ROUTER_DIMS, sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns)
     router = compile_circuit(Circuit({**circ.site_dims, "R": 3}, circ.ops), noise, quiet=("R",))
     basis = scheme_basis(scheme)
 
@@ -173,14 +175,16 @@ _PATH_EXCITED = np.indices(ROUTER_DIMS).reshape(len(ROUTER_DIMS), -1)[[2, 3, 0]]
 
 
 def theta_scan(thetas, scheme: str = "eraser", noise: NoiseModel | None = None,
-               phi: float = 0.0) -> ThetaScanResult:
+               phi: float = 0.0, sqrt_cz_ns: float = SQRT_CZ_NS,
+               single_ns: float = SINGLE_NS) -> ThetaScanResult:
     """Routing populations versus the address angle; noiseless law sin²θ/cos²θ.
 
     (P_L, P_R, P_I) are the marginal excitations of Q_L, Q_R and Q_I, read
-    off one router run for every θ."""
+    off one router run for every θ.  The gate times set how long a noisy
+    router decoheres; each flip takes a full ``single_ns`` slot."""
     thetas = np.asarray(thetas, dtype=float)
     basis = scheme_basis(scheme)
-    pops = _scan_populations(_address_response(scheme, noise),
+    pops = _scan_populations(_address_response(scheme, noise, sqrt_cz_ns, single_ns),
                              [AddressState(th, phi, basis) for th in thetas])
     p_left, p_right, p_input = _ordered_sums(np.where(_PATH_EXCITED, pops[:, None], 0.0)).T
     return ThetaScanResult(thetas, p_left, p_right, p_input, scheme,
@@ -215,18 +219,20 @@ def _interference_layer(state: QuditRegister, basis: str) -> QuditRegister:
 _ODD_KEYS = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=bool)  # parity of c + l + r
 
 
-def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None) -> PhiScanResult:
+def phi_scan(phis, scheme: str = "eraser", noise: NoiseModel | None = None,
+             sqrt_cz_ns: float = SQRT_CZ_NS, single_ns: float = SINGLE_NS) -> PhiScanResult:
     """Parity interference at θ=π/4: P_O = (1 − sin(φ+φ0))/2.
 
     The three π/2 rotations act on Q_C (in its address subspace), Q_L and
     Q_R; populations are read over those three sites with basis labels
-    mapping the high address level to 1.  One router run serves every φ.
+    mapping the high address level to 1.  One router run serves every φ;
+    its gate times are as in `theta_scan`.
     """
     phis = np.asarray(phis, dtype=float)
     basis = scheme_basis(scheme)
     high = 1 if basis == "01" else 2
-    pops = _scan_populations(_address_response(scheme, noise, interference=True),
-                             [AddressState(math.pi / 4, ph, basis) for ph in phis])
+    resp = _address_response(scheme, noise, sqrt_cz_ns, single_ns, interference=True)
+    pops = _scan_populations(resp, [AddressState(math.pi / 4, ph, basis) for ph in phis])
     # Q_I = 0 (residual input excitation is not one of the 8 states), and
     # Q_C at 0 or high (the eraser's leakage level is dropped): key 4c+2l+r
     per_state = pops.reshape(-1, *ROUTER_DIMS)[:, 0, [0, high]].reshape(-1, 8)
@@ -319,6 +325,8 @@ def qst(
     seed: int = 0,
     noise: NoiseModel | None = None,
     max_iter: int = 500,
+    sqrt_cz_ns: float = SQRT_CZ_NS,
+    single_ns: float = SINGLE_NS,
 ):
     """Tomograph the router output on up to three sites.
 
@@ -326,14 +334,16 @@ def qst(
     {0,2} for the eraser address site); ``shots`` counts samples per basis
     setting (0 = exact probabilities straight into the estimator).  A noisy
     run's √CZ gates under-rotate to ϑ = π − δϑ; the noiseless oracle that
-    fixes the target runs at ϑ = π.
+    fixes the target runs at ϑ = π.  The gate times set how long a noisy
+    router decoheres, with a full ``single_ns`` slot per flip.
     """
     sites = list(sites)
     if len(sites) > 3:
         raise CapacityError("tomography enumerated over at most 3 sites")
     basis = scheme_basis(scheme)
     ideal = qrouter_circuit(scheme, dims=ROUTER_DIMS)
-    circ = qrouter_circuit(scheme, theta=noise.leakage.theta, dims=ROUTER_DIMS) if noise else ideal
+    circ = qrouter_circuit(scheme, theta=noise.leakage.theta, dims=ROUTER_DIMS,
+                           sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns) if noise else ideal
     out = run_circuit(router_input(address), circ, noise)
     if noise is not None and scheme == "eraser":
         out, _ = postselect(out, 1, 1)

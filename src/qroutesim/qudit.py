@@ -269,14 +269,23 @@ def postselect(
     return QuditRegister(state.dims, out.data / norm), kept
 
 
-def attach_site(state: QuditRegister, pos: int, site_rho: np.ndarray) -> QuditRegister:
-    """Density matrix with a new site in state ``site_rho`` inserted at index ``pos``."""
+def attach_site(state: QuditRegister, pos: int, site: np.ndarray) -> QuditRegister:
+    """The register with a new site inserted at index ``pos``, in the state
+    ``site``: a state vector or a density matrix.  A vector on a pure
+    register gives a pure register (the product v_c·ψ, as `np.kron` forms
+    it); on a mixed one it enters as |v⟩⟨v|.  A density matrix gives a
+    mixed register."""
     dims, n = state.dims, state.n_sites
-    t = np.tensordot(site_rho, state.density().reshape(list(dims) * 2), axes=0)
+    new_dims = dims[:pos] + (site.shape[0],) + dims[pos:]
+    if site.ndim == 1 and state.is_pure:
+        t = np.multiply.outer(site, state.data.reshape(dims))
+        return QuditRegister(new_dims, np.moveaxis(t, 0, pos).reshape(-1))
+    if site.ndim == 1:
+        site = np.outer(site, site.conj())
+    t = np.tensordot(site, state.density().reshape(list(dims) * 2), axes=0)
     # (c, q, kets..., bras...) -> (kets[:pos], c, kets[pos:], bras[:pos], q, bras[pos:])
     kets, bras = list(range(2, 2 + n)), list(range(2 + n, 2 + 2 * n))
     order = kets[:pos] + [0] + kets[pos:] + bras[:pos] + [1] + bras[pos:]
-    new_dims = dims[:pos] + (site_rho.shape[0],) + dims[pos:]
     dim = math.prod(new_dims)
     return QuditRegister(new_dims, t.transpose(order).reshape(dim, dim))
 
@@ -336,14 +345,19 @@ def choi_superop(block, site_states) -> np.ndarray:
     """S[(a,b),(i,j)] = Φ(|i⟩⟨j|)[a,b] of the channel ``block`` on the open
     sites, from one run.  ``site_states`` gives each input site as an int d
     (open) or the vector it is held in; ``block`` maps (sites…, R) to
-    (sites'…, R) and never touches R, so running it once from |Ω⟩⟨Ω|,
-    |Ω⟩ = Σ_i |i⟩_open|i⟩_R, computes each column as a run on |i⟩⟨j| would."""
+    (sites'…, R) and never touches R, so running it once from
+    |Ω⟩ = Σ_i |i⟩_open|i⟩_R computes each column as a run on |i⟩⟨j| would.
+    |Ω⟩ enters as a state vector: a noiseless block keeps it pure (a vector
+    of dim·r entries, not a (dim·r)² matrix) and a noisy one mixes it at its
+    first channel.  Either way the map is read off the result's density
+    matrix."""
     open_dims = [s for s in site_states if isinstance(s, int)]
     r = math.prod(open_dims)
-    omega = np.eye(r, dtype=complex).reshape(*open_dims, r)
-    for pos in [k for k, s in enumerate(site_states) if not isinstance(s, int)]:
-        omega = np.moveaxis(np.tensordot(site_states[pos], omega, axes=0), 0, pos)
-    out = block(QuditRegister(omega.shape, np.outer(omega, omega.conj()))).data
+    omega = QuditRegister((*open_dims, r), np.eye(r, dtype=complex).reshape(-1))
+    for pos, s in enumerate(site_states):
+        if not isinstance(s, int):
+            omega = attach_site(omega, pos, np.asarray(s))
+    out = block(omega).density()
     d = out.shape[0] // r
     return out.reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, r * r)
 

@@ -114,11 +114,12 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
 
 def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> QuditRegister:
     """Decoherence on ``sites`` only, for dt_ns: `apply_noise_step`, the
-    transfer matrices a compiled circuit's moments apply too."""
+    transfer matrices a compiled circuit's moments apply too.  A pure
+    register is mixed first; without noise it is returned as it is."""
     if noise is None:
         return reg
     rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
-    return apply_noise_step(reg, rates, dt_ns * 1e-3)
+    return apply_noise_step(reg.to_mixed(), rates, dt_ns * 1e-3)
 
 
 def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
@@ -136,13 +137,11 @@ def _normalized(p: np.ndarray) -> tuple[np.ndarray, float]:
     return (p / total if total > 0 else p), float(total)
 
 
-def _addr_rho(addr, basis: str) -> np.ndarray:
-    """Density matrix of an address given by name ("0","h","+","-") or AddressState."""
-    if isinstance(addr, AddressState):
-        v = addr.site_vector()
-    else:
-        v = AddressState.named(addr, basis).site_vector()
-    return np.outer(v, v.conj())
+def _address_vector(addr, basis: str) -> np.ndarray:
+    """Site vector of an address given by name ("0","h","+","-") or AddressState."""
+    if not isinstance(addr, AddressState):
+        addr = AddressState.named(addr, basis)
+    return addr.site_vector()
 
 
 def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
@@ -205,7 +204,7 @@ class _SingleRouterRun:
     def _first_pass(self, name: str) -> QuditRegister:
         # block-initialization window: every site (fresh address included)
         # idles for the overhead before the routers fire
-        reg = attach_site(self.state, 1, _addr_rho(name, self.basis))
+        reg = attach_site(self.state, 1, _address_vector(name, self.basis))
         reg = _idle(reg, self.noise, self.overhead, range(4))
         return self.router.run(reg)
 
@@ -321,7 +320,7 @@ class _TwoLayerRun:
     def _leaf_superop(self, name, passes: int) -> np.ndarray:
         """The leaf map on (M, D, D') for ``passes`` router passes."""
         def block(reg: QuditRegister) -> QuditRegister:
-            reg = attach_site(reg, 1, _addr_rho(name, self.basis))
+            reg = attach_site(reg, 1, _address_vector(name, self.basis))
             reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1, 2, 3))
             for _ in range(passes):
                 reg = self.router.run(reg)
@@ -333,7 +332,7 @@ class _TwoLayerRun:
     def _root_map(self, name) -> np.ndarray:
         """The readout's root map on (Q_I, M_L, M_R)."""
         def block(reg: QuditRegister) -> QuditRegister:
-            reg = attach_site(reg, 1, _addr_rho(name, self.basis))
+            reg = attach_site(reg, 1, _address_vector(name, self.basis))
             reg = _idle(reg, self.noise, self.overhead, range(4))
             reg = self.router.run(reg)
             # Q_I and C1 idle while the leaves route once
@@ -364,7 +363,7 @@ class _TwoLayerRun:
         """`measure_final`, then advance the run by the paired block: attach
         C1 → root down → two-pass leaf maps → root up → discard C1."""
         out = self.measure_final(names)
-        reg = attach_site(self.state, 1, _addr_rho(names[0], self.basis))
+        reg = attach_site(self.state, 1, _address_vector(names[0], self.basis))
         reg = apply_channel(reg, ChannelMap((0, 1, 2, 3), self._root_pass("down")))
         for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
             reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))

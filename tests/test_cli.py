@@ -62,6 +62,7 @@ def test_layout_summary_echoes_config_and_search(tmp_path, capsys):
 
 def test_every_subcommand_takes_the_shared_options():
     parser = build_parser()
+    assert build_parser() is parser  # built once per process, reused by every main call
     want = {"command": "rat", "config": None, "out_dir": None, "seed": 7, "scheme": None,
             "noisy": True, "trials": 100, "shots": None, "n_max": 30, "grid_points": None,
             "layers": None, "mode": None, "grid": None, "theta": None, "phi": None,
@@ -148,6 +149,8 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["compile", "--layers", "0"], None, "layers"),
     (["layout", "--layers", "0"], None, "layers"),
     (["layout", "--layers", "-1"], None, "layers"),
+    (["layout", "--grid", "0x6", "--layers", "2"], None, "rows"),
+    (["layout", "--grid", "12x-1"], None, "cols"),
     (["qst", "--theta", "nan"], None, "theta"),
     (["theta-scan", "--phi", "inf", "--grid-points", "3"], None, "phi"),
     (["rat", "--noisy"], "[noise]\nsqrt_cz_ns = -25\n", "sqrt_cz_ns"),
@@ -158,6 +161,7 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
         "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
         "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative",
+        "grid-rows-0", "grid-cols-negative",
         "theta-nan", "phi-inf", "sqrt_cz_ns-negative", "sqrt_cz_ns-0", "single_ns-inf",
         "block_overhead_ns-negative", "block_overhead_ns-nan"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
@@ -295,6 +299,24 @@ def test_noisy_scan_csvs_are_the_per_point_loop(scheme, tmp_path, capsys):
         assert (tmp_path / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
         blob = json.loads((tmp_path / f"{name}.json").read_text())
         assert blob["metadata"]["counters"] == {"router_runs": 1, "points": 101}
+
+
+def test_scans_and_qst_run_the_configured_gate_times(tmp_path, capsys):
+    """Doubled gate times change the noisy CSVs; the default times, given
+    explicitly, and a noiseless run leave them as they are."""
+    (tmp_path / "slow.ini").write_text("[noise]\nsqrt_cz_ns = 50\nsingle_ns = 60\n")
+    (tmp_path / "same.ini").write_text("[noise]\nsqrt_cz_ns = 25\nsingle_ns = 30\n")
+    for argv in (["theta-scan", "--grid-points", "11"], ["phi-scan", "--grid-points", "11"],
+                 ["qst", "--theta", "0.7"]):
+        for noisy in ([], ["--noisy"]):
+            csv = {}
+            for ini in ("", "same.ini", "slow.ini"):
+                out = tmp_path / f"{argv[0]}{len(noisy)}{ini}"
+                extra = ["--config", str(tmp_path / ini)] if ini else []
+                assert run([*argv, *noisy, *extra, "--out-dir", str(out)], capsys)[0] == 0
+                csv[ini] = next(out.glob("*.csv")).read_bytes()
+            assert csv["same.ini"] == csv[""]
+            assert (csv["slow.ini"] != csv[""]) == bool(noisy)
 
 
 def test_negative_float_with_exponent_as_separate_value(tmp_path):

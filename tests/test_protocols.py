@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qroutesim import engine, gates, protocols
 from qroutesim.errors import CapacityError, FitError
+from qroutesim.network import two_layer_landscape
 from qroutesim.noise import DecayRates, LeakageSpec, NoiseModel, reference_rates
 from qroutesim.qudit import partial_trace, postselect
 from qroutesim.protocols import (
@@ -115,6 +116,28 @@ def test_a_scan_runs_the_router_once(scan, monkeypatch):
     r = scan(np.linspace(0, math.pi / 2, 101), "eraser", NoiseModel(reference_rates()))
     assert len(calls) == 1 and calls[0] == (2, 3, 2, 2, 3)  # the router and its reference R
     assert r.counters == {"router_runs": 1, "points": 101}
+
+
+_NOISELESS_CHOI_RUNS = {
+    "theta_scan": lambda scheme: theta_scan(np.linspace(0, math.pi / 2, 5), scheme),
+    "phi_scan": lambda scheme: phi_scan(np.linspace(0, 2 * math.pi, 5), scheme),
+    "two_layer_landscape": lambda scheme: two_layer_landscape([0.3, 1.1], [0.5, 1.2], scheme),
+}
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("name", list(_NOISELESS_CHOI_RUNS))
+def test_noiseless_choi_runs_evolve_state_vectors(name, scheme, monkeypatch):
+    pure = []
+    run = engine.CompiledCircuit.run
+
+    def recorded(self, state):
+        pure.append(state.is_pure)
+        return run(self, state)
+
+    monkeypatch.setattr(engine.CompiledCircuit, "run", recorded)
+    _NOISELESS_CHOI_RUNS[name](scheme)
+    assert pure and all(pure)
 
 
 def test_qst_exact_noiseless_unit_fidelity():

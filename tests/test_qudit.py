@@ -165,6 +165,29 @@ def test_attach_site_matches_kron(pos):
     assert np.abs(out.data - np.kron(np.kron(mats[0], mats[1]), mats[2])).max() < 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3), st.sampled_from([2, 3]),
+       st.data())
+def test_attach_site_vector_is_kron_or_outer(dims, d, data):
+    """A site vector on a pure register is the kron insertion, bit for bit;
+    on a mixed register it is the site's |v⟩⟨v|, bit for bit."""
+    dims = tuple(dims)
+    pos = data.draw(st.integers(0, len(dims)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dim = int(np.prod(dims))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    out = attach_site(QuditRegister(dims, psi), pos, v)
+    left = int(np.prod(dims[:pos]))
+    want = np.concatenate([np.kron(v, row) for row in psi.reshape(left, -1)])
+    assert out.is_pure and out.dims == dims[:pos] + (d,) + dims[pos:]
+    assert np.array_equal(out.data, want)
+    rho = QuditRegister(dims, _random_rho(rng, dim))
+    mixed = attach_site(rho, pos, v)
+    assert not mixed.is_pure
+    assert np.array_equal(mixed.data, attach_site(rho, pos, np.outer(v, v.conj())).data)
+
+
 def test_apply_channel_on_three_sites_matches_axis_formula():
     rng = np.random.default_rng(2)
     dims, sites = (2, 3, 2, 2), (3, 1, 0)

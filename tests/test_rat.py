@@ -99,6 +99,7 @@ def test_rat_two_layer_noisy_sane():
     assert np.all(np.diff(r.kept) < 0.0) and 0.0 < r.kept[-1] < r.kept[0] < 1.0
 
 
+@pytest.mark.slow
 def test_rat_two_layer_eraser_fit_dominates():
     # paired 30-trial runs at the reference rates: the eraser's fitted
     # fidelity and its whole depth curve sit above the non-eraser's
@@ -223,7 +224,7 @@ _PARASITIC = (math.pi / 2, math.pi / 2)
 
 def _single_paired_block(run, name):
     """attach → idle → two router passes → discard, from the run's state."""
-    reg = attach_site(run.state, 1, rat._addr_rho(name, run.basis))
+    reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
     for _ in range(2):
         reg = run.router.run(reg)
@@ -235,7 +236,7 @@ def _two_layer_paired_block(run, names):
     (address idles only) → idle → root up → D1..D4 idle → discard, with the
     root router stepped on the 384-dimensional register."""
     root_wide = _root_wide(run, quiet=_DATA_SITES)
-    reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
+    reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
     reg = root_wide.run(reg)
     reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
@@ -282,7 +283,7 @@ def test_rat_single_one_runner_matches_fresh_runner_per_trial():
 def test_kept_is_the_post_selection_acceptance():
     run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
     run.state = _single_paired_block(run, "+")
-    reg = attach_site(run.state, 1, rat._addr_rho("h", run.basis))
+    reg = attach_site(run.state, 1, rat._address_vector("h", run.basis))
     reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4)))
     assert run.measure_final("h")[1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
     er = rat_single(6, "eraser", _LEAKY, trials=2, seed=3)
@@ -327,7 +328,7 @@ def _loop_leaf_superop(run, name, passes, idle_sites):
     reference site per basis input |i⟩⟨j| on (M, D, D'), idling
     ``idle_sites`` of (M, C, D, D') before and after the passes."""
     leaf = compile_circuit(_router(run, ("M", "C", "D", "Dp")), run.noise)
-    addr = rat._addr_rho(name, run.basis)
+    addr = rat._address_vector(name, run.basis)
     cols = []
     for k in range(64):
         e = np.zeros((8, 8), dtype=complex)
@@ -341,14 +342,39 @@ def _loop_leaf_superop(run, name, passes, idle_sites):
     return np.stack(cols, axis=1)
 
 
+def _ket_loop_leaf_superop(run, name, passes):
+    """The noiseless leaf map from basis kets: one run of a leaf router
+    without the reference site per |i⟩ on (M, D, D'), and column (i, j) the
+    trace over C of |ψ_i⟩⟨ψ_j|, the kets after the discard's projection."""
+    leaf = compile_circuit(_router(run, ("M", "C", "D", "Dp")), None)
+    kets = []
+    for i in range(8):
+        reg = attach_site(QuditRegister((2, 2, 2), np.eye(8, dtype=complex)[i]), 1,
+                          rat._address_vector(name, run.basis))
+        for _ in range(passes):
+            reg = leaf.run(reg)
+        if run.scheme == "eraser":
+            reg, _ = project(reg, 1, 1)
+        kets.append(reg.data)
+    cols = [partial_trace(QuditRegister(reg.dims, np.outer(a, b.conj())), [0, 2, 3]).data.reshape(-1)
+            for a in kets for b in kets]
+    return np.stack(cols, axis=1)
+
+
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
 @pytest.mark.parametrize("noisy", [True, False])
 def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
     run = _two_layer_run(scheme, noisy)
     for passes in (1, 2):
         for name in ADDRESS_NAMES:
-            assert np.array_equal(run._leaf_superop(name, passes),
-                                  _loop_leaf_superop(run, name, passes, (1, 2, 3)))
+            got = run._leaf_superop(name, passes)
+            rho_loop = _loop_leaf_superop(run, name, passes, (1, 2, 3))
+            if noisy:
+                assert np.array_equal(got, rho_loop)
+            else:
+                # a noiseless Choi run is a state vector: the ket loop's bits
+                assert np.array_equal(got, _ket_loop_leaf_superop(run, name, passes))
+                assert np.abs(got - rho_loop).max() <= 1e-15
     assert run.counters == {"leaf_maps_built": 8, "root_maps_built": 0,
                             "router_superops_built": 0, "map_cache_hits": 0}
 
@@ -358,7 +384,7 @@ def _stepped_readout(run, names):
     maps (address idles only) → (Q_I, C1) idle → discard → trace, on the
     384-dimensional register."""
     root_wide = _root_wide(run)
-    reg = attach_site(run.state, 1, rat._addr_rho(names[0], run.basis))
+    reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(8))
     reg = root_wide.run(reg)
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
