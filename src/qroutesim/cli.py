@@ -107,8 +107,9 @@ def _check(cfg: RunConfig) -> None:
     for key in ("grid_points", "trials", "m_repeats"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-    if cfg.shots < 0:
-        raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
+    for key in ("shots", "seed"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     for key in ("theta", "phi"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")
@@ -250,7 +251,8 @@ def run_rat(cfg: RunConfig) -> int:
             "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
             "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
             "address_policy": "redrawn per trial (SplitMix64 stream per (seed, trial))",
-            "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}})
+            "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}},
+           counters=r.counters)
     return 0
 
 

@@ -11,9 +11,10 @@ mutates its input, so independent sweep points can be evaluated
 concurrently without locking.
 
 Every matrix reaches a state through one kernel, `_Plan`: a gate on a
-state vector or on either side of ρ (`Operator`, which compiled circuits
-build once per gate), a channel's transfer matrix on the ket and bra axes
-of its sites, and `gates.circuit_unitary`'s gates on an identity tensor.
+state vector or on either side of ρ, a channel's transfer matrix on the
+ket and bra axes of its sites, and `gates.circuit_unitary`'s gates on an
+identity tensor.  Compiled circuits chain plans with `_link`, which feeds
+each product to the next plan in one transpose.
 """
 
 from __future__ import annotations
@@ -182,31 +183,22 @@ def _plan_cached(shape: tuple, targets: tuple) -> _Plan:
                  target_dims + rest_dims, tuple(order))
 
 
-class Operator(NamedTuple):
-    """A matrix bound to sites of a register: its conjugate and the plans for
-    a state vector and for the ket and bra axes of ρ, built once."""
-
-    matrix: np.ndarray
-    conj: np.ndarray
-    pure: _Plan
-    ket: _Plan
-    bra: _Plan
-
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """U·ψ of a state vector or U·ρ·U† of a density matrix, given flat or
-        as a tensor over the site axes.  The result is that tensor, a strided
-        view: a caller chaining gates passes it on and reshapes once."""
-        if data.size == math.prod(self.pure.shape):
-            return self.pure.apply(self.matrix, data)
-        return self.bra.apply(self.conj, self.ket.apply(self.matrix, data))
-
-
-def bind_operator(matrix: np.ndarray, dims: tuple[int, ...], sites: list[int]) -> Operator:
-    """The Operator of ``matrix`` on ``sites`` (its labels in that order) of ``dims``."""
-    dims, n = tuple(dims), len(dims)
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
-    return Operator(matrix, matrix.conj(), _plan(dims, sites), _plan(dims * 2, sites),
-                    _plan(dims * 2, [s + n for s in sites]))
+@lru_cache(maxsize=4096)
+def _link(src: tuple, order: tuple, perm: tuple) -> tuple[tuple, tuple]:
+    """(shape, perm) that take a C-ordered tensor ``src``, which
+    ``.transpose(order)`` restores to its logical axes, straight to those axes
+    in the order ``perm``, as one reshape and one transpose.  Axes that stay
+    adjacent are merged, so a product links to the next plan without the
+    restoring transpose: the same elements in the same layout."""
+    runs: list[list[int]] = []
+    for a in (order[p] for p in perm):
+        if runs and runs[-1][-1] + 1 == a:
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    by_start = sorted(range(len(runs)), key=lambda i: runs[i][0])
+    return (tuple(math.prod(src[a] for a in runs[i]) for i in by_start),
+            tuple(by_start.index(i) for i in range(len(runs))))
 
 
 def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
@@ -219,8 +211,13 @@ def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
     dg = math.prod(state.dims[s] for s in sites)
     if np.shape(gate) != (dg, dg):
         raise ShapeError(f"gate shape {np.shape(gate)} does not match sites {sites} (dim {dg})")
-    out = bind_operator(gate, state.dims, sites).apply(state.data)
-    return QuditRegister(state.dims, out.reshape(state.data.shape))
+    gate, dims, n = np.ascontiguousarray(gate, dtype=complex), state.dims, state.n_sites
+    if state.is_pure:
+        out = _plan(dims, sites).apply(gate, state.data)
+    else:
+        out = _plan(dims * 2, sites).apply(gate, state.data)
+        out = _plan(dims * 2, [s + n for s in sites]).apply(gate.conj(), out)
+    return QuditRegister(dims, out.reshape(state.data.shape))
 
 
 def populations(state: QuditRegister) -> np.ndarray:

@@ -31,6 +31,7 @@ instantaneous state assignments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +44,7 @@ from .gates import Circuit, qrouter_circuit
 from .noise import NoiseModel, apply_noise_step
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
 from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_superop,
-                    new_basis_state, partial_trace, populations, project)
+                    new_basis_state, partial_trace, populations)
 
 _SUPPORT_TOL = 1e-9
 
@@ -72,7 +73,7 @@ class RatResult:
     fit_iterations: int  # least-squares function evaluations
     kept: np.ndarray  # per depth, trial mean of the probability the post-selections kept
     m_per_trial: np.ndarray = field(repr=False, default=None)
-    counters: dict = field(default_factory=dict)  # per runner: block maps built, cache hits
+    counters: dict = field(default_factory=dict)  # per runner: runs or map builds, cache hits
 
 
 def rat_model(n, l1, l2, f):
@@ -123,11 +124,16 @@ def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> 
 
 
 def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
-    """End of a block: the eraser drops the address's |1⟩ branch (unnormalized),
-    then the address at site 1 is traced out."""
-    if scheme == "eraser":
-        reg, _ = project(reg, 1, 1)
-    return partial_trace(reg, [k for k in range(reg.n_sites) if k != 1])
+    """End of a block: the address at site 1 is traced out, its diagonal
+    summed in digit order; the eraser drops the |1⟩ branch (unnormalized), so
+    it sums digits 0 and 2 only: the bits of `project` then `partial_trace`."""
+    dims, n = reg.dims, reg.n_sites
+    rho = reg.density().reshape(dims * 2)
+    kept = (0, 2) if scheme == "eraser" else range(dims[1])
+    out = functools.reduce(np.add, (rho[(slice(None), k) + (slice(None),) * (n - 1) + (k,)]
+                                    for k in kept))
+    rest = dims[:1] + dims[2:]
+    return QuditRegister(rest, out.reshape(math.prod(rest), -1))
 
 
 def _normalized(p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -145,9 +151,9 @@ def _address_vector(addr, basis: str) -> np.ndarray:
 
 
 def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
-                shot_rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """M and the kept probability per (trial, depth); ``blocks[trial]`` holds
-    the trial's block keys, one per depth.
+                shot_rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """M and the kept probability per (trial, depth), and the oracle memo's
+    hits; ``blocks[trial]`` holds the trial's block keys, one per depth.
 
     Depth n's readout continues the run of depth n − 1, so each trial is one
     run of its runner.  Noiseless paired blocks are exact identities on the
@@ -169,7 +175,7 @@ def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
                 ideal.reset()
                 oracle[key] = ideal.measure_final(key)[0]
             per_trial[trial, n] = _match(oracle[key], p_exp)
-    return per_trial, kept
+    return per_trial, kept, per_trial.size - len(oracle)  # one lookup per (trial, depth)
 
 
 # --- single-router RAT -----------------------------------------------------------
@@ -182,7 +188,13 @@ def _flip_single_ns(scheme: str, single_ns: float) -> float:
 
 
 class _SingleRouterRun:
-    """Evolves (Q_I, Q_L, Q_R) through address blocks on one router."""
+    """Evolves (Q_I, Q_L, Q_R) through address blocks on one router.
+
+    A block's first pass is one compiled run: the block-initialization
+    window, in which every site (fresh address included) idles for the
+    overhead before the routers fire, then the router.  ``counters`` tallies
+    router runs and the compiled programs built.
+    """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
@@ -195,18 +207,21 @@ class _SingleRouterRun:
         self.router = compile_circuit(qrouter_circuit(
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
             single_ns=_flip_single_ns(scheme, single_ns)), noise)
+        self.first = self.router.after_idle(block_overhead_ns)
+        self.counters = {"router_runs": 0,
+                         "programs_built": len(self.router.programs) + len(self.first.programs)}
         self.reset()
 
     def reset(self) -> None:
         """Fresh run state: |1⟩ at Q_I, paths empty."""
         self.state = new_basis_state((2, 2, 2), "100").to_mixed()
 
+    def _run(self, compiled, reg: QuditRegister) -> QuditRegister:
+        self.counters["router_runs"] += 1
+        return compiled.run(reg)
+
     def _first_pass(self, name: str) -> QuditRegister:
-        # block-initialization window: every site (fresh address included)
-        # idles for the overhead before the routers fire
-        reg = attach_site(self.state, 1, _address_vector(name, self.basis))
-        reg = _idle(reg, self.noise, self.overhead, range(4))
-        return self.router.run(reg)
+        return self._run(self.first, attach_site(self.state, 1, _address_vector(name, self.basis)))
 
     def _readout(self, reg: QuditRegister) -> tuple[np.ndarray, float]:
         return _normalized(populations(_discard_address(reg, self.scheme)))
@@ -221,7 +236,7 @@ class _SingleRouterRun:
         from one shared first pass."""
         reg = self._first_pass(name)
         out = self._readout(reg)
-        self.state = _discard_address(self.router.run(reg), self.scheme)
+        self.state = _discard_address(self._run(self.router, reg), self.scheme)
         return out
 
 
@@ -253,8 +268,9 @@ def rat_single(
     ideal = _SingleRouterRun(scheme, None, sqrt_cz_ns, single_ns)
     noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns, PARASITIC)
     blocks = [draw_addresses(seed, trial, n_max + 1) for trial in range(trials)]
-    per_trial, kept = _run_trials(noisy, ideal, blocks, shots, np.random.default_rng(seed))
-    return _rat_result(scheme, seed, per_trial, kept)
+    per_trial, kept, hits = _run_trials(noisy, ideal, blocks, shots, np.random.default_rng(seed))
+    return _rat_result(scheme, seed, per_trial, kept,
+                       {"noisy": noisy.counters, "ideal": {**ideal.counters, "oracle_hits": hits}})
 
 
 # --- two-layer network RAT --------------------------------------------------------
@@ -389,6 +405,6 @@ def rat_two_layer(
     for trial in range(trials):
         flat = draw_addresses(seed, trial, 3 * (n_max + 1))
         blocks.append([tuple(flat[3 * k: 3 * k + 3]) for k in range(n_max + 1)])
-    per_trial, kept = _run_trials(noisy, ideal, blocks)
+    per_trial, kept, hits = _run_trials(noisy, ideal, blocks)
     return _rat_result(scheme, seed, per_trial, kept,
-                       {"noisy": noisy.counters, "ideal": ideal.counters})
+                       {"noisy": noisy.counters, "ideal": {**ideal.counters, "oracle_hits": hits}})

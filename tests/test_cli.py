@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qroutesim
 from qroutesim.cli import SCHEMA, SUBCOMMANDS, _fmt, build_parser, example_config, main
 from qroutesim.noise import NoiseModel, reference_rates
+from qroutesim.rat import draw_addresses, rat_single
 
 from conftest import per_point_phi_scan, per_point_theta_scan
 
@@ -158,12 +163,16 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["rat", "--noisy"], "[noise]\nsingle_ns = inf\n", "single_ns"),
     (["rat", "--noisy"], "[noise]\nblock_overhead_ns = -1200\n", "block_overhead_ns"),
     (["rat", "--noisy"], "[noise]\nblock_overhead_ns = nan\n", "block_overhead_ns"),
+    (["rat", "--seed", "-5"], None, "seed"),
+    (["qst", "--method", "linear-inversion", "--shots", "10", "--seed", "-1"], None, "seed"),
+    (["rat2", "--seed", "-3"], None, "seed"),
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
         "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
         "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative",
         "grid-rows-0", "grid-cols-negative",
         "theta-nan", "phi-inf", "sqrt_cz_ns-negative", "sqrt_cz_ns-0", "single_ns-inf",
-        "block_overhead_ns-negative", "block_overhead_ns-nan"])
+        "block_overhead_ns-negative", "block_overhead_ns-nan", "seed-rat", "seed-qst",
+        "seed-rat2"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)
@@ -249,6 +258,30 @@ def test_rat_subcommand_small(tmp_path, capsys):
     assert len(kept) == 4 and 0.0 < kept[-1] < kept[0] < 1.0
     rows = (tmp_path / "rat.csv").read_text().splitlines()
     assert rows[1] == "depth,m_rat" and len(rows) == 6
+
+
+def test_rat_json_counts_router_runs_and_oracle_hits(tmp_path, capsys):
+    code, _, _ = run(["rat", "--noisy", "--n-max", "3", "--trials", "2",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    counters = json.loads((tmp_path / "rat.json").read_text())["metadata"]["counters"]
+    # the noisy runner runs the router twice per paired block and once per
+    # readout; the ideal one once per distinct address, memoised after that
+    distinct = len({name for t in range(2) for name in draw_addresses(2024, t, 4)})
+    assert counters == {"noisy": {"router_runs": 2 * (2 * 3 + 1), "programs_built": 2},
+                        "ideal": {"router_runs": distinct, "programs_built": 4,
+                                  "oracle_hits": 2 * 4 - distinct}}
+    r = rat_single(3, "eraser", NoiseModel(reference_rates()), trials=2, seed=2024)
+    lines = [SCHEMA, "depth,m_rat"] + [f"{n},{_fmt(float(m))}" for n, m in enumerate(r.m_values)]
+    assert (tmp_path / "rat.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = Path(qroutesim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "qroutesim", "counts", "--scheme", "tcg-eraser"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert out.returncode == 0 and out.stdout == "6 6 12\n"
 
 
 def test_example_config_parses(tmp_path, capsys):

@@ -160,6 +160,41 @@ def test_compiled_run_matches_gate_by_gate_reference(circuit, rates, seed):
     assert np.array_equal(got.data, want.data)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_circuits(), st.one_of(st.none(), _RATES), st.booleans(), st.integers(-1, 3),
+       st.integers(0, 2**32 - 1))
+def test_compiled_run_takes_strided_input_and_quiet_site(circuit, rates, pure, where, seed):
+    """An input that is a strided view (a transposed ρ or every other entry
+    of a vector), and a quiet site unless ``where`` is -1: on either
+    representation the compiled run is bit for bit the gate-by-gate
+    reference, with noise on every other site."""
+    rng = np.random.default_rng(seed)
+    sites = list(circuit.site_dims.items())
+    pos = min(where, len(sites))
+    if where >= 0:
+        sites.insert(pos, ("quiet", 2))
+    wide = Circuit(dict(sites), circuit.ops)
+    dims = tuple(d for _, d in sites)
+    dim = math.prod(dims)
+    if pure:
+        buf = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+        state = QuditRegister(dims, buf[::2])
+    else:
+        state = QuditRegister(dims, _random_rho(rng, dim).T)
+    noise = None if rates is None else NoiseModel(rates)
+    got = compile_circuit(wide, noise, quiet=("quiet",) if where >= 0 else ()).run(state)
+    want = state.to_mixed() if noise is not None else state
+    site_rates = [None if k == pos else rates for k in range(len(dims))]
+    for m in wide.ops:
+        for g in m.gates:
+            sites_g = [list(wide.site_dims).index(s) for s in g.sites]
+            want = apply_gate(want, gate_matrix(g, tuple(dims[k] for k in sites_g)), sites_g)
+        if noise is not None and m.gates:
+            want = apply_noise_step(want, site_rates, m.duration_ns * 1e-3)
+    assert got.is_pure == (pure and noise is None)
+    assert np.array_equal(got.data, want.data)
+
+
 @pytest.mark.parametrize("pure", [True, False])
 def test_compiled_circuit_reruns_identically_without_mutating_input(pure):
     noise = NoiseModel(reference_rates())

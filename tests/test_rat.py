@@ -292,6 +292,40 @@ def test_kept_is_the_post_selection_acceptance():
     assert np.abs(ne.kept - 1.0).max() < 1e-12
 
 
+def _stepped_discard(reg, scheme):
+    """The address discard as `project` (the eraser's |1⟩ branch) then
+    `partial_trace`."""
+    if scheme == "eraser":
+        reg, _ = project(reg, 1, 1)
+    return partial_trace(reg, [0, 2, 3])
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_single_router_block_is_the_stepped_block(noisy, scheme):
+    """Depths 0-5: each readout and advance, whose first pass is one compiled
+    run of idle + router, is bit for bit attach → `_idle` → router run →
+    project + partial_trace."""
+    if noisy:
+        run = rat._SingleRouterRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+    else:
+        run = rat._SingleRouterRun(scheme, None, 25.0, 30.0)
+    names = ["h", "0", "+", "-", "h", "+"]
+    for depth, name in enumerate(names):
+        reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
+        reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4)))
+        want_p, want_kept = rat._normalized(populations(_stepped_discard(reg, scheme)))
+        if depth < len(names) - 1:
+            want_next = _stepped_discard(run.router.run(reg), scheme)
+            got_p, got_kept = run.measure_and_advance(name)
+            assert np.array_equal(run.state.data, want_next.data)
+        else:
+            got_p, got_kept = run.measure_final(name)
+        assert np.array_equal(got_p, want_p) and got_kept == want_kept
+    # a noiseless run also builds each circuit's state-vector program
+    assert run.counters == {"router_runs": 2 * len(names) - 1, "programs_built": 2 if noisy else 4}
+
+
 # --- two-layer block maps against their stepped references -------------------------
 
 
