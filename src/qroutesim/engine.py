@@ -5,15 +5,18 @@ Gates inside a moment are ideal and instantaneous; the moment's duration
 site, idle or not.  A run maps a register to a register; post-selection
 (the eraser's discard) is applied by the callers between runs.
 
-`compile_circuit` builds, once, one program per state representation
-(vector and ρ): each gate side and each noisy site's channel per moment is
-an entry ``(matrix, shape, perm, flat)``, its `qudit._Plan` linked to the
-previous product by `qudit._link`, and a run is one product per entry and
-a final restore.  The products take the operands `_Plan.apply` gives, with
-the transfer matrices of `noise.apply_noise_step` (as complex128), so a
-compiled run is bit for bit `apply_gate` per gate plus `apply_noise_step`
-per moment.  A `CompiledCircuit` is a snapshot that later edits to the
-circuit do not reach.
+`compile_circuit` builds a circuit's gates and channels once; each
+program, one per state representation (vector and ρ), is built on its first
+run.  Each gate side and each noisy site's channel per moment is an entry
+``(matrix, link)``: its `qudit._Plan` linked to the previous product by
+`qudit._link`, which on a small tensor is one `take` of a memoised index.
+A run is one product per entry and a final restore.  The products take the
+operands `_Plan.apply` gives (the first entry takes the state as it does, a
+strided view or not), with the transfer matrices of
+`noise.apply_noise_step` (as complex128), so a compiled run is bit for bit
+`apply_gate` per gate plus `apply_noise_step` per moment.  A
+`CompiledCircuit` is a snapshot that later edits to the circuit do not
+reach.
 
 Sites named ``quiet`` get no decoherence and may have any dimension: a
 reference register that no gate touches rides along unchanged, which is
@@ -22,7 +25,8 @@ how `rat` reads a block's superoperator off one run (its Choi matrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -30,24 +34,12 @@ import numpy as np
 from .errors import ShapeError
 from .gates import Circuit, gate_matrix
 from .noise import NoiseModel, site_transfer
-from .qudit import QuditRegister, _link, _plan
+from .qudit import QuditRegister, _link, _plan, _reorder
 
 
 class _Moment(NamedTuple):
     gates: tuple  # (matrix, conjugate, sites) per gate
     channels: tuple  # (plan, transfer) per noisy site; empty when noiseless or instant
-
-
-def _program(sides, shape: tuple) -> tuple:
-    """Link (matrix, plan) sides on a tensor of ``shape`` into run entries,
-    and the restore of the last product to ``shape``'s axes.  The first entry
-    takes the state as `_Plan.apply` does, a strided view or not."""
-    entries, src, order, identity = [], None, None, tuple(range(len(shape)))
-    for matrix, plan in sides:
-        link = (plan.shape, plan.perm) if src is None else _link(src, order, plan.perm)
-        entries.append((matrix, *link, plan.flat))
-        src, order = plan.out, plan.order
-    return tuple(entries), (shape, identity) if src is None else _link(src, order, identity)
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class CompiledCircuit:
     steps: tuple[_Moment, ...]
     noise: NoiseModel | None
     quiet: frozenset  # positions of the sites that do not decohere
-    programs: dict  # is_pure -> (entries, restore); vectors run only without noise
+    programs: dict = field(default_factory=dict, compare=False)  # is_pure -> (entries, restore), once run
 
     def run(self, state: QuditRegister) -> QuditRegister:
         """Run on a register with the compiled dims (never modifying its array);
@@ -68,32 +60,44 @@ class CompiledCircuit:
             raise ShapeError(f"register dims {state.dims} != circuit dims {self.dims}")
         if self.noise is not None:
             state = state.to_mixed()
-        entries, (shape, perm) = self.programs[state.is_pure]
+        pure = state.is_pure
+        if pure not in self.programs:
+            self.programs[pure] = self._program(pure)
+        entries, restore = self.programs[pure]
         data = state.data
-        for matrix, in_shape, in_perm, flat in entries:
-            data = matrix @ data.reshape(in_shape).transpose(in_perm).reshape(flat)
-        return QuditRegister(self.dims, data.reshape(shape).transpose(perm).reshape(state.data.shape))
+        for matrix, link in entries:
+            data = matrix @ _reorder(data, link)
+        return QuditRegister(self.dims, _reorder(data, restore))
+
+    def _program(self, pure: bool) -> tuple:
+        """The run entries of a vector or of ρ (vectors run only without
+        noise), and the restore of the last product to the state's axes and
+        shape.  The first entry takes the state strided, as `_Plan.apply`
+        does."""
+        dims, n, d = self.dims, len(self.dims), math.prod(self.dims)
+        shape, flat = (dims, (d,)) if pure else (dims * 2, (d, d))
+        sides = []
+        for m in self.steps:
+            for g, conj, sites in m.gates:
+                sides.append((g, _plan(shape, sites)))
+                if not pure:
+                    sides.append((conj, _plan(shape, [s + n for s in sites])))
+            if not pure:
+                sides += [(t, plan) for plan, t in m.channels]
+        entries, src, order, identity = [], None, None, tuple(range(len(shape)))
+        for matrix, plan in sides:
+            link = (plan.shape, plan.perm, plan.flat) if src is None else _link(
+                src, order, plan.perm, plan.flat)
+            entries.append((matrix, link))
+            src, order = plan.out, plan.order
+        return tuple(entries), (shape, identity, flat) if src is None else _link(
+            src, order, identity, flat)
 
     def after_idle(self, t_ns: float) -> "CompiledCircuit":
         """This circuit after a gate-less first step in which every noisy site
         decoheres for ``t_ns``, through the same channels as a moment."""
         idle = _Moment((), _channels(self.dims, self.noise, t_ns * 1e-3, self.quiet))
-        return _bind(self.dims, (idle, *self.steps), self.noise, self.quiet)
-
-
-def _bind(dims: tuple, steps: tuple, noise: NoiseModel | None, quiet: frozenset) -> CompiledCircuit:
-    """The CompiledCircuit of ``steps``, with its programs."""
-    n = len(dims)
-    pure, mixed = [], []
-    for m in steps:
-        for g, conj, sites in m.gates:
-            pure.append((g, _plan(dims, sites)))
-            mixed += [(g, _plan(dims * 2, sites)), (conj, _plan(dims * 2, [s + n for s in sites]))]
-        mixed += [(t, plan) for plan, t in m.channels]
-    programs = {False: _program(mixed, dims * 2)}
-    if noise is None:
-        programs[True] = _program(pure, dims)
-    return CompiledCircuit(dims, steps, noise, quiet, programs)
+        return CompiledCircuit(self.dims, (idle, *self.steps), self.noise, self.quiet)
 
 
 def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float,
@@ -109,7 +113,7 @@ def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float,
 
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None, quiet=()) -> CompiledCircuit:
-    """Build a circuit's gates, per-duration channels and programs once.
+    """Build a circuit's gates and per-duration channels once.
 
     The register's sites follow the circuit's; the sites named in ``quiet``
     do not decohere.  The coherent-leakage part of the model (δϑ) is a
@@ -133,7 +137,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None, quiet=())
         if t_us not in channels:
             channels[t_us] = _channels(dims, noise, t_us, quiet_pos)
         steps.append(_Moment(tuple(gates), channels[t_us]))
-    return _bind(dims, tuple(steps), noise, quiet_pos)
+    return CompiledCircuit(dims, tuple(steps), noise, quiet_pos)
 
 
 def run_circuit(state: QuditRegister, circuit: Circuit,

@@ -14,7 +14,11 @@ Every matrix reaches a state through one kernel, `_Plan`: a gate on a
 state vector or on either side of ρ, a channel's transfer matrix on the
 ket and bra axes of its sites, and `gates.circuit_unitary`'s gates on an
 identity tensor.  Compiled circuits chain plans with `_link`, which feeds
-each product to the next plan in one transpose.
+each product to the next plan in one reorder: on a small tensor one `take`
+of a memoised index (numpy's strided copy pays per contiguous run, and
+there the runs are one or two entries long), else reshape and transpose.
+Both give the same C-ordered operand, so the next product keeps its bits.
+`attach_site` reorders through the same links.
 """
 
 from __future__ import annotations
@@ -183,13 +187,21 @@ def _plan_cached(shape: tuple, targets: tuple) -> _Plan:
                  target_dims + rest_dims, tuple(order))
 
 
+_GATHER_MAX = 4096  # tensor entries: the router's ρ (576) gathers, every Choi ρ (≥ 5184) does not
+
+
 @lru_cache(maxsize=4096)
-def _link(src: tuple, order: tuple, perm: tuple) -> tuple[tuple, tuple]:
-    """(shape, perm) that take a C-ordered tensor ``src``, which
-    ``.transpose(order)`` restores to its logical axes, straight to those axes
-    in the order ``perm``, as one reshape and one transpose.  Axes that stay
+def _link(src: tuple, order: tuple, perm: tuple, flat: tuple):
+    """How a C-ordered tensor ``src``, which ``.transpose(order)`` restores
+    to its logical axes, goes straight to those axes in the order ``perm``,
+    reshaped to ``flat``: the link `_reorder` takes.  Axes that stay
     adjacent are merged, so a product links to the next plan without the
-    restoring transpose: the same elements in the same layout."""
+    restoring transpose: the same elements in the same layout.
+
+    On at most `_GATHER_MAX` entries, where the reorder copies, the link is
+    the flat index of each output entry (read-only, 8 B an entry);
+    otherwise it is ``(shape, perm, flat)`` for one reshape, transpose and
+    reshape, which may be a view."""
     runs: list[list[int]] = []
     for a in (order[p] for p in perm):
         if runs and runs[-1][-1] + 1 == a:
@@ -197,8 +209,24 @@ def _link(src: tuple, order: tuple, perm: tuple) -> tuple[tuple, tuple]:
         else:
             runs.append([a])
     by_start = sorted(range(len(runs)), key=lambda i: runs[i][0])
-    return (tuple(math.prod(src[a] for a in runs[i]) for i in by_start),
-            tuple(by_start.index(i) for i in range(len(runs))))
+    link = (tuple(math.prod(src[a] for a in runs[i]) for i in by_start),
+            tuple(by_start.index(i) for i in range(len(runs))), flat)
+    size = math.prod(src)
+    if size <= _GATHER_MAX:
+        base = np.arange(size)
+        index = _reorder(base, link)
+        if not np.may_share_memory(base, index):
+            index.flags.writeable = False
+            return index
+    return link
+
+
+def _reorder(data: np.ndarray, link) -> np.ndarray:
+    """``data`` through a `_link` link: one `take`, or the strided form."""
+    if type(link) is tuple:
+        shape, perm, flat = link
+        return data.reshape(shape).transpose(perm).reshape(flat)
+    return data.take(link)
 
 
 def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
@@ -284,7 +312,8 @@ def attach_site(state: QuditRegister, pos: int, site: np.ndarray) -> QuditRegist
     kets, bras = list(range(2, 2 + n)), list(range(2 + n, 2 + 2 * n))
     order = kets[:pos] + [0] + kets[pos:] + bras[:pos] + [1] + bras[pos:]
     dim = math.prod(new_dims)
-    return QuditRegister(new_dims, t.transpose(order).reshape(dim, dim))
+    link = _link(t.shape, tuple(range(t.ndim)), tuple(order), (dim, dim))
+    return QuditRegister(new_dims, _reorder(t, link))
 
 
 def partial_trace(state: QuditRegister, keep) -> QuditRegister:

@@ -193,7 +193,7 @@ class _SingleRouterRun:
     A block's first pass is one compiled run: the block-initialization
     window, in which every site (fresh address included) idles for the
     overhead before the routers fire, then the router.  ``counters`` tallies
-    router runs and the compiled programs built.
+    router runs and the compiled programs the runs built.
     """
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
@@ -208,16 +208,20 @@ class _SingleRouterRun:
             scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
             single_ns=_flip_single_ns(scheme, single_ns)), noise)
         self.first = self.router.after_idle(block_overhead_ns)
-        self.counters = {"router_runs": 0,
-                         "programs_built": len(self.router.programs) + len(self.first.programs)}
+        self.router_runs = 0
         self.reset()
+
+    @property
+    def counters(self) -> dict:
+        return {"router_runs": self.router_runs,
+                "programs_built": len(self.router.programs) + len(self.first.programs)}
 
     def reset(self) -> None:
         """Fresh run state: |1⟩ at Q_I, paths empty."""
         self.state = new_basis_state((2, 2, 2), "100").to_mixed()
 
     def _run(self, compiled, reg: QuditRegister) -> QuditRegister:
-        self.counters["router_runs"] += 1
+        self.router_runs += 1
         return compiled.run(reg)
 
     def _first_pass(self, name: str) -> QuditRegister:

@@ -266,10 +266,11 @@ def test_rat_json_counts_router_runs_and_oracle_hits(tmp_path, capsys):
     assert code == 0
     counters = json.loads((tmp_path / "rat.json").read_text())["metadata"]["counters"]
     # the noisy runner runs the router twice per paired block and once per
-    # readout; the ideal one once per distinct address, memoised after that
+    # readout; the ideal one once per distinct address, memoised after that,
+    # and only through its first pass, so it builds that one ρ program
     distinct = len({name for t in range(2) for name in draw_addresses(2024, t, 4)})
     assert counters == {"noisy": {"router_runs": 2 * (2 * 3 + 1), "programs_built": 2},
-                        "ideal": {"router_runs": distinct, "programs_built": 4,
+                        "ideal": {"router_runs": distinct, "programs_built": 1,
                                   "oracle_hits": 2 * 4 - distinct}}
     r = rat_single(3, "eraser", NoiseModel(reference_rates()), trials=2, seed=2024)
     lines = [SCHEMA, "depth,m_rat"] + [f"{n},{_fmt(float(m))}" for n, m in enumerate(r.m_values)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroutesim import engine, gates
+from qroutesim import engine, gates, qudit
 from qroutesim.engine import compile_circuit, run_circuit
 from qroutesim.errors import ShapeError
 from qroutesim.gates import (Circuit, GateSpec, circuit_unitary, dumps_circuit, gate_matrix,
@@ -207,6 +207,47 @@ def test_compiled_circuit_reruns_identically_without_mutating_input(pure):
     second = compiled.run(start).data
     assert np.array_equal(first, second)
     assert np.array_equal(start.data, before)
+
+
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("ref_dim, gathers", [(2, True), (3, False), (8, False)])
+def test_links_gather_up_to_the_bound_and_stay_strided_above(scheme, ref_dim, gathers):
+    """A noisy router with its init idle and a quiet reference site: ρ of
+    2304 entries (the largest below `_GATHER_MAX` with a quiet site), 5184
+    (the smallest Choi ρ) and 36864.  Either side of the bound the run is
+    bit for bit the gate-by-gate reference; below it every link but the
+    first entry's is a gather index, above it every link is strided."""
+    router = qrouter_circuit(scheme, dims=(2, 3, 2, 2))
+    wide = Circuit({**router.site_dims, "ref": ref_dim}, router.ops)
+    noise = NoiseModel(reference_rates())
+    compiled = compile_circuit(wide, noise, quiet=("ref",)).after_idle(1200.0)
+    dim = 24 * ref_dim
+    state = QuditRegister(compiled.dims, _random_rho(np.random.default_rng(ref_dim), dim))
+    got = compiled.run(state)
+    site_rates = [noise.rates] * 4 + [None]
+    want = apply_noise_step(state, site_rates, 1.2)
+    for m in wide.ops:
+        for g in m.gates:
+            sites = [list(wide.site_dims).index(s) for s in g.sites]
+            want = apply_gate(want, gate_matrix(g, tuple(compiled.dims[k] for k in sites)), sites)
+        want = apply_noise_step(want, site_rates, m.duration_ns * 1e-3)
+    assert np.array_equal(got.data, want.data)
+    entries, restore = compiled.programs[False]
+    links = [link for _, link in entries[1:]] + [restore]
+    assert type(entries[0][1]) is tuple
+    assert all(type(link) is (np.ndarray if gathers else tuple) for link in links)
+
+
+def test_link_gathers_a_copying_reorder_of_at_most_the_bound():
+    ident = (0, 1, 2)
+    for src, gather in [((16, 16, 16), True), ((16, 16, 17), False)]:
+        link = qudit._link(src, ident, (1, 0, 2), (src[1], src[0] * src[2]))
+        assert (type(link) is np.ndarray) == gather and not (gather and link.flags.writeable)
+        data = np.arange(math.prod(src)) * 1j
+        want = data.reshape(src).transpose(1, 0, 2).reshape(src[1], -1)
+        assert np.array_equal(qudit._reorder(data, link), want)
+    # a reorder that is a view stays one, on any size
+    assert qudit._link((4, 8), (0, 1), (1, 0), (8, 4)) == ((4, 8), (1, 0), (8, 4))
 
 
 @settings(max_examples=80, deadline=None)

@@ -322,8 +322,8 @@ def test_single_router_block_is_the_stepped_block(noisy, scheme):
         else:
             got_p, got_kept = run.measure_final(name)
         assert np.array_equal(got_p, want_p) and got_kept == want_kept
-    # a noiseless run also builds each circuit's state-vector program
-    assert run.counters == {"router_runs": 2 * len(names) - 1, "programs_built": 2 if noisy else 4}
+    # each circuit's ρ program, built on its first run; no state-vector program
+    assert run.counters == {"router_runs": 2 * len(names) - 1, "programs_built": 2}
 
 
 # --- two-layer block maps against their stepped references -------------------------
