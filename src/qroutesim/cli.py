@@ -110,6 +110,8 @@ def _check(cfg: RunConfig) -> None:
     for key in ("shots", "seed"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    if cfg.shots >= 2**63:
+        raise ConfigError(f"shots must be < 2**63 (a 64-bit sample count), got {cfg.shots}")
     for key in ("theta", "phi"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite, got {getattr(cfg, key)}")

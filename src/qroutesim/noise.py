@@ -213,36 +213,6 @@ def amplitude_a120(rates: DecayRates, t_us: float) -> tuple[float, float]:
     return raw, 1.0 / (math.exp((g10 + g21) * t_us) + lam)
 
 
-def amplitude_a110_leaky(rates: DecayRates, t_us: float, epsilon: float) -> float:
-    """|110⟩ survival with undetected leakage draining at rate ε."""
-    if t_us < 0:
-        raise InvalidTime(f"negative time {t_us}")
-    return math.exp(-(2.0 * rates.gamma10 + epsilon) * t_us)
-
-
-def amplitude_a120_leaky(rates: DecayRates, t_us: float, epsilon: float) -> float:
-    """Post-selected |120⟩ survival with leakage ε removed by the eraser.
-
-    Closed form from the rate model (leak path |120⟩→|111⟩ is filtered);
-    reduces to amplitude_a120(...)[1] at ε→0.
-    """
-    if t_us < 0:
-        raise InvalidTime(f"negative time {t_us}")
-    if rates.degenerate:
-        raise DegenerateRates("Γ10 = Γ21 has no closed form here; treat as a limit")
-    a, b, e = rates.gamma10, rates.gamma21, epsilon
-    num = (a - b) * (a + e) * (b + e) * (a + b + e)
-    m1 = (a**3 * b - a * b**3 + a**3 * e + a**2 * b * e - a * b**2 * e
-          + a**2 * e**2 - b**3 * e - b**2 * e**2) * math.exp((a + b + e) * t_us)
-    m2 = (-(a**2) * b**2 - a * b**3 - a**2 * b * e - 2 * a * b**2 * e
-          - a * b * e**2) * math.exp((a + e) * t_us)
-    m3 = (a**2 * b**2 + a * b**3 + 2 * a * b**2 * e + b**3 * e
-          + b**2 * e**2) * math.exp((b + e) * t_us)
-    m4 = (2 * a**2 * b * e - a * b**2 * e - b**3 * e + a**2 * e**2
-          + a * b * e**2 - 2 * b**2 * e**2 + a * e**3 - b * e**3)
-    return num / (m1 + m2 + m3 + m4)
-
-
 def balance_point(rates: DecayRates) -> float | None:
     """Crossing time t3 of the two schemes; None when Γ10 ≥ Γ21.
 

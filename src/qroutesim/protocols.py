@@ -7,7 +7,7 @@ Q_L and the cosθ component to Q_R, so a θ scan reads P_L = sin²θ.
 A θ or φ scan runs the router once, whatever its number of points.  The
 router is a fixed linear channel Φ and only the address ρ_C on Q_C changes
 between points, so one run on a Choi state (Q_C maximally entangled with a
-quiet reference site) gives the address response Φ(|i⟩⟨j|_C), and each
+trailing reference site) gives the address response Φ(|i⟩⟨j|_C), and each
 point's populations are Σ_ij ρ_C[i, j]·Φ(|i⟩⟨j|_C) on the diagonal.
 """
 
@@ -23,7 +23,6 @@ from .errors import CapacityError, FitError
 from .gates import (
     SINGLE_NS,
     SQRT_CZ_NS,
-    Circuit,
     FloquetParams,
     SqrtCzParams,
     qrouter_circuit,
@@ -133,13 +132,13 @@ def _address_response(scheme: str, noise: NoiseModel | None, sqrt_cz_ns: float,
 
     Φ is one router pass, then `_interference_layer` when ``interference``,
     on |1⟩ at Q_I, empty paths and the operator |i⟩⟨j| on Q_C.  Every (i, j)
-    comes from one run on a Choi state with a quiet 3-dimensional reference
-    site R appended (`qudit.choi_superop`), so an address ρ_C gives the
+    comes from one run on a Choi state with a 3-dimensional reference site
+    trailing the router's (`qudit.choi_superop`), so an address ρ_C gives the
     populations Σ_ij ρ_C[i, j]·resp[:, i, j] for any number of addresses.
     """
-    circ = qrouter_circuit(scheme, theta=noise.leakage.theta if noise else math.pi,
-                           dims=ROUTER_DIMS, sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns)
-    router = compile_circuit(Circuit({**circ.site_dims, "R": 3}, circ.ops), noise, quiet=("R",))
+    router = compile_circuit(qrouter_circuit(
+        scheme, theta=noise.leakage.theta if noise else math.pi, dims=ROUTER_DIMS,
+        sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns), noise)
     basis = scheme_basis(scheme)
 
     def block(reg: QuditRegister) -> QuditRegister:

@@ -96,15 +96,6 @@ class QuditRegister:
                 raise ShapeError("density matrix not positive semidefinite")
 
 
-def digits_of(index: int, dims: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Mixed-radix digits of a flat basis index, most significant first."""
-    out = []
-    for d in reversed(dims):
-        out.append(index % d)
-        index //= d
-    return tuple(reversed(out))
-
-
 def index_of(digits, dims) -> int:
     idx = 0
     for dig, d in zip(digits, dims):
@@ -334,14 +325,6 @@ def partial_trace(state: QuditRegister, keep) -> QuditRegister:
     rho = rho.transpose(perm + [p + half for p in perm])
     d = math.prod(state.dims[s] for s in keep)
     return QuditRegister(tuple(state.dims[s] for s in keep), rho.reshape(d, d))
-
-
-def fidelity_to_pure(state: QuditRegister, target: np.ndarray) -> float:
-    """⟨Ψ|ρ|Ψ⟩ against a pure target vector."""
-    target = np.asarray(target, dtype=complex)
-    if state.is_pure:
-        return float(abs(np.vdot(target, state.data)) ** 2)
-    return float(np.real(target.conj() @ state.data @ target))
 
 
 # --- single-site channels -------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from .engine import compile_circuit, run_circuit  # noqa: F401  (run_circuit: public name)
 from .errors import FitError
 from .fitting import FitReport, least_squares
-from .gates import Circuit, qrouter_circuit
+from .gates import qrouter_circuit
 from .noise import NoiseModel, apply_noise_step
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
 from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_superop,
@@ -187,14 +187,11 @@ def _flip_single_ns(scheme: str, single_ns: float) -> float:
     return single_ns / 3.0 if scheme == "eraser" else single_ns
 
 
-class _SingleRouterRun:
-    """Evolves (Q_I, Q_L, Q_R) through address blocks on one router.
-
-    A block's first pass is one compiled run: the block-initialization
-    window, in which every site (fresh address included) idles for the
-    overhead before the routers fire, then the router.  ``counters`` tallies
-    router runs and the compiled programs the runs built.
-    """
+class _RouterRun:
+    """What both runners share: the scheme, its address basis and the router,
+    compiled once; ``first`` is the router after the block-initialization
+    window, in which its four sites idle for the overhead before it fires.
+    Choi runs of its blocks carry their reference as a trailing site."""
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
@@ -203,13 +200,26 @@ class _SingleRouterRun:
         self.noise = noise
         self.basis = scheme_basis(scheme)
         self.overhead = block_overhead_ns
-        theta = noise.leakage.theta if noise else math.pi
-        self.router = compile_circuit(qrouter_circuit(
-            scheme, parasitic=parasitic, theta=theta, dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns,
-            single_ns=_flip_single_ns(scheme, single_ns)), noise)
+        circuit = qrouter_circuit(
+            scheme, parasitic=parasitic, theta=noise.leakage.theta if noise else math.pi,
+            dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns, single_ns=_flip_single_ns(scheme, single_ns))
+        self.tau_router = circuit.duration_ns()
+        self.router = compile_circuit(circuit, noise)
         self.first = self.router.after_idle(block_overhead_ns)
-        self.router_runs = 0
         self.reset()
+
+
+class _SingleRouterRun(_RouterRun):
+    """Evolves (Q_I, Q_L, Q_R) through address blocks on one router.
+
+    A block's first pass is one run of ``first``, the fresh address idling
+    with the register through the init window.  ``counters`` tallies router
+    runs and the compiled programs the runs built.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.router_runs = 0
 
     @property
     def counters(self) -> dict:
@@ -279,16 +289,17 @@ def rat_single(
 
 # --- two-layer network RAT --------------------------------------------------------
 
-class _TwoLayerRun:
+class _TwoLayerRun(_RouterRun):
     """Paired-block evolution of the two-layer tree over (Q_I, M_L, M_R, D1..D4).
 
-    One router circuit serves the root and both leaves, and every block is
+    One compiled router serves the root and both leaves, and every block is
     a map built from it by one run on a Choi state (`qudit.choi_superop`),
-    with the reference site quiet.  Each idle lives in the map of the block
-    whose sites it acts on:
+    with the reference as a trailing site.  Each idle lives in the map of
+    the block whose sites it acts on:
 
     - the readout's root map on (Q_I, M_L, M_R): attach C1 → init-window
-      idle → root pass → Q_I/C1 idle through the leaf stage → discard C1;
+      idle → root pass (both one run of ``first``) → Q_I/C1 idle through
+      the leaf stage → discard C1;
     - the leaf maps on (M, D, D'), one per address and pass count: attach
       the leaf address → C, D, D' idle through the init window and the
       root down pass (the root gates never touch them) → the leaf router's
@@ -296,38 +307,22 @@ class _TwoLayerRun:
       the root up pass → post-select → reset;
     - the paired block's two root passes on (Q_I, C1, M_L, M_R), which keep
       C1 live across the leaf stage: 576×576 superoperators, the down pass
-      after the init-window idle of all four sites, the up pass after the
-      Q_I/C1 idle through the leaf stage, built on the first advance.
+      a run of ``first``, the up pass after the Q_I/C1 idle through the
+      leaf stage, built on the first advance.
 
     ``counters`` tallies map builds and cache hits.
     """
 
-    def __init__(self, scheme: str, noise: NoiseModel | None,
-                 sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
-                 parasitic: tuple[float, float] = (0.0, 0.0)):
-        self.scheme = scheme
-        self.noise = noise
-        self.basis = scheme_basis(scheme)
-        self.overhead = block_overhead_ns
-        self.circuit = qrouter_circuit(
-            scheme, parasitic=parasitic, theta=noise.leakage.theta if noise else math.pi,
-            dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns, single_ns=_flip_single_ns(scheme, single_ns))
-        self.router = self._with_reference(8)  # for the maps on three sites
-        self.tau_router = self.circuit.duration_ns()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._maps: dict[tuple, np.ndarray] = {}
         self.counters = {"leaf_maps_built": 0, "root_maps_built": 0,
                          "router_superops_built": 0, "map_cache_hits": 0}
-        self.reset()
 
     def reset(self) -> None:
         """Fresh run state over (Q_I, M_L, M_R, D1..D4): excitation at the bus
         input, leaves empty."""
         self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
-
-    def _with_reference(self, dim: int):
-        """The router compiled with a quiet Choi reference site R of ``dim``."""
-        c = self.circuit
-        return compile_circuit(Circuit({**c.site_dims, "R": dim}, c.ops), self.noise, quiet=("R",))
 
     def _cached_map(self, key: tuple, counter: str, block, site_states=(2, 2, 2)) -> np.ndarray:
         if key in self._maps:
@@ -353,8 +348,7 @@ class _TwoLayerRun:
         """The readout's root map on (Q_I, M_L, M_R)."""
         def block(reg: QuditRegister) -> QuditRegister:
             reg = attach_site(reg, 1, _address_vector(name, self.basis))
-            reg = _idle(reg, self.noise, self.overhead, range(4))
-            reg = self.router.run(reg)
+            reg = self.first.run(reg)
             # Q_I and C1 idle while the leaves route once
             reg = _idle(reg, self.noise, self.tau_router, (0, 1))
             return _discard_address(reg, self.scheme)
@@ -364,10 +358,10 @@ class _TwoLayerRun:
     def _root_pass(self, direction: str) -> np.ndarray:
         """The paired block's root pass ``direction`` ("down" or "up") on
         (Q_I, C1, M_L, M_R), with the idle before it."""
-        idle = (self.overhead, range(4)) if direction == "down" else (2 * self.tau_router, (0, 1))
-
         def block(reg: QuditRegister) -> QuditRegister:
-            return self._with_reference(24).run(_idle(reg, self.noise, *idle))
+            if direction == "down":
+                return self.first.run(reg)
+            return self.router.run(_idle(reg, self.noise, 2 * self.tau_router, (0, 1)))
 
         return self._cached_map((direction,), "router_superops_built", block, (2, 3, 2, 2))
 

@@ -1,10 +1,11 @@
-"""Shared test plumbing: the acceptance scoreboard printed after the run, a
-Hypothesis strategy for physical decay rates, and the per-point scan loop
-that the one-run scans are checked against."""
+"""Shared test plumbing: the Hypothesis profile, the acceptance scoreboard
+printed after the run, a Hypothesis strategy for physical decay rates, and
+the per-point scan loop that the one-run scans are checked against."""
 
 import math
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from qroutesim.engine import compile_circuit
@@ -13,6 +14,10 @@ from qroutesim.noise import DecayRates
 from qroutesim.protocols import (_ODD_KEYS, ROUTER_DIMS, AddressState, _interference_layer,
                                  _ordered_sums, router_input, scheme_basis)
 from qroutesim.qudit import populations
+
+# an example's time swings with what it compiles and builds: no per-example deadline
+settings.register_profile("qroutesim", deadline=None)
+settings.load_profile("qroutesim")
 
 ACCEPTANCE_LINES: list[str] = []
 

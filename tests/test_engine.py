@@ -149,7 +149,7 @@ def _circuits(draw, max_sites: int = 3, wide: bool = False):
 _RATES = physical_rates()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_circuits(), st.one_of(st.none(), _RATES), st.integers(0, 2**32 - 1))
 def test_compiled_run_matches_gate_by_gate_reference(circuit, rates, seed):
     dims = tuple(circuit.site_dims.values())
@@ -160,21 +160,18 @@ def test_compiled_run_matches_gate_by_gate_reference(circuit, rates, seed):
     assert np.array_equal(got.data, want.data)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_circuits(), st.one_of(st.none(), _RATES), st.booleans(), st.integers(-1, 3),
-       st.integers(0, 2**32 - 1))
-def test_compiled_run_takes_strided_input_and_quiet_site(circuit, rates, pure, where, seed):
+@settings(max_examples=60)
+@given(_circuits(), st.one_of(st.none(), _RATES), st.booleans(),
+       st.sampled_from([(), (2,), (3,), (8,), (24,)]), st.integers(0, 2**32 - 1))
+def test_compiled_run_takes_strided_input_and_quiet_site(circuit, rates, pure, trailing, seed):
     """An input that is a strided view (a transposed ρ or every other entry
-    of a vector), and a quiet site unless ``where`` is -1: on either
-    representation the compiled run is bit for bit the gate-by-gate
-    reference, with noise on every other site."""
+    of a vector), with a quiet site trailing the circuit's unless
+    ``trailing`` is empty: on either representation the compiled run is bit
+    for bit the gate-by-gate reference, with noise on the circuit's sites
+    only."""
     rng = np.random.default_rng(seed)
-    sites = list(circuit.site_dims.items())
-    pos = min(where, len(sites))
-    if where >= 0:
-        sites.insert(pos, ("quiet", 2))
-    wide = Circuit(dict(sites), circuit.ops)
-    dims = tuple(d for _, d in sites)
+    names = list(circuit.site_dims)
+    dims = tuple(circuit.site_dims.values()) + trailing
     dim = math.prod(dims)
     if pure:
         buf = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
@@ -182,16 +179,16 @@ def test_compiled_run_takes_strided_input_and_quiet_site(circuit, rates, pure, w
     else:
         state = QuditRegister(dims, _random_rho(rng, dim).T)
     noise = None if rates is None else NoiseModel(rates)
-    got = compile_circuit(wide, noise, quiet=("quiet",) if where >= 0 else ()).run(state)
+    got = compile_circuit(circuit, noise).run(state)
     want = state.to_mixed() if noise is not None else state
-    site_rates = [None if k == pos else rates for k in range(len(dims))]
-    for m in wide.ops:
+    site_rates = [rates] * len(names) + [None] * len(trailing)
+    for m in circuit.ops:
         for g in m.gates:
-            sites_g = [list(wide.site_dims).index(s) for s in g.sites]
+            sites_g = [names.index(s) for s in g.sites]
             want = apply_gate(want, gate_matrix(g, tuple(dims[k] for k in sites_g)), sites_g)
         if noise is not None and m.gates:
             want = apply_noise_step(want, site_rates, m.duration_ns * 1e-3)
-    assert got.is_pure == (pure and noise is None)
+    assert got.is_pure == (pure and noise is None) and got.dims == dims
     assert np.array_equal(got.data, want.data)
 
 
@@ -210,29 +207,28 @@ def test_compiled_circuit_reruns_identically_without_mutating_input(pure):
 
 
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
-@pytest.mark.parametrize("ref_dim, gathers", [(2, True), (3, False), (8, False)])
+@pytest.mark.parametrize("ref_dim, gathers", [(2, True), (3, False), (8, False), (24, False)])
 def test_links_gather_up_to_the_bound_and_stay_strided_above(scheme, ref_dim, gathers):
-    """A noisy router with its init idle and a quiet reference site: ρ of
-    2304 entries (the largest below `_GATHER_MAX` with a quiet site), 5184
-    (the smallest Choi ρ) and 36864.  Either side of the bound the run is
-    bit for bit the gate-by-gate reference; below it every link but the
-    first entry's is a gather index, above it every link is strided."""
+    """A noisy router with its init idle and a trailing reference site: ρ of
+    2304 entries (the largest below `_GATHER_MAX` with a reference), 5184
+    (the smallest Choi ρ), 36864 and 331776.  Either side of the bound the
+    run is bit for bit the gate-by-gate reference; below it every link but
+    the first entry's is a gather index, above it every link is strided."""
     router = qrouter_circuit(scheme, dims=(2, 3, 2, 2))
-    wide = Circuit({**router.site_dims, "ref": ref_dim}, router.ops)
     noise = NoiseModel(reference_rates())
-    compiled = compile_circuit(wide, noise, quiet=("ref",)).after_idle(1200.0)
-    dim = 24 * ref_dim
-    state = QuditRegister(compiled.dims, _random_rho(np.random.default_rng(ref_dim), dim))
+    compiled = compile_circuit(router, noise).after_idle(1200.0)
+    dims = (2, 3, 2, 2, ref_dim)
+    state = QuditRegister(dims, _random_rho(np.random.default_rng(ref_dim), 24 * ref_dim))
     got = compiled.run(state)
     site_rates = [noise.rates] * 4 + [None]
     want = apply_noise_step(state, site_rates, 1.2)
-    for m in wide.ops:
+    for m in router.ops:
         for g in m.gates:
-            sites = [list(wide.site_dims).index(s) for s in g.sites]
-            want = apply_gate(want, gate_matrix(g, tuple(compiled.dims[k] for k in sites)), sites)
+            sites = [list(router.site_dims).index(s) for s in g.sites]
+            want = apply_gate(want, gate_matrix(g, tuple(dims[k] for k in sites)), sites)
         want = apply_noise_step(want, site_rates, m.duration_ns * 1e-3)
     assert np.array_equal(got.data, want.data)
-    entries, restore = compiled.programs[False]
+    entries, restore = compiled.programs[(False, dims)]
     links = [link for _, link in entries[1:]] + [restore]
     assert type(entries[0][1]) is tuple
     assert all(type(link) is (np.ndarray if gathers else tuple) for link in links)
@@ -250,32 +246,42 @@ def test_link_gathers_a_copying_reorder_of_at_most_the_bound():
     assert qudit._link((4, 8), (0, 1), (1, 0), (8, 4)) == ((4, 8), (1, 0), (8, 4))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_circuits(), _RATES, st.sampled_from([2, 3, 8]), st.integers(0, 3),
-       st.integers(0, 2**32 - 1))
-def test_quiet_site_rides_along_untouched(circuit, rates, quiet_dim, where, seed):
-    """A noisy run on a register with an extra quiet site is the run without
-    it, tensored with that site's untouched state."""
+@settings(max_examples=80)
+@given(_circuits(), _RATES, st.sampled_from([2, 3, 8, 24]), st.integers(0, 2**32 - 1))
+def test_quiet_site_rides_along_untouched(circuit, rates, quiet_dim, seed):
+    """A noisy run on a register with a quiet site trailing the circuit's is
+    the run without it, tensored with that site's untouched state; one
+    compiled circuit runs both."""
     rng = np.random.default_rng(seed)
     dims = tuple(circuit.site_dims.values())
     state = QuditRegister(dims, _random_rho(rng, math.prod(dims)))
     sigma = _random_rho(rng, quiet_dim)
-    pos = min(where, len(dims))
-    sites = list(circuit.site_dims.items())
-    sites.insert(pos, ("quiet", quiet_dim))
-    noise = NoiseModel(rates)
-    got = compile_circuit(Circuit(dict(sites), circuit.ops), noise, quiet=("quiet",)).run(
-        attach_site(state, pos, sigma))
-    want = attach_site(compile_circuit(circuit, noise).run(state), pos, sigma)
-    assert got.dims == want.dims
+    compiled = compile_circuit(circuit, NoiseModel(rates))
+    got = compiled.run(attach_site(state, len(dims), sigma))
+    want = attach_site(compiled.run(state), len(dims), sigma)
+    assert got.dims == want.dims == dims + (quiet_dim,)
     assert np.abs(got.data - want.data).max() <= 1e-15
 
 
-def test_compile_rejects_unknown_quiet_site():
-    c = Circuit({"a": 2})
-    c.add_moment(GateSpec("x", ("a",), (), 30.0))
-    with pytest.raises(ShapeError):
-        compile_circuit(c, NoiseModel(reference_rates()), quiet=("b",))
+@pytest.mark.parametrize("noisy", [True, False])
+def test_one_compiled_router_serves_every_trailing_site(noisy):
+    """One compiled router runs registers with a trailing site of 8, then
+    24, then 8 again: one program per (representation, register dims), each
+    run bit for bit a fresh compile's.  A register whose leading dims are not
+    the circuit's is rejected, with a trailing site or without."""
+    noise = NoiseModel(reference_rates()) if noisy else None
+    circuit = qrouter_circuit("eraser", dims=(2, 3, 2, 2))
+    router = compile_circuit(circuit, noise).after_idle(1200.0)
+    rng = np.random.default_rng(3)
+    for r in (8, 24, 8):
+        state = QuditRegister((2, 3, 2, 2, r), _random_rho(rng, 24 * r))
+        fresh = compile_circuit(circuit, noise).after_idle(1200.0).run(state)
+        assert np.array_equal(router.run(state).data, fresh.data)
+    assert set(router.programs) == {(False, (2, 3, 2, 2, 8)), (False, (2, 3, 2, 2, 24))}
+    for dims in [(3, 2, 2, 2), (3, 2, 2, 2, 8), (2, 3, 2), (2, 2, 2, 2, 3)]:
+        dim = math.prod(dims)
+        with pytest.raises(ShapeError):
+            router.run(QuditRegister(dims, np.eye(dim, dtype=complex) / dim))
 
 
 @pytest.mark.parametrize("dim", [1, 4, 8])
@@ -287,7 +293,9 @@ def test_noisy_site_of_another_dimension_rejected_at_compile(dim):
         compile_circuit(c, noise)
     with pytest.raises(ShapeError, match=f"dimension {dim}"):
         apply_noise_step(QuditRegister((3, dim), np.eye(3 * dim) / (3 * dim)), noise.rates, 0.03)
-    compile_circuit(c, noise, quiet=("r",))  # a quiet site may have any dimension
+    # a site trailing the circuit's may have any dimension
+    rho = QuditRegister((3, dim), np.eye(3 * dim) / (3 * dim))
+    compile_circuit(Circuit({"a": 3}, c.ops), noise).run(rho)
 
 
 # --- the contraction plan against tensordot, bit for bit ---------------------------
@@ -351,7 +359,7 @@ def _random_state(rng, dims: tuple, pure: bool) -> QuditRegister:
     return QuditRegister(dims, _random_rho(rng, dim))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(_circuits(max_sites=4, wide=True), st.one_of(st.none(), _RATES), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_contraction_plan_is_tensordot_bit_for_bit(circuit, rates, pure, seed):
@@ -365,7 +373,7 @@ def test_contraction_plan_is_tensordot_bit_for_bit(circuit, rates, pure, seed):
     assert np.array_equal(got, want)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5), st.booleans(), _RATES,
        st.floats(0.0, 3.0), st.integers(0, 2**32 - 1), st.data())
 def test_qudit_kernels_are_tensordot_bit_for_bit(dims, pure, rates, t_us, seed, data):
@@ -391,7 +399,7 @@ def test_qudit_kernels_are_tensordot_bit_for_bit(dims, pure, rates, t_us, seed, 
         assert np.array_equal(apply_channel(state, ChannelMap(tuple(sites), S)).data, want)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_circuits(max_sites=4, wide=True))
 def test_circuit_unitary_is_tensordot_bit_for_bit(circuit):
     dims = tuple(circuit.site_dims.values())
@@ -407,7 +415,7 @@ def test_circuit_unitary_is_tensordot_bit_for_bit(circuit):
     assert np.array_equal(got, want.reshape(dim, dim))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_circuits(max_sites=4, wide=True))
 def test_text_form_round_trips(circuit):
     text = dumps_circuit(circuit)

@@ -232,7 +232,7 @@ def _defective_grids(draw):
     return GridSpec(rows, cols, qubits, frozenset(couplers))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(_defective_grids())
 def test_footprint_table_is_the_static_placement_filter(grid):
     table = footprints(grid)

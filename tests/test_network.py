@@ -23,7 +23,7 @@ from qroutesim.network import (
     two_layer_landscape,
 )
 from qroutesim.noise import NoiseModel, reference_rates
-from qroutesim.qudit import digits_of, new_basis_state, populations
+from qroutesim.qudit import new_basis_state, populations
 
 
 def test_build_tree_shapes():
@@ -132,7 +132,7 @@ def _simulate_query(q, address_bits, layers):
     out = run_circuit(init, q.circuit)
     p = populations(out)
     idx = int(np.argmax(p))
-    return p[idx], dict(zip(names, digits_of(idx, dims)))
+    return p[idx], dict(zip(names, np.unravel_index(idx, dims)))
 
 
 @pytest.mark.parametrize("scheme", ["tcg-non-eraser", "tcg-eraser", "clifford"])

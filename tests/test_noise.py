@@ -13,9 +13,7 @@ from qroutesim.noise import (
     DecayRates,
     LeakageSpec,
     amplitude_a110,
-    amplitude_a110_leaky,
     amplitude_a120,
-    amplitude_a120_leaky,
     _transfer_cached,
     apply_noise_step,
     balance_point,
@@ -104,7 +102,7 @@ def test_rates_outside_the_physical_region_are_rejected():
 _SIXTEENTHS = st.integers(0, 16).map(lambda k: k / 16)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.tuples(*[_SIXTEENTHS] * 5))
 def test_physical_region_is_complete_positivity(values):
     """DecayRates accepts a rate set exactly when its qutrit transfer matrix
@@ -157,7 +155,7 @@ def _lindbladian(rates):
     return L
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(physical_rates(), st.floats(0.0, 10.0))
 def test_transfer_matrix_is_the_lindblad_exponential(rates, t):
     """`_transfer_cached(r, t)` is expm(t·L) of the Lindblad generator.  The
@@ -244,47 +242,6 @@ def test_balance_point_value_and_crossing():
 def test_balance_point_absent_when_ps_always_wins():
     assert balance_point(DecayRates(gamma10=0.2, gamma21=0.1)) is None
     assert balance_point(DecayRates(gamma10=0.1, gamma21=0.1)) is None
-
-
-def test_leaky_amplitudes_reduce_to_clean():
-    for t in np.linspace(0.01, 5, 20):
-        assert amplitude_a110_leaky(RATES, t, 0.0) == pytest.approx(amplitude_a110(RATES, t))
-        assert amplitude_a120_leaky(RATES, t, 1e-13) == pytest.approx(
-            amplitude_a120(RATES, t)[1], abs=1e-9
-        )
-
-
-def test_leaky_a120_matches_rate_ode():
-    # leak channel |120⟩ → (detected sink) at rate ε, removed by post-selection
-    eps = 0.1
-    rates = DecayRates(gamma10=1 / 15, gamma21=1.2 / 15)
-    g10, g21 = rates.gamma10, rates.gamma21
-
-    def f(_, y):
-        a120, a020, a110, a010, a100, a000, sink = y
-        return [
-            -(g10 + g21 + eps) * a120,
-            g10 * a120 - g21 * a020,
-            g21 * a120 - 2 * g10 * a110,
-            g21 * a020 + g10 * a110 - g10 * a010,
-            g10 * a110 - g10 * a100,
-            g10 * a010 + g10 * a100,
-            eps * a120,
-        ]
-
-    for t in (0.5, 2.0, 8.0):
-        y = ode_integrate(f, [1, 0, 0, 0, 0, 0, 0], t)
-        kept = y[0] + y[1] + y[4] + y[5]
-        assert amplitude_a120_leaky(rates, t, eps) == pytest.approx(y[0] / kept, abs=1e-8)
-
-
-def test_eraser_beats_non_eraser_under_leakage():
-    # r = Γ21/Γ10 = 1.2, conditional-swap duration 90 ns, depths below 40
-    rates = DecayRates(gamma10=1 / 15, gamma21=1.2 / 15)
-    for eps in (0.1, 0.2):
-        for n in range(1, 40):
-            t = n * 0.090
-            assert amplitude_a120_leaky(rates, t, eps) >= amplitude_a110_leaky(rates, t, eps) - 1e-12
 
 
 def test_apply_noise_step_trivial_and_closed_form():

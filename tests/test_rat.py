@@ -235,7 +235,7 @@ def _two_layer_paired_block(run, names):
     """attach → idle → root down → D1..D4 idle → two-pass leaf loop maps
     (address idles only) → idle → root up → D1..D4 idle → discard, with the
     root router stepped on the 384-dimensional register."""
-    root_wide = _root_wide(run, quiet=_DATA_SITES)
+    root_wide = _root_wide(run, data_noisy=False)
     reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
     reg = rat._idle(reg, run.noise, run.overhead, range(4))
     reg = root_wide.run(reg)
@@ -349,12 +349,14 @@ _MAIN_DIMS = (2, 3, 2, 2, 2, 2, 2, 2)
 _DATA_SITES = ("D1", "D2", "D3", "D4")
 
 
-def _root_wide(run, quiet=()):
-    """The root router's moments over the whole 8-site register."""
+def _root_wide(run, data_noisy=True):
+    """The root router's moments over the whole 8-site register; unless
+    ``data_noisy``, the data sites trail the root's four as passive sites."""
     root = _router(run, ("Q_I", "C1", "M_L", "M_R"))
+    if not data_noisy:
+        return compile_circuit(root, run.noise)
     names8 = list(root.site_dims) + list(_DATA_SITES)
-    return compile_circuit(Circuit(dict(zip(names8, _MAIN_DIMS)), root.ops), run.noise,
-                           quiet=quiet)
+    return compile_circuit(Circuit(dict(zip(names8, _MAIN_DIMS)), root.ops), run.noise)
 
 
 def _loop_leaf_superop(run, name, passes, idle_sites):
@@ -503,3 +505,30 @@ def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
     assert len(built) == 2
     assert r.counters["noisy"]["router_superops_built"] == 2
     assert r.counters["ideal"]["router_superops_built"] == 0
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_a_runner_compiles_its_router_once(layers, monkeypatch):
+    """Every pass, map and Choi run of a runner (references of 8 and 24 on
+    two layers) comes from the one compiled router."""
+    compiled = []
+    compile_circuit_ = rat.compile_circuit
+
+    def counting(circuit, noise=None):
+        compiled.append(circuit)
+        return compile_circuit_(circuit, noise)
+
+    monkeypatch.setattr(rat, "compile_circuit", counting)
+    if layers == 1:
+        run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        steps = ["h", "+", "-"]
+    else:
+        run = rat._TwoLayerRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        steps = [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0")]
+    for names in steps:
+        run.measure_and_advance(names)
+    run.measure_final(steps[0])
+    assert len(compiled) == 1
+    if layers == 2:
+        choi = {(False, (2, 3, 2, 2, 8)), (False, (2, 3, 2, 2, 24))}
+        assert set(run.router.programs) == set(run.first.programs) == choi
