@@ -32,8 +32,8 @@ from .gates import dumps_circuit
 from .layout import GridSpec, TriangleLayout, best_layout, check_layout
 from .network import MODES, SCHEMES, build_tree, compile_query, gate_counts, router_counts
 from .noise import DecayRates, LeakageSpec, NoiseModel, amplitude_a110, amplitude_a120, balance_point
-from .protocols import FloquetParams, floquet_cost, floquet_populations, phi_scan, qst, theta_scan
-from .protocols import AddressState
+from .protocols import (AddressState, FloquetParams, floquet_cost, floquet_populations, phi_scan,
+                        qst, scheme_basis, theta_scan)
 from .rat import rat_single, rat_two_layer
 
 SCHEMA = "# qroutesim-schema v1"
@@ -45,6 +45,8 @@ SUBCOMMANDS = (
 #: the subcommands that simulate the router, and the schemes they run
 ROUTER_COMMANDS = ("theta-scan", "phi-scan", "qst", "rat", "rat2")
 ROUTER_SCHEMES = ("eraser", "non-eraser")
+#: the gate-level scheme that `compile` and `counts` read for each router scheme
+TCG_SCHEMES = {"eraser": "tcg-eraser", "non-eraser": "tcg-non-eraser"}
 #: the values of the ``scheme``, ``method`` and ``mode`` keys and flags
 CHOICES = {"scheme": ROUTER_SCHEMES + SCHEMES, "method": ("exact", "linear-inversion", "mle"),
            "mode": MODES}
@@ -231,7 +233,7 @@ def run_phi_scan(cfg: RunConfig) -> int:
 
 
 def run_qst(cfg: RunConfig) -> int:
-    addr = AddressState(cfg.theta, cfg.phi, "02" if cfg.scheme == "eraser" else "01")
+    addr = AddressState(cfg.theta, cfg.phi, scheme_basis(cfg.scheme))
     r = qst(addr, cfg.scheme, method=cfg.method, shots=cfg.shots, seed=cfg.seed,
             noise=cfg.noise_model(), sqrt_cz_ns=cfg.sqrt_cz_ns, single_ns=cfg.single_ns)
     rows = [[i, j, r.rho[i, j].real, r.rho[i, j].imag]
@@ -239,38 +241,37 @@ def run_qst(cfg: RunConfig) -> int:
     _write(cfg, "qst", ["row", "col", "re", "im"], rows,
            {"scheme": cfg.scheme, "method": r.method, "fidelity": r.fidelity,
             "mle_iterations": r.iterations,
-            "reference_hardware_fidelities": {"addr0": 0.9566, "addr_plus": 0.9336}})
+            "reference_hardware_fidelities": {"addr0": 0.9566, "addr_plus": 0.9336}},
+           counters=r.counters)
+    return 0
+
+
+def _write_rat(cfg: RunConfig, name: str, r, extra: dict) -> int:
+    """The depth curve of a RAT run and its fit summary, then ``extra``."""
+    rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]
+    _write(cfg, name, ["depth", "m_rat"], rows,
+           {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
+            "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
+            "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
+            "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials, **extra},
+           counters=r.counters)
     return 0
 
 
 def run_rat(cfg: RunConfig) -> int:
     r = rat_single(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials, cfg.shots,
                    cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
-    rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]
-    _write(cfg, "rat", ["depth", "m_rat"], rows,
-           {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
-            "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
-            "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
-            "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
-            "address_policy": "redrawn per trial (SplitMix64 stream per (seed, trial))",
-            "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}},
-           counters=r.counters)
-    return 0
+    return _write_rat(cfg, "rat", r, {
+        "address_policy": "redrawn per trial (SplitMix64 stream per (seed, trial))",
+        "reference_hardware_f_rat": {"eraser": 0.9574, "non-eraser": 0.8748}})
 
 
 def run_rat2(cfg: RunConfig) -> int:
     r = rat_two_layer(cfg.n_max, cfg.scheme, cfg.noise_model(), cfg.trials,
                       cfg.seed, cfg.sqrt_cz_ns, cfg.single_ns, cfg.block_overhead_ns)
-    rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]
-    _write(cfg, "rat2", ["depth", "m_rat"], rows,
-           {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
-            "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
-            "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
-            "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials,
-            "reference_hardware_f_rat": {"eraser": 0.8240, "non-eraser": 0.8190},
-            "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}},
-           counters=r.counters)
-    return 0
+    return _write_rat(cfg, "rat2", r, {
+        "reference_hardware_f_rat": {"eraser": 0.8240, "non-eraser": 0.8190},
+        "reference_hardware_m0": {"eraser": 0.9002, "non-eraser": 0.7850}})
 
 
 def run_floquet(cfg: RunConfig) -> int:
@@ -287,8 +288,7 @@ def run_floquet(cfg: RunConfig) -> int:
 
 def run_compile(cfg: RunConfig) -> int:
     tree = build_tree(cfg.layers)
-    scheme = {"eraser": "tcg-eraser", "non-eraser": "tcg-non-eraser"}.get(cfg.scheme, cfg.scheme)
-    q = compile_query(tree, cfg.mode, scheme)
+    q = compile_query(tree, cfg.mode, TCG_SCHEMES.get(cfg.scheme, cfg.scheme))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "compiled_circuit.txt").write_text(dumps_circuit(q.circuit))
@@ -308,8 +308,7 @@ def run_compile(cfg: RunConfig) -> int:
 
 
 def run_counts(cfg: RunConfig) -> int:
-    scheme = {"eraser": "tcg-eraser", "non-eraser": "tcg-non-eraser"}.get(cfg.scheme, cfg.scheme)
-    n1, n2, depth = router_counts(scheme)
+    n1, n2, depth = router_counts(TCG_SCHEMES.get(cfg.scheme, cfg.scheme))
     print(f"{n1} {n2} {depth}")
     return 0
 

@@ -292,8 +292,10 @@ def compile_query(
         raise ShapeError(f"unknown scheme {scheme!r}")
     if scheme == "sp-tcg" and mode == "full":
         raise IncompatibleMode("sp-tcg routers are one-way; full queries need both directions")
-    if data_bits is None:
-        data_bits = [0] * len(tree.leaf_sites)
+    data_bits = [0] * len(tree.leaf_sites) if data_bits is None else list(data_bits)
+    if len(data_bits) != len(tree.leaf_sites) or any(bit not in (0, 1) for bit in data_bits):
+        raise ShapeError(f"data_bits needs one 0/1 bit per leaf ({len(tree.leaf_sites)}), "
+                         f"got {data_bits!r}")
     b = _QueryBuilder(tree, scheme)
     L = tree.layers
 

@@ -13,6 +13,7 @@ point's populations are Σ_ij ρ_C[i, j]·Φ(|i⟩⟨j|_C) on the diagonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -256,49 +257,35 @@ class QstResult:
     method: str
     qubit_block: np.ndarray | None = None
     iterations: int | None = None  # RρR steps the MLE took
+    counters: dict = field(default_factory=dict)  # router runs and basis settings
 
 
-_V_X = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_V_Y = np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
+#: the pre-rotations of the settings Z, X, Y (outcome o projects onto row o)
+_ROTATIONS = np.array([np.eye(2), [[1, 1], [1, -1]], [[1, -1j], [1, 1j]]],
+                      dtype=complex) / np.array([1.0, math.sqrt(2), math.sqrt(2)])[:, None, None]
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1.0, -1.0])],
+                   dtype=complex)  # I, X, Y, Z
 
 
-def _qubit_levels(dim: int, basis: str) -> tuple[int, int]:
-    if dim == 2:
-        return (0, 1)
-    return (0, 1) if basis == "01" else (0, 2)
+def _kron_table(single: np.ndarray, n: int) -> np.ndarray:
+    """Every n-fold Kronecker product of the (k, 2, 2) ``single``, (kⁿ, 2ⁿ, 2ⁿ),
+    in `itertools.product` order; each entry multiplied as `np.kron` does."""
+    table = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        m, d = table.shape[:2]
+        table = (table[:, None, :, None, :, None] * single[None, :, None, :, None, :]
+                 ).reshape(m * len(single), 2 * d, 2 * d)
+    return table
 
 
-def _setting_rotation(setting: str) -> np.ndarray:
-    """The pre-rotation of a setting; outcome o projects onto row o."""
-    V = np.array([1.0], dtype=complex)
-    for ch in setting:
-        V = np.kron(V, {"Z": np.eye(2, dtype=complex), "X": _V_X, "Y": _V_Y}[ch])
-    return V
-
-
-def _setting_probs(rho_block: np.ndarray, setting: str) -> np.ndarray:
-    """Outcome probabilities of a pre-rotated Z measurement on the qubit block."""
-    V = _setting_rotation(setting)
-    rot = V @ rho_block @ V.conj().T
-    p = np.real(np.diag(rot)).copy()
-    p[p < 0] = 0.0
-    return p / p.sum()
-
-
-def _mle(settings: list[str], freqs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+def _mle(V: np.ndarray, freqs: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     """RρR iteration from ρ = I/d over every (setting, outcome) at once.
 
-    ``freqs`` holds the frequencies in (setting, outcome) order.  Outcomes
-    with tr(Pρ) ≤ 1e-12 or no counts get zero weight.  Returns the estimate
-    and the number of steps; raises FitError when |Δρ| stays ≥ 1e-10.
+    Row r of ``V`` is the bra of outcome r and ``freqs`` its frequency, both
+    in (setting, outcome) order.  Outcomes with tr(Pρ) ≤ 1e-12 or no counts
+    get zero weight.  Returns the estimate and the number of steps; raises
+    FitError when |Δρ| stays ≥ 1e-10.
     """
-    V = np.concatenate([_setting_rotation(s) for s in settings])
     projs = V.conj()[:, :, None] * V[:, None, :]  # |v⟩⟨v| of every row v
     flat = projs.reshape(len(projs), -1)
     d = V.shape[1]
@@ -329,17 +316,20 @@ def qst(
 ):
     """Tomograph the router output on up to three sites.
 
-    Pre-rotations {I, X, Y} act on each site's qubit subspace ({0,1}, or
-    {0,2} for the eraser address site); ``shots`` counts samples per basis
-    setting (0 = exact probabilities straight into the estimator).  A noisy
-    run's √CZ gates under-rotate to ϑ = π − δϑ; the noiseless oracle that
-    fixes the target runs at ϑ = π.  The gate times set how long a noisy
-    router decoheres, with a full ``single_ns`` slot per flip.
+    The 3ⁿ settings pre-rotate each site's qubit subspace ({0,1}, or {0,2}
+    for the eraser address site) by Z, X or Y, enumerated as
+    `itertools.product`; ``shots`` counts samples per setting (0 = exact
+    probabilities straight into the estimator).  Linear inversion reads each
+    Pauli label off the setting that measures Z where the label has I.  A
+    noisy run's √CZ gates under-rotate to ϑ = π − δϑ, and a second,
+    noiseless run at ϑ = π fixes the target; a noiseless run is its own
+    target.  The gate times set how long a noisy router decoheres, with a
+    full ``single_ns`` slot per flip.
     """
     sites = list(sites)
-    if len(sites) > 3:
+    n = len(sites)
+    if n > 3:
         raise CapacityError("tomography enumerated over at most 3 sites")
-    basis = scheme_basis(scheme)
     ideal = qrouter_circuit(scheme, dims=ROUTER_DIMS)
     circ = qrouter_circuit(scheme, theta=noise.leakage.theta, dims=ROUTER_DIMS,
                            sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns) if noise else ideal
@@ -347,72 +337,45 @@ def qst(
     if noise is not None and scheme == "eraser":
         out, _ = postselect(out, 1, 1)
     reduced = partial_trace(out, sites)
-
-    # noiseless oracle fixes the pure target
-    oracle = run_circuit(router_input(address), ideal, None)
-    target_red = partial_trace(oracle, sites).data
-    vals, vecs = np.linalg.eigh(target_red)
-    target = vecs[:, -1]
+    # the pure target: a noiseless run is its own oracle
+    oracle = reduced if noise is None else partial_trace(
+        run_circuit(router_input(address), ideal, None), sites)
+    target = np.linalg.eigh(oracle.data)[1][:, -1]
+    counters = {"router_runs": 1 if noise is None else 2,
+                "settings": 0 if method == "exact" else 3**n}
 
     if method == "exact":
         rho = reduced.data
         fid = float(np.real(target.conj() @ rho @ target))
-        return QstResult(rho, fid, target, method)
+        return QstResult(rho, fid, target, method, counters=counters)
 
-    # qubit-subspace block of the reduced state
-    levels = [_qubit_levels(reduced.dims[k], basis) for k in range(len(sites))]
-    block_idx = []
-    for flat in range(2 ** len(sites)):
-        digs = [(flat >> (len(sites) - 1 - k)) & 1 for k in range(len(sites))]
-        full = [levels[k][d] for k, d in enumerate(digs)]
-        block_idx.append(int(np.ravel_multi_index(full, reduced.dims)))
+    # qubit-subspace block of the reduced state: levels {0, high} per site
+    high = 1 if scheme_basis(scheme) == "01" else 2
+    levels = [(0, high if d == 3 else 1) for d in reduced.dims]
+    block_idx = np.ravel_multi_index(np.ix_(*levels), reduced.dims).ravel()
     block = reduced.data[np.ix_(block_idx, block_idx)]
     block = block / np.trace(block).real
 
-    rng = np.random.default_rng(seed)
-    settings = []
-    freqs = {}
-    n = len(sites)
-    for code in range(3**n):
-        setting = ""
-        c = code
-        for _ in range(n):
-            setting = "ZXY"[c % 3] + setting
-            c //= 3
-        settings.append(setting)
-        p = _setting_probs(block, setting)
-        if shots:
-            counts = rng.multinomial(shots, p)
-            freqs[setting] = counts / shots
-        else:
-            freqs[setting] = p
+    V = _kron_table(_ROTATIONS, n)  # (3ⁿ, 2ⁿ, 2ⁿ)
+    probs = np.diagonal(V @ block @ V.conj().transpose(0, 2, 1), axis1=1, axis2=2).real.copy()
+    probs[probs < 0] = 0.0
+    freqs = probs / probs.sum(axis=1, keepdims=True)
+    if shots:
+        freqs = np.random.default_rng(seed).multinomial(shots, freqs) / shots
 
     iterations = None
     if method == "linear-inversion":
-        rho = np.zeros((2**n, 2**n), dtype=complex)
-        for code in range(4**n):
-            label = ""
-            c = code
-            for _ in range(n):
-                label = "IXYZ"[c % 4] + label
-                c //= 4
-            setting = label.replace("I", "Z")
-            f = freqs[setting]
-            exp = 0.0
-            for o in range(2**n):
-                sgn = 1.0
-                for k in range(n):
-                    if label[k] != "I" and (o >> (n - 1 - k)) & 1:
-                        sgn = -sgn
-                exp += sgn * f[o]
-            P = np.array([1.0], dtype=complex)
-            for ch in label:
-                P = np.kron(P, _PAULI[ch])
-            rho += exp * P
+        labels = np.array(list(itertools.product(range(4), repeat=n)))  # digits of I X Y Z
+        outcomes = np.array(list(itertools.product(range(2), repeat=n)))
+        signs = (-1.0) ** ((labels != 0) @ outcomes.T)  # parity of the measured digits
+        setting = np.ravel_multi_index((labels % 3).T, (3,) * n)  # I measured as Z
+        expectation = _ordered_sums(signs * freqs[setting])
+        terms = expectation[:, None, None] * _kron_table(_PAULIS, n)  # label order
+        rho = _ordered_sums(np.moveaxis(terms, 0, -1))
         rho /= 2**n
         rho = (rho + rho.conj().T) / 2
     elif method == "mle":
-        rho, iterations = _mle(settings, np.concatenate([freqs[s] for s in settings]), max_iter)
+        rho, iterations = _mle(V.reshape(-1, 2**n), freqs.reshape(-1), max_iter)
     else:
         raise FitError(f"unknown method {method!r}")
 
@@ -420,7 +383,8 @@ def qst(
     tvec = target[block_idx]
     tvec = tvec / np.linalg.norm(tvec)
     fid = float(np.real(tvec.conj() @ rho @ tvec))
-    return QstResult(rho, fid, tvec, method, qubit_block=block, iterations=iterations)
+    return QstResult(rho, fid, tvec, method, qubit_block=block, iterations=iterations,
+                     counters=counters)
 
 
 # --- Floquet analysis ------------------------------------------------------------

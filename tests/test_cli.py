@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -235,10 +236,37 @@ def test_qst_subcommand(tmp_path, capsys):
     blob = json.loads((tmp_path / "qst.json").read_text())
     assert blob["fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert blob["mle_iterations"] is None
+    assert blob["metadata"]["counters"] == {"router_runs": 1, "settings": 0}
     code, _, _ = run(["qst", "--theta", "0.785398", "--method", "mle", "--noisy",
                       "--out-dir", str(tmp_path)], capsys)
     assert code == 0
-    assert json.loads((tmp_path / "qst.json").read_text())["mle_iterations"] > 0
+    blob = json.loads((tmp_path / "qst.json").read_text())
+    assert blob["mle_iterations"] > 0
+    assert blob["metadata"]["counters"] == {"router_runs": 2, "settings": 27}
+
+
+_QST_RUNS = {
+    "exact": ["--method", "exact", "--theta", "0.6", "--phi", "1.1"],
+    "linear-inversion": ["--method", "linear-inversion", "--shots", "2000", "--seed", "9",
+                         "--theta", "0.6", "--phi", "1.1"],
+    "mle": ["--method", "mle", "--noisy", "--theta", "0.785398"],
+}
+_GOLDEN_QST_SHA256 = {
+    ("eraser", "exact"): "291a953c4d45cc66cbe195bfe5e08bca39405e07c7d25e0bd8120c5c332481e5",
+    ("eraser", "linear-inversion"): "4b182250c7addb54e25cd618d2ad7e10a1dd3759704d2c2f9bb7dc8aec30f30b",
+    ("eraser", "mle"): "b5c763a23567cfbc0898da71340fa4dc11a76f6349b4db16520d5d452bd73fcf",
+    ("non-eraser", "exact"): "8b898830d6c85df5d231ce268fc00aabf20942d44333a6121dd676eb3a703aaf",
+    ("non-eraser", "linear-inversion"): "adaf381f4df86b1bee135e2237b632996d16f6c89a3de1deb508c3ef4b6404e5",
+    ("non-eraser", "mle"): "9d5313e7a5d09600b9b6b3c1da4a0cc30b9e20043b9fad4a5e93e791f4474b78",
+}
+
+
+@pytest.mark.parametrize("scheme, method", sorted(_GOLDEN_QST_SHA256))
+def test_qst_csv_golden_digest(scheme, method, tmp_path, capsys):
+    assert run(["qst", "--scheme", scheme, *_QST_RUNS[method], "--out-dir", str(tmp_path)],
+               capsys)[0] == 0
+    digest = hashlib.sha256((tmp_path / "qst.csv").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_QST_SHA256[scheme, method]
 
 
 def test_floquet_subcommand(tmp_path, capsys):

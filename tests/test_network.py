@@ -122,6 +122,13 @@ def test_uniform_latency_across_addresses_and_data():
     assert len(depths) == 1  # circuit structure is address/data independent
 
 
+@pytest.mark.parametrize("bits", [[1], [0, 1, 0, 1, 1, 1], [2, 0, 0, 0], [0.3, 0, 0, 0]],
+                         ids=["short", "long", "two", "fraction"])
+def test_data_bits_must_be_one_bit_per_leaf(bits):
+    with pytest.raises(ShapeError, match="one 0/1 bit per leaf"):
+        compile_query(build_tree(2), "full", "tcg-eraser", data_bits=bits)
+
+
 def _simulate_query(q, address_bits, layers):
     dims = tuple(q.circuit.site_dims.values())
     names = list(q.circuit.site_dims)

@@ -174,19 +174,45 @@ def test_qst_mle_converges():
     assert vals.min() > -1e-9
 
 
+_LOOP_ROTATIONS = {"Z": np.eye(2, dtype=complex),
+                   "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+                   "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2)}
+
+
+def _loop_rotation(setting: str) -> np.ndarray:
+    """The pre-rotation of one setting, a Kronecker product per site."""
+    V = np.array([1.0], dtype=complex)
+    for ch in setting:
+        V = np.kron(V, _LOOP_ROTATIONS[ch])
+    return V
+
+
+def _loop_freqs(block: np.ndarray, shots: int = 0, seed: int = 0) -> dict:
+    """Each setting's outcome frequencies, one setting at a time in product order."""
+    n = int(round(math.log2(block.shape[0])))
+    rng = np.random.default_rng(seed)
+    freqs = {}
+    for setting in ("".join(s) for s in itertools.product("ZXY", repeat=n)):
+        V = _loop_rotation(setting)
+        p = np.real(np.diag(V @ block @ V.conj().T)).copy()
+        p[p < 0] = 0.0
+        p = p / p.sum()
+        freqs[setting] = rng.multinomial(shots, p) / shots if shots else p
+    return freqs
+
+
 def _loop_mle(block: np.ndarray, max_iter: int = 500) -> tuple[np.ndarray, int]:
     """RρR with one trace per (setting, outcome), on exact probabilities of ``block``."""
     n = int(round(math.log2(block.shape[0])))
-    settings = ["".join(s) for s in itertools.product("ZXY", repeat=n)]
-    freqs = {s: protocols._setting_probs(block, s) for s in settings}
+    freqs = _loop_freqs(block)
     projs = {}
-    for setting in settings:
-        V = protocols._setting_rotation(setting)
+    for setting in freqs:
+        V = _loop_rotation(setting)
         projs[setting] = [np.outer(V[o, :].conj(), V[o, :]) for o in range(2**n)]
     rho = np.eye(2**n, dtype=complex) / 2**n
     for it in range(max_iter):
         R = np.zeros_like(rho)
-        for setting in settings:
+        for setting in freqs:
             f = freqs[setting]
             for o, proj in enumerate(projs[setting]):
                 pr = float(np.real(np.trace(proj @ rho)))
@@ -198,6 +224,51 @@ def _loop_mle(block: np.ndarray, max_iter: int = 500) -> tuple[np.ndarray, int]:
             return new, it + 1
         rho = new
     raise FitError(f"MLE did not converge in {max_iter} iterations")
+
+
+_LOOP_PAULIS = {"I": np.eye(2, dtype=complex), "X": np.array([[0, 1], [1, 0]], dtype=complex),
+                "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+                "Z": np.diag([1.0, -1.0]).astype(complex)}
+
+
+def _loop_linear_inversion(freqs: dict, n: int) -> np.ndarray:
+    """ρ = Σ_label ⟨P⟩P/2ⁿ, one Pauli label and one outcome at a time; each
+    label reads the setting that measures Z where it has I."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for label in ("".join(s) for s in itertools.product("IXYZ", repeat=n)):
+        f = freqs[label.replace("I", "Z")]
+        exp = 0.0
+        for o in range(2**n):
+            sgn = 1.0
+            for k in range(n):
+                if label[k] != "I" and (o >> (n - 1 - k)) & 1:
+                    sgn = -sgn
+            exp += sgn * f[o]
+        P = np.array([1.0], dtype=complex)
+        for ch in label:
+            P = np.kron(P, _LOOP_PAULIS[ch])
+        rho += exp * P
+    rho /= 2**n
+    return (rho + rho.conj().T) / 2
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values with equal signs, signed zeros included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)),
+                                                   np.signbit(b.view(float)))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("shots", [0, 2000])
+@pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
+@pytest.mark.parametrize("sites", [(2,), (1, 3), (1, 2, 3)])
+def test_qst_linear_inversion_is_the_per_label_loop(sites, scheme, shots, noisy):
+    address = AddressState(0.6, 1.1, protocols.scheme_basis(scheme))
+    res = qst(address, scheme, sites, "linear-inversion", shots, seed=9,
+              noise=NoiseModel(reference_rates()) if noisy else None)
+    rho = _loop_linear_inversion(_loop_freqs(res.qubit_block, shots, seed=9), len(sites))
+    assert _bitwise_equal(res.rho, rho)
+    assert res.fidelity == float(np.real(res.target.conj() @ rho @ res.target))
 
 
 @pytest.mark.parametrize("theta", [0.785398, 0.3])
@@ -225,6 +296,25 @@ def test_noisy_qst_runs_the_leaky_router(scheme):
     assert np.array_equal(res.rho, partial_trace(out, [1, 2, 3]).data)
     plain = qst(address, scheme, noise=NoiseModel(reference_rates()))
     assert np.abs(res.rho - plain.rho).max() > 1e-3
+
+
+@pytest.mark.parametrize("method", ["exact", "linear-inversion"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_noiseless_qst_is_its_own_oracle(noisy, method, monkeypatch):
+    calls = []
+    run = protocols.run_circuit
+
+    def counted(state, circuit, noise=None):
+        calls.append(noise)
+        return run(state, circuit, noise)
+
+    monkeypatch.setattr(protocols, "run_circuit", counted)
+    noise = NoiseModel(reference_rates()) if noisy else None
+    res = qst(AddressState(0.785398, 0.0, "02"), "eraser", method=method, shots=1000,
+              noise=noise)
+    assert calls == ([noise, None] if noisy else [None])
+    assert res.counters == {"router_runs": len(calls),
+                            "settings": 0 if method == "exact" else 27}
 
 
 def test_qst_site_cap():
