@@ -282,7 +282,8 @@ def run_floquet(cfg: RunConfig) -> int:
         rows.append([n, p11, p02])
     cost = floquet_cost(params, cfg.m_repeats, cfg.noise_model(), cfg.sqrt_cz_ns)
     _write(cfg, "floquet", ["n", "p11", "p02"], rows,
-           {"theta": params.theta, "cost_m": cost.m, "cost": cost.value})
+           {"theta": params.theta, "cost_m": cost.m, "cost": cost.value},
+           counters={**cost.counters, "closed_form_rows": len(rows)})
     return 0
 
 
@@ -356,7 +357,7 @@ def run_noise_curves(cfg: RunConfig) -> int:
         rows.append([t, raw, ps, amplitude_a110(rates, t)])
     bp = balance_point(rates)
     _write(cfg, "noise_curves", ["t_us", "a120_raw", "a120_postselected", "a110"], rows,
-           {"balance_point_us": bp})
+           {"balance_point_us": bp}, counters={"points": len(rows)})
     if bp is not None:
         print(f"balance point: {bp:.6f} us")
     return 0

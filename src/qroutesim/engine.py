@@ -14,9 +14,11 @@ a memoised index.  A run is one product per entry and a final restore.  The
 products take the operands `_Plan.apply` gives (the first entry takes the
 state as it does, a strided view or not), with the transfer matrices of
 `noise.apply_noise_step` (as complex128), so a compiled run is bit for bit
-`apply_gate` per gate plus `apply_noise_step` per moment.  A
-`CompiledCircuit` is a snapshot that later edits to the circuit do not
-reach.
+`apply_gate` per gate plus `apply_noise_step` per moment.  An idle is a
+moment with no gates (`CompiledCircuit.idle`), and ``a + b`` runs the steps
+of ``a`` then those of ``b``, so every idle of a block is a gate-less step
+of the block's one compiled program.  A `CompiledCircuit` is a snapshot
+that later edits to the circuit do not reach.
 
 A register may carry sites after the circuit's own.  They are passive: no
 gate touches them, they do not decohere, and they may have any dimension.
@@ -40,7 +42,7 @@ from .qudit import QuditRegister, _link, _plan, _reorder
 
 class _Moment(NamedTuple):
     gates: tuple  # (matrix, conjugate, sites) per gate
-    channels: tuple  # (site, transfer) per circuit site; empty when noiseless or instant
+    channels: tuple  # (site, transfer) per decohering site; empty when noiseless or instant
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class CompiledCircuit:
     def run(self, state: QuditRegister) -> QuditRegister:
         """Run on a register whose leading sites have the compiled dims (never
         modifying its array); any sites after them are passive.  With a
-        NoiseModel, ρ decoheres after each moment that has gates (and in the
-        first step of `after_idle`)."""
+        NoiseModel, ρ decoheres after each moment that has gates and in each
+        `idle` step."""
         dims = tuple(state.dims)
         if dims[:len(self.dims)] != self.dims:
             raise ShapeError(f"register dims {dims} do not start with circuit dims {self.dims}")
@@ -95,20 +97,30 @@ class CompiledCircuit:
         return tuple(entries), (shape, identity, flat) if src is None else _link(
             src, order, identity, flat)
 
-    def after_idle(self, t_ns: float) -> "CompiledCircuit":
-        """This circuit after a gate-less first step in which every circuit
-        site decoheres for ``t_ns``, through the same channels as a moment."""
-        idle = _Moment((), _channels(self.dims, self.noise, t_ns * 1e-3))
-        return CompiledCircuit(self.dims, (idle, *self.steps), self.noise)
+    def idle(self, t_ns: float, sites=None) -> "CompiledCircuit":
+        """A gate-less one-step circuit on this register in which ``sites``
+        (every circuit site by default) decohere for ``t_ns``, through the
+        channels a moment applies."""
+        sites = range(len(self.dims)) if sites is None else sorted(set(sites))
+        if not set(sites) <= set(range(len(self.dims))):
+            raise ShapeError(f"idle sites {list(sites)} are not circuit sites of {self.dims}")
+        idle = _Moment((), _channels(self.dims, self.noise, t_ns * 1e-3, sites))
+        return CompiledCircuit(self.dims, (idle,), self.noise)
+
+    def __add__(self, other: "CompiledCircuit") -> "CompiledCircuit":
+        """The steps of this circuit, then those of ``other``, as one circuit."""
+        if (other.dims, other.noise) != (self.dims, self.noise):
+            raise ShapeError(f"cannot join circuits on {self.dims} and {other.dims} or noise")
+        return CompiledCircuit(self.dims, self.steps + other.steps, self.noise)
 
 
-def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float) -> tuple:
-    """The cascade channel over ``t_us`` on every site, as `apply_noise_step`
-    applies it: the transfer matrix on the site's ket and bra axes."""
+def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float, sites) -> tuple:
+    """The cascade channel over ``t_us`` on each of ``sites`` in turn, as
+    `apply_noise_step` applies it: the transfer matrix on the site's ket and
+    bra axes."""
     if noise is None or t_us <= 0:
         return ()
-    return tuple((s, site_transfer(noise.rates, t_us, d).astype(complex))
-                 for s, d in enumerate(dims))
+    return tuple((s, site_transfer(noise.rates, t_us, dims[s]).astype(complex)) for s in sites)
 
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> CompiledCircuit:
@@ -130,7 +142,7 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> Compil
             gates.append((matrix, matrix.conj(), sites))
         t_us = m.duration_ns * 1e-3
         if t_us not in channels:
-            channels[t_us] = _channels(dims, noise, t_us)
+            channels[t_us] = _channels(dims, noise, t_us, range(len(dims)))
         steps.append(_Moment(tuple(gates), channels[t_us]))
     return CompiledCircuit(dims, tuple(steps), noise)
 

@@ -70,10 +70,17 @@ class RoutingTree:
         return dims
 
 
+#: the deepest tree `build_tree` builds: a 12-layer full query is about 225k
+#: gates (9 MiB as text), and every two more layers cost about four times that
+MAX_LAYERS = 12
+
+
 def build_tree(layers: int) -> RoutingTree:
     """Binary tree with 2^layers − 1 routers and 2^layers data leaves."""
     if layers < 1:
         raise ShapeError("layers must be >= 1")
+    if layers > MAX_LAYERS:
+        raise CapacityError(f"{layers} layers exceeds the {MAX_LAYERS}-layer tree bound")
     n_nodes = 2**layers - 1
     nodes = []
     for idx in range(1, n_nodes + 1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,6 +303,18 @@ def _mle(V: np.ndarray, freqs: np.ndarray, max_iter: int) -> tuple[np.ndarray, i
     raise FitError(f"MLE did not converge in {max_iter} iterations")
 
 
+def _check_shots(shots) -> int:
+    """``shots`` as an int sample count: what `operator.index` accepts, in
+    [0, 2**63) (numpy's multinomial draws take a 64-bit count)."""
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        raise ValueError(f"shots must be an integer, got {shots!r}") from None
+    if not 0 <= count < 2**63:
+        raise ValueError(f"shots must be in [0, 2**63), got {count}")
+    return count
+
+
 def qst(
     address: AddressState,
     scheme: str = "eraser",
@@ -326,6 +339,7 @@ def qst(
     target.  The gate times set how long a noisy router decoheres, with a
     full ``single_ns`` slot per flip.
     """
+    shots = _check_shots(shots)
     sites = list(sites)
     n = len(sites)
     if n > 3:
@@ -394,6 +408,7 @@ def qst(
 class FloquetCost:
     m: int
     value: float
+    counters: dict = field(default_factory=dict, compare=False)  # gate applications
 
 
 def floquet_populations(theta: float, eta: float = 0.0, zeta: float = 0.0,
@@ -445,7 +460,7 @@ def floquet_cost(params: FloquetParams, m: int = 15,
             state = apply_noise_step(state, noise.rates, sqrt_cz_ns * 1e-3)
         if k % 2 == 0:
             total += populations(state)[i02]
-    return FloquetCost(m, total / (2 * m))
+    return FloquetCost(m, total / (2 * m), {"gate_applications": 2 * m})
 
 
 # --- Nelder-Mead ------------------------------------------------------------------

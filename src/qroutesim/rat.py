@@ -17,10 +17,10 @@ single pass) and the next paired block (a second pass) both continue from
 that shared state.  The two-layer run is instead a product of cached
 maps, all built from one compiled router (see `_TwoLayerRun`): block maps
 on a few sites for the readout, and the router's own superoperator for the
-root passes of the paired block.  Every idle is inside the map of the
-block whose sites it acts on, so a readout or an advance is only attach,
-maps and discard.  The readout also reports the probability kept by every
-post-selection so far, the eraser's acceptance.
+root passes of the paired block.  Every idle is a step of the compiled
+program of the block whose sites it acts on, so a readout or an advance is
+only attach, maps and discard.  The readout also reports the probability
+kept by every post-selection so far, the eraser's acceptance.
 
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
@@ -41,8 +41,8 @@ from .engine import compile_circuit, run_circuit  # noqa: F401  (run_circuit: pu
 from .errors import FitError
 from .fitting import FitReport, least_squares
 from .gates import qrouter_circuit
-from .noise import NoiseModel, apply_noise_step
-from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, scheme_basis
+from .noise import NoiseModel
+from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, _check_shots, scheme_basis
 from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_superop,
                     new_basis_state, partial_trace, populations)
 
@@ -111,16 +111,6 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
 
 
 # --- address blocks ---------------------------------------------------------------
-
-
-def _idle(reg: QuditRegister, noise: NoiseModel | None, dt_ns: float, sites) -> QuditRegister:
-    """Decoherence on ``sites`` only, for dt_ns: `apply_noise_step`, the
-    transfer matrices a compiled circuit's moments apply too.  A pure
-    register is mixed first; without noise it is returned as it is."""
-    if noise is None:
-        return reg
-    rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
-    return apply_noise_step(reg.to_mixed(), rates, dt_ns * 1e-3)
 
 
 def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
@@ -205,7 +195,7 @@ class _RouterRun:
             dims=(2, 3, 2, 2), sqrt_cz_ns=sqrt_cz_ns, single_ns=_flip_single_ns(scheme, single_ns))
         self.tau_router = circuit.duration_ns()
         self.router = compile_circuit(circuit, noise)
-        self.first = self.router.after_idle(block_overhead_ns)
+        self.first = self.router.idle(block_overhead_ns) + self.router
         self.reset()
 
 
@@ -279,6 +269,7 @@ def rat_single(
     flip composite compiled into one single-gate wall-time slot, and
     parasitic phases at the constructive worst case π/2 (`PARASITIC`).
     """
+    shots = _check_shots(shots)
     ideal = _SingleRouterRun(scheme, None, sqrt_cz_ns, single_ns)
     noisy = _SingleRouterRun(scheme, noise, sqrt_cz_ns, single_ns, block_overhead_ns, PARASITIC)
     blocks = [draw_addresses(seed, trial, n_max + 1) for trial in range(trials)]
@@ -292,29 +283,33 @@ def rat_single(
 class _TwoLayerRun(_RouterRun):
     """Paired-block evolution of the two-layer tree over (Q_I, M_L, M_R, D1..D4).
 
-    One compiled router serves the root and both leaves, and every block is
-    a map built from it by one run on a Choi state (`qudit.choi_superop`),
-    with the reference as a trailing site.  Each idle lives in the map of
+    One compiled router r (duration τ) serves the root and both leaves.
+    Every block is a map read off one run of its program (``blocks``,
+    built once per runner) on a Choi state (`qudit.choi_superop`), with the
+    reference as a trailing site.  Each idle is a step of the program of
     the block whose sites it acts on:
 
-    - the readout's root map on (Q_I, M_L, M_R): attach C1 → init-window
-      idle → root pass (both one run of ``first``) → Q_I/C1 idle through
+    - the readout's root map on (Q_I, M_L, M_R): attach C1 → ``first``
+      (init-window idle, root pass) + idle(τ, (0, 1)), Q_I and C1 through
       the leaf stage → discard C1;
     - the leaf maps on (M, D, D'), one per address and pass count: attach
-      the leaf address → C, D, D' idle through the init window and the
-      root down pass (the root gates never touch them) → the leaf router's
-      adjacent down(+up) passes → after two passes, C, D, D' idle through
-      the root up pass → post-select → reset;
+      the leaf address → idle(o + τ, (1, 2, 3)), C, D, D' through the init
+      window and the root down pass → one or two passes of r → after two,
+      idle(τ, (1, 2, 3)) through the root up pass → post-select → reset;
     - the paired block's two root passes on (Q_I, C1, M_L, M_R), which keep
-      C1 live across the leaf stage: 576×576 superoperators, the down pass
-      a run of ``first``, the up pass after the Q_I/C1 idle through the
-      leaf stage, built on the first advance.
+      C1 live across the leaf stage: 576×576 superoperators, down ``first``
+      and up idle(2τ, (0, 1)) + r, built on the first advance.
 
     ``counters`` tallies map builds and cache hits.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        r, tau, idle = self.router, self.tau_router, self.router.idle
+        leaf = idle(self.overhead + tau, (1, 2, 3)) + r
+        self.blocks = {("leaf", 1): leaf, ("leaf", 2): leaf + r + idle(tau, (1, 2, 3)),
+                       "root": self.first + idle(tau, (0, 1)),
+                       "down": self.first, "up": idle(2 * tau, (0, 1)) + r}
         self._maps: dict[tuple, np.ndarray] = {}
         self.counters = {"leaf_maps_built": 0, "root_maps_built": 0,
                          "router_superops_built": 0, "map_cache_hits": 0}
@@ -324,46 +319,37 @@ class _TwoLayerRun(_RouterRun):
         input, leaves empty."""
         self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
 
-    def _cached_map(self, key: tuple, counter: str, block, site_states=(2, 2, 2)) -> np.ndarray:
+    def _block_map(self, kind, counter: str, name=None) -> np.ndarray:
+        """The map of one run of ``self.blocks[kind]``, built once per
+        address ``name``: between attaching it at site 1 and discarding it, on
+        three sites, or without a name on (Q_I, C1, M_L, M_R) as it is."""
+        key, run = (kind, name), self.blocks[kind].run
+
+        def block(reg: QuditRegister) -> QuditRegister:
+            if name is None:
+                return run(reg)
+            reg = attach_site(reg, 1, _address_vector(name, self.basis))
+            return _discard_address(run(reg), self.scheme)
+
         if key in self._maps:
             self.counters["map_cache_hits"] += 1
         else:
             self.counters[counter] += 1
-            self._maps[key] = choi_superop(block, site_states)
+            self._maps[key] = choi_superop(block, (2, 3, 2, 2) if name is None else (2, 2, 2))
         return self._maps[key]
 
     def _leaf_superop(self, name, passes: int) -> np.ndarray:
         """The leaf map on (M, D, D') for ``passes`` router passes."""
-        def block(reg: QuditRegister) -> QuditRegister:
-            reg = attach_site(reg, 1, _address_vector(name, self.basis))
-            reg = _idle(reg, self.noise, self.overhead + self.tau_router, (1, 2, 3))
-            for _ in range(passes):
-                reg = self.router.run(reg)
-            reg = _idle(reg, self.noise, self.tau_router if passes == 2 else 0.0, (1, 2, 3))
-            return _discard_address(reg, self.scheme)
-
-        return self._cached_map(("leaf", name, passes), "leaf_maps_built", block)
+        return self._block_map(("leaf", passes), "leaf_maps_built", name)
 
     def _root_map(self, name) -> np.ndarray:
         """The readout's root map on (Q_I, M_L, M_R)."""
-        def block(reg: QuditRegister) -> QuditRegister:
-            reg = attach_site(reg, 1, _address_vector(name, self.basis))
-            reg = self.first.run(reg)
-            # Q_I and C1 idle while the leaves route once
-            reg = _idle(reg, self.noise, self.tau_router, (0, 1))
-            return _discard_address(reg, self.scheme)
-
-        return self._cached_map(("root", name), "root_maps_built", block)
+        return self._block_map("root", "root_maps_built", name)
 
     def _root_pass(self, direction: str) -> np.ndarray:
         """The paired block's root pass ``direction`` ("down" or "up") on
         (Q_I, C1, M_L, M_R), with the idle before it."""
-        def block(reg: QuditRegister) -> QuditRegister:
-            if direction == "down":
-                return self.first.run(reg)
-            return self.router.run(_idle(reg, self.noise, 2 * self.tau_router, (0, 1)))
-
-        return self._cached_map((direction,), "router_superops_built", block, (2, 3, 2, 2))
+        return self._block_map(direction, "router_superops_built")
 
     def measure_final(self, names) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, D1..D4) after a last, single down-routing

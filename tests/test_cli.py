@@ -100,6 +100,7 @@ def test_json_summary_echoes_config(tmp_path, capsys):
     assert blob["config"]["seed"] == 99
     assert blob["config"]["grid_points"] == 7
     assert "timestamp" in blob["metadata"]
+    assert blob["metadata"]["counters"] == {"points": 7}
     assert blob["balance_point_us"] == pytest.approx(24.141568686, abs=1e-6)
 
 
@@ -216,6 +217,12 @@ def test_missing_config_exit_2(capsys):
     assert code == 2
 
 
+def test_compile_beyond_the_tree_bound_exits_3(tmp_path, capsys):
+    code, _, err = run(["compile", "--layers", "13", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 3 and err.startswith("capacity: 13 layers")
+    assert not (tmp_path / "out").exists()
+
+
 def test_compile_emits_report(tmp_path, capsys):
     code, out, _ = run(["compile", "--layers", "1", "--scheme", "eraser",
                         "--mode", "full", "--out-dir", str(tmp_path)], capsys)
@@ -274,6 +281,11 @@ def test_floquet_subcommand(tmp_path, capsys):
     assert code == 0
     blob = json.loads((tmp_path / "floquet.json").read_text())
     assert blob["cost"] == pytest.approx(1.0)
+    m = blob["config"]["m_repeats"]
+    assert blob["metadata"]["counters"] == {"gate_applications": 2 * m,
+                                            "closed_form_rows": 2 * m + 1}
+    rows = (tmp_path / "floquet.csv").read_text().splitlines()
+    assert len(rows) == 2 + 2 * m + 1
 
 
 def test_rat_subcommand_small(tmp_path, capsys):

@@ -216,7 +216,8 @@ def test_links_gather_up_to_the_bound_and_stay_strided_above(scheme, ref_dim, ga
     the first entry's is a gather index, above it every link is strided."""
     router = qrouter_circuit(scheme, dims=(2, 3, 2, 2))
     noise = NoiseModel(reference_rates())
-    compiled = compile_circuit(router, noise).after_idle(1200.0)
+    compiled = compile_circuit(router, noise)
+    compiled = compiled.idle(1200.0) + compiled
     dims = (2, 3, 2, 2, ref_dim)
     state = QuditRegister(dims, _random_rho(np.random.default_rng(ref_dim), 24 * ref_dim))
     got = compiled.run(state)
@@ -271,17 +272,60 @@ def test_one_compiled_router_serves_every_trailing_site(noisy):
     the circuit's is rejected, with a trailing site or without."""
     noise = NoiseModel(reference_rates()) if noisy else None
     circuit = qrouter_circuit("eraser", dims=(2, 3, 2, 2))
-    router = compile_circuit(circuit, noise).after_idle(1200.0)
+    router = compile_circuit(circuit, noise)
+    router = router.idle(1200.0) + router
     rng = np.random.default_rng(3)
     for r in (8, 24, 8):
         state = QuditRegister((2, 3, 2, 2, r), _random_rho(rng, 24 * r))
-        fresh = compile_circuit(circuit, noise).after_idle(1200.0).run(state)
+        fresh = compile_circuit(circuit, noise)
+        fresh = (fresh.idle(1200.0) + fresh).run(state)
         assert np.array_equal(router.run(state).data, fresh.data)
     assert set(router.programs) == {(False, (2, 3, 2, 2, 8)), (False, (2, 3, 2, 2, 24))}
     for dims in [(3, 2, 2, 2), (3, 2, 2, 2, 8), (2, 3, 2), (2, 2, 2, 2, 3)]:
         dim = math.prod(dims)
         with pytest.raises(ShapeError):
             router.run(QuditRegister(dims, np.eye(dim, dtype=complex) / dim))
+
+
+@settings(max_examples=80)
+@given(_circuits(), st.one_of(st.none(), _RATES), st.floats(0.0, 5000.0), st.data(),
+       st.integers(0, 2**32 - 1))
+def test_idle_is_the_stepped_noise_step_and_plus_runs_in_turn(circuit, rates, t_ns, data, seed):
+    """`idle(t, sites)` on a random subset of the circuit's sites, with a
+    passive site trailing them, is bit for bit `apply_noise_step` with None
+    for every other site; ``(a + b).run(x)`` is bit for bit
+    ``b.run(a.run(x))``, noisy and noiseless (noiseless on vectors too)."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(circuit.site_dims.values())
+    sites = data.draw(st.sets(st.sampled_from(range(len(dims)))))
+    noise = None if rates is None else NoiseModel(rates)
+    compiled = compile_circuit(circuit, noise)
+    idle = compiled.idle(t_ns, sites)
+    full = dims + (3,)
+    if noise is None and data.draw(st.booleans()):
+        state = QuditRegister(full, rng.normal(size=math.prod(full)) + 0j)
+    else:
+        state = QuditRegister(full, _random_rho(rng, math.prod(full)))
+    if noise is None:
+        assert idle.steps == (engine._Moment((), ()),)
+        assert np.array_equal(idle.run(state).data, state.data)
+    else:
+        site_rates = [rates if k in sites else None for k in range(len(dims))] + [None]
+        assert np.array_equal(idle.run(state).data, apply_noise_step(state, site_rates,
+                                                                     t_ns * 1e-3).data)
+    for a, b in [(idle, compiled), (compiled, idle), (compiled, compiled)]:
+        assert np.array_equal((a + b).run(state).data, b.run(a.run(state)).data)
+
+
+def test_idle_and_plus_reject_what_is_not_the_register():
+    noise = NoiseModel(reference_rates())
+    router = compile_circuit(qrouter_circuit("eraser", dims=(2, 3, 2, 2)), noise)
+    with pytest.raises(ShapeError, match="idle sites"):
+        router.idle(100.0, (3, 4))
+    for other in [compile_circuit(qrouter_circuit("eraser", dims=(2, 3, 2, 2))),
+                  compile_circuit(Circuit({"a": 2}), noise)]:
+        with pytest.raises(ShapeError, match="cannot join"):
+            router + other
 
 
 @pytest.mark.parametrize("dim", [1, 4, 8])

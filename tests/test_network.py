@@ -9,7 +9,7 @@ import pytest
 
 from qroutesim import network
 from qroutesim.engine import run_circuit
-from qroutesim.errors import IncompatibleMode, ShapeError
+from qroutesim.errors import CapacityError, IncompatibleMode, ShapeError
 from qroutesim.gates import Circuit, GateSpec, dumps_circuit
 from qroutesim.network import (
     DIRECTIONAL_SCHEMES,
@@ -35,6 +35,13 @@ def test_build_tree_shapes():
     assert len(t5.nodes) == 31 and len(t5.leaf_sites) == 32
     with pytest.raises(ShapeError):
         build_tree(0)
+
+
+def test_build_tree_bounds_its_depth():
+    assert network.MAX_LAYERS == 12
+    assert len(build_tree(network.MAX_LAYERS).leaf_sites) == 2**12
+    with pytest.raises(CapacityError, match="13 layers"):
+        build_tree(network.MAX_LAYERS + 1)
 
 
 def test_router_counts_table():

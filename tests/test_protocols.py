@@ -13,6 +13,7 @@ from qroutesim.errors import CapacityError, FitError
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import DecayRates, LeakageSpec, NoiseModel, reference_rates
 from qroutesim.qudit import partial_trace, postselect
+from qroutesim.rat import rat_single
 from qroutesim.protocols import (
     AddressState,
     FloquetParams,
@@ -317,6 +318,21 @@ def test_a_noiseless_qst_is_its_own_oracle(noisy, method, monkeypatch):
                             "settings": 0 if method == "exact" else 27}
 
 
+def test_shots_must_be_a_sample_count():
+    """A fractional or negative ``shots`` is rejected before any run, naming
+    shots; an integer of another type counts as its value."""
+    noise = NoiseModel(reference_rates())
+    runs = {"rat_single": lambda shots: rat_single(3, "eraser", noise, trials=1, shots=shots,
+                                                   seed=1).m_values,
+            "qst": lambda shots: qst(AddressState(0.6, 0, "02"), method="linear-inversion",
+                                     shots=shots).rho}
+    for name, run in runs.items():
+        for bad in (2.5, -3, 2**63):
+            with pytest.raises(ValueError, match="shots"):
+                run(bad)
+        assert np.array_equal(run(np.int64(5)), run(5)), name
+
+
 def test_qst_site_cap():
     with pytest.raises(CapacityError):
         qst(AddressState.named("0", "02"), "eraser", sites=(0, 1, 2, 3))
@@ -351,6 +367,7 @@ def test_floquet_populations_ideal_alternation():
 
 def test_floquet_cost_ideal_and_imperfect():
     assert floquet_cost(FloquetParams(math.pi), m=15).value == pytest.approx(1.0, abs=1e-12)
+    assert floquet_cost(FloquetParams(math.pi), m=4).counters == {"gate_applications": 8}
     assert floquet_cost(FloquetParams(0.97 * math.pi), m=15).value < 1.0
 
 

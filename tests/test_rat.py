@@ -1,6 +1,7 @@
 """Random access test machinery: fitting, oracles, light simulation checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qroutesim.engine import compile_circuit
 from qroutesim.errors import FitError
 from qroutesim.gates import Circuit, qrouter_circuit
 from qroutesim.network import two_layer_landscape
-from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
+from qroutesim.noise import LeakageSpec, NoiseModel, apply_noise_step, reference_rates
 from qroutesim.protocols import ADDRESS_NAMES
 from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_matrix,
                              partial_trace, populations, project)
@@ -218,6 +219,16 @@ def test_two_layer_landscape_golden():
 
 # --- the shared first pass against the unshared block sequence ---------------------
 
+
+def _stepped_idle(reg, noise, dt_ns, sites):
+    """Decoherence on ``sites`` only, for dt_ns, as `apply_noise_step`
+    applies it on a mixed register; without noise the register as it is."""
+    if noise is None:
+        return reg
+    rates = [noise.rates if k in sites else None for k in range(reg.n_sites)]
+    return apply_noise_step(reg.to_mixed(), rates, dt_ns * 1e-3)
+
+
 _LEAKY = NoiseModel(reference_rates(), LeakageSpec(0.403))
 _PARASITIC = (math.pi / 2, math.pi / 2)
 
@@ -225,7 +236,7 @@ _PARASITIC = (math.pi / 2, math.pi / 2)
 def _single_paired_block(run, name):
     """attach → idle → two router passes → discard, from the run's state."""
     reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
-    reg = rat._idle(reg, run.noise, run.overhead, range(4))
+    reg = _stepped_idle(reg, run.noise, run.overhead, range(4))
     for _ in range(2):
         reg = run.router.run(reg)
     return rat._discard_address(reg, run.scheme)
@@ -237,14 +248,14 @@ def _two_layer_paired_block(run, names):
     root router stepped on the 384-dimensional register."""
     root_wide = _root_wide(run, data_noisy=False)
     reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
-    reg = rat._idle(reg, run.noise, run.overhead, range(4))
+    reg = _stepped_idle(reg, run.noise, run.overhead, range(4))
     reg = root_wide.run(reg)
-    reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
+    reg = _stepped_idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 2, (1,))))
-    reg = rat._idle(reg, run.noise, 2 * run.tau_router, (0, 1))
+    reg = _stepped_idle(reg, run.noise, 2 * run.tau_router, (0, 1))
     reg = root_wide.run(reg)
-    reg = rat._idle(reg, run.noise, run.tau_router, range(4, 8))
+    reg = _stepped_idle(reg, run.noise, run.tau_router, range(4, 8))
     return rat._discard_address(reg, run.scheme)
 
 
@@ -284,7 +295,7 @@ def test_kept_is_the_post_selection_acceptance():
     run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
     run.state = _single_paired_block(run, "+")
     reg = attach_site(run.state, 1, rat._address_vector("h", run.basis))
-    reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4)))
+    reg = run.router.run(_stepped_idle(reg, run.noise, run.overhead, range(4)))
     assert run.measure_final("h")[1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
     er = rat_single(6, "eraser", _LEAKY, trials=2, seed=3)
     ne = rat_single(6, "non-eraser", _LEAKY, trials=2, seed=3)
@@ -304,7 +315,7 @@ def _stepped_discard(reg, scheme):
 @pytest.mark.parametrize("noisy", [True, False])
 def test_single_router_block_is_the_stepped_block(noisy, scheme):
     """Depths 0-5: each readout and advance, whose first pass is one compiled
-    run of idle + router, is bit for bit attach → `_idle` → router run →
+    run of idle + router, is bit for bit attach → stepped idle → router run →
     project + partial_trace."""
     if noisy:
         run = rat._SingleRouterRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
@@ -313,7 +324,7 @@ def test_single_router_block_is_the_stepped_block(noisy, scheme):
     names = ["h", "0", "+", "-", "h", "+"]
     for depth, name in enumerate(names):
         reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
-        reg = run.router.run(rat._idle(reg, run.noise, run.overhead, range(4)))
+        reg = run.router.run(_stepped_idle(reg, run.noise, run.overhead, range(4)))
         want_p, want_kept = rat._normalized(populations(_stepped_discard(reg, scheme)))
         if depth < len(names) - 1:
             want_next = _stepped_discard(run.router.run(reg), scheme)
@@ -370,10 +381,10 @@ def _loop_leaf_superop(run, name, passes, idle_sites):
         e = np.zeros((8, 8), dtype=complex)
         e[k // 8, k % 8] = 1.0
         reg = attach_site(QuditRegister((2, 2, 2), e), 1, addr)
-        reg = rat._idle(reg, run.noise, run.overhead + run.tau_router, idle_sites)
+        reg = _stepped_idle(reg, run.noise, run.overhead + run.tau_router, idle_sites)
         for _ in range(passes):
             reg = leaf.run(reg)
-        reg = rat._idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, idle_sites)
+        reg = _stepped_idle(reg, run.noise, run.tau_router if passes == 2 else 0.0, idle_sites)
         cols.append(rat._discard_address(reg, run.scheme).data.reshape(-1))
     return np.stack(cols, axis=1)
 
@@ -421,11 +432,11 @@ def _stepped_readout(run, names):
     384-dimensional register."""
     root_wide = _root_wide(run)
     reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
-    reg = rat._idle(reg, run.noise, run.overhead, range(8))
+    reg = _stepped_idle(reg, run.noise, run.overhead, range(8))
     reg = root_wide.run(reg)
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
         reg = apply_channel(reg, ChannelMap(sites, _loop_leaf_superop(run, name, 1, (1,))))
-    reg = rat._idle(reg, run.noise, run.tau_router, (0, 1))
+    reg = _stepped_idle(reg, run.noise, run.tau_router, (0, 1))
     reg = rat._discard_address(reg, run.scheme)
     return rat._normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
 
@@ -467,7 +478,7 @@ def test_root_passes_are_idle_then_compiled_run(scheme, noisy):
         for _ in range(3):
             a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
             rho = QuditRegister((2, 3, 2, 2), a @ a.conj().T / np.trace(a @ a.conj().T))
-            want = router.run(rat._idle(rho, run.noise, idle_ns, sites)).data
+            want = router.run(_stepped_idle(rho, run.noise, idle_ns, sites)).data
             got = apply_channel(rho, ChannelMap((0, 1, 2, 3), phi)).data
             assert np.abs(got - want).max() <= 1e-14
 
@@ -507,10 +518,27 @@ def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
     assert r.counters["ideal"]["router_superops_built"] == 0
 
 
+def test_two_layer_runs_never_step_noise(monkeypatch):
+    """Every idle of a two-layer block is a step of its compiled program:
+    with `apply_noise_step` refusing to run, wherever it was imported, the
+    noisy RAT and landscape still run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_noise_step called")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qroutesim")]:
+        if hasattr(module, "apply_noise_step"):
+            monkeypatch.setattr(module, "apply_noise_step", refuse)
+    r = rat_two_layer(3, "eraser", _LEAKY, trials=2, seed=4)
+    assert np.all(np.isfinite(r.m_values))
+    surf = two_layer_landscape([0.3, 0.9], [0.5], "eraser", _LEAKY)
+    assert np.all(np.isfinite(surf))
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 def test_a_runner_compiles_its_router_once(layers, monkeypatch):
     """Every pass, map and Choi run of a runner (references of 8 and 24 on
-    two layers) comes from the one compiled router."""
+    two layers) comes from the one compiled router: on two layers, through
+    the block programs joined from it."""
     compiled = []
     compile_circuit_ = rat.compile_circuit
 
@@ -530,5 +558,8 @@ def test_a_runner_compiles_its_router_once(layers, monkeypatch):
     run.measure_final(steps[0])
     assert len(compiled) == 1
     if layers == 2:
-        choi = {(False, (2, 3, 2, 2, 8)), (False, (2, 3, 2, 2, 24))}
-        assert set(run.router.programs) == set(run.first.programs) == choi
+        # one ρ program per block, on the register with its Choi reference
+        three, four = {(False, (2, 3, 2, 2, 8))}, {(False, (2, 3, 2, 2, 24))}
+        assert {key: set(p.programs) for key, p in run.blocks.items()} == {
+            ("leaf", 1): three, ("leaf", 2): three, "root": three, "down": four, "up": four}
+        assert run.blocks["down"] is run.first and run.router.programs == {}
