@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .errors import CapacityError, IncompatibleMode, QRouteSimError
 from .gates import dumps_circuit
-from .layout import GridSpec, TriangleLayout, best_layout, check_layout
-from .network import MODES, SCHEMES, build_tree, compile_query, gate_counts, router_counts
+from .layout import GridSpec, best_layout, check_layout
+from .network import MODES, SCHEMES, build_tree, compile_query, router_counts
 from .noise import DecayRates, LeakageSpec, NoiseModel, amplitude_a110, amplitude_a120, balance_point
 from .protocols import (AddressState, FloquetParams, floquet_cost, floquet_populations, phi_scan,
                         qst, scheme_basis, theta_scan)
@@ -148,15 +148,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 if not hasattr(cfg, key):
                     raise ConfigError(f"[{section}] {key}: unknown field")
                 cur = getattr(cfg, key)
-                try:
-                    if isinstance(cur, bool):
-                        value = parser.getboolean(section, key)
-                    elif isinstance(cur, int):
-                        value = int(raw)
-                    elif isinstance(cur, float):
-                        value = float(raw)
-                    else:
-                        value = raw
+                try:  # a field's type reads its value: bool, int, float or str
+                    value = (parser.getboolean(section, key) if isinstance(cur, bool)
+                             else type(cur)(raw))
                 except ValueError as exc:
                     raise ConfigError(f"[{section}] {key}={raw!r}: {exc}") from exc
                 setattr(cfg, key, value)
@@ -174,9 +168,7 @@ def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
-    lines = [SCHEMA, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [SCHEMA, ",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     csv_path.write_text("\n".join(lines) + "\n")
     _write_summary(cfg, out / f"{name}.json", summary, counters)
     return csv_path
@@ -276,10 +268,8 @@ def run_rat2(cfg: RunConfig) -> int:
 
 def run_floquet(cfg: RunConfig) -> int:
     params = FloquetParams(math.pi - cfg.delta_theta)
-    rows = []
-    for n in range(0, 2 * cfg.m_repeats + 1):
-        p11, p02 = floquet_populations(params.theta, params.eta, params.zeta, n)
-        rows.append([n, p11, p02])
+    rows = [[n, *floquet_populations(params.theta, params.eta, params.zeta, n)]
+            for n in range(2 * cfg.m_repeats + 1)]
     cost = floquet_cost(params, cfg.m_repeats, cfg.noise_model(), cfg.sqrt_cz_ns)
     _write(cfg, "floquet", ["n", "p11", "p02"], rows,
            {"theta": params.theta, "cost_m": cost.m, "cost": cost.value},
@@ -315,14 +305,8 @@ def run_counts(cfg: RunConfig) -> int:
 
 
 def _parse_defects(text: str) -> frozenset:
-    out = set()
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        r, _, c = chunk.partition(",")
-        out.add((int(r), int(c)))
-    return frozenset(out)
+    pairs = (chunk.strip().partition(",") for chunk in text.split(";") if chunk.strip())
+    return frozenset((int(r), int(c)) for r, _, c in pairs)
 
 
 def run_layout(cfg: RunConfig) -> int:
@@ -351,10 +335,7 @@ def run_layout(cfg: RunConfig) -> int:
 def run_noise_curves(cfg: RunConfig) -> int:
     rates = cfg.rates()
     ts = np.linspace(0.0, 40.0, cfg.grid_points)
-    rows = []
-    for t in ts:
-        raw, ps = amplitude_a120(rates, t)
-        rows.append([t, raw, ps, amplitude_a110(rates, t)])
+    rows = [[t, *amplitude_a120(rates, t), amplitude_a110(rates, t)] for t in ts]
     bp = balance_point(rates)
     _write(cfg, "noise_curves", ["t_us", "a120_raw", "a120_postselected", "a110"], rows,
            {"balance_point_us": bp}, counters={"points": len(rows)})

@@ -5,20 +5,24 @@ Gates inside a moment are ideal and instantaneous; the moment's duration
 site, idle or not.  A run maps a register to a register; post-selection
 (the eraser's discard) is applied by the callers between runs.
 
-`compile_circuit` builds a circuit's gates and channels once; each
-program, one per state representation (vector and ρ) and register shape, is
-built on its first run.  Each gate side and each noisy site's channel per
-moment is an entry ``(matrix, link)``: its `qudit._Plan` linked to the
-previous product by `qudit._link`, which on a small tensor is one `take` of
-a memoised index.  A run is one product per entry and a final restore.  The
-products take the operands `_Plan.apply` gives (the first entry takes the
-state as it does, a strided view or not), with the transfer matrices of
-`noise.apply_noise_step` (as complex128), so a compiled run is bit for bit
-`apply_gate` per gate plus `apply_noise_step` per moment.  An idle is a
-moment with no gates (`CompiledCircuit.idle`), and ``a + b`` runs the steps
-of ``a`` then those of ``b``, so every idle of a block is a gate-less step
-of the block's one compiled program.  A `CompiledCircuit` is a snapshot
-that later edits to the circuit do not reach.
+A program is a tuple of steps.  A step holds gates ``(matrix, sites)``, then
+channel entries ``(sites, transfer)``: maps on a tuple of sites, then each
+decohering site's cascade channel (the 1-tuple case).  `compile_circuit`
+makes one step per moment, `CompiledCircuit.idle` a gate-less step and
+`compile_step` one step of given gates and maps: a two-layer readout or
+advance (`rat`), a Floquet application, the φ scan's π/2 layer (`protocols`).
+``a + b`` runs the steps of ``a`` then those of ``b``.
+
+Each program, one per state representation (vector and ρ) and register
+shape, is built on its first run; noise or a map makes it a ρ program.  Each
+gate side and channel entry is an entry ``(matrix, link)``: its `qudit._Plan`
+linked to the previous product by `qudit._link`, on a small tensor one `take`
+of a memoised index.  A run is one product per entry and a final restore.
+The products take the operands `_Plan.apply` gives (the first entry takes
+the state as it does), with complex128 matrices, so a run is bit for bit
+`apply_gate` per gate, `apply_channel` per map and `noise.apply_noise_step`
+per moment, which stay only as test oracles.  A `CompiledCircuit` is a
+snapshot that later edits to the circuit do not reach.
 
 A register may carry sites after the circuit's own.  They are passive: no
 gate touches them, they do not decohere, and they may have any dimension.
@@ -42,7 +46,7 @@ from .qudit import QuditRegister, _link, _plan, _reorder
 
 class _Moment(NamedTuple):
     gates: tuple  # (matrix, conjugate, sites) per gate
-    channels: tuple  # (site, transfer) per decohering site; empty when noiseless or instant
+    channels: tuple  # (sites, transfer) per map, then per decohering site
 
 
 @dataclass(frozen=True)
@@ -58,11 +62,11 @@ class CompiledCircuit:
         """Run on a register whose leading sites have the compiled dims (never
         modifying its array); any sites after them are passive.  With a
         NoiseModel, ρ decoheres after each moment that has gates and in each
-        `idle` step."""
+        `idle` step.  With noise or a map, a state vector runs as |ψ⟩⟨ψ|."""
         dims = tuple(state.dims)
         if dims[:len(self.dims)] != self.dims:
             raise ShapeError(f"register dims {dims} do not start with circuit dims {self.dims}")
-        if self.noise is not None:
+        if self.noise is not None or any(m.channels for m in self.steps):
             state = state.to_mixed()
         key = (state.is_pure, dims)
         if key not in self.programs:
@@ -75,7 +79,7 @@ class CompiledCircuit:
 
     def _program(self, pure: bool, dims: tuple) -> tuple:
         """The run entries of a vector or of ρ (vectors run only without
-        noise) on a register of ``dims``, and the restore of the last product
+        channels) on a register of ``dims``, and the restore of the last product
         to the state's axes and shape.  The first entry takes the state
         strided, as `_Plan.apply` does."""
         n, d = len(dims), math.prod(dims)
@@ -87,7 +91,7 @@ class CompiledCircuit:
                 if not pure:
                     sides.append((conj, _plan(shape, [s + n for s in sites])))
             if not pure:
-                sides += [(t, _plan(shape, [s, s + n])) for s, t in m.channels]
+                sides += [(t, _plan(shape, on + tuple(s + n for s in on))) for on, t in m.channels]
         entries, src, order, identity = [], None, None, tuple(range(len(shape)))
         for matrix, plan in sides:
             link = (plan.shape, plan.perm, plan.flat) if src is None else _link(
@@ -104,7 +108,7 @@ class CompiledCircuit:
         sites = range(len(self.dims)) if sites is None else sorted(set(sites))
         if not set(sites) <= set(range(len(self.dims))):
             raise ShapeError(f"idle sites {list(sites)} are not circuit sites of {self.dims}")
-        idle = _Moment((), _channels(self.dims, self.noise, t_ns * 1e-3, sites))
+        idle = _moment(self.dims, (), (), _channels(self.dims, self.noise, t_ns * 1e-3, sites))
         return CompiledCircuit(self.dims, (idle,), self.noise)
 
     def __add__(self, other: "CompiledCircuit") -> "CompiledCircuit":
@@ -117,10 +121,38 @@ class CompiledCircuit:
 def _channels(dims: tuple[int, ...], noise: NoiseModel | None, t_us: float, sites) -> tuple:
     """The cascade channel over ``t_us`` on each of ``sites`` in turn, as
     `apply_noise_step` applies it: the transfer matrix on the site's ket and
-    bra axes."""
-    if noise is None or t_us <= 0:
+    bra axes (`site_transfer` raises InvalidTime for a negative ``t_us``)."""
+    if noise is None or t_us == 0:
         return ()
-    return tuple((s, site_transfer(noise.rates, t_us, dims[s]).astype(complex)) for s in sites)
+    return tuple(((s,), site_transfer(noise.rates, t_us, dims[s]).astype(complex)) for s in sites)
+
+
+def _moment(dims: tuple, gates, maps, channels: tuple) -> _Moment:
+    """A step: each gate ``(matrix, sites)`` with its conjugate, then each map
+    ``(sites, transfer)``, then ``channels``.  Each matrix becomes C-ordered
+    complex128 once its sites are distinct sites of ``dims`` whose dimension
+    (squared for a map) it has."""
+    entries = []
+    for sites, matrix, power in [(s, g, 1) for g, s in gates] + [(s, t, 2) for s, t in maps]:
+        sites, matrix = tuple(sites), np.ascontiguousarray(matrix, dtype=complex)
+        if (len(set(sites)) != len(sites) or not set(sites) <= set(range(len(dims)))
+                or matrix.shape != (math.prod(dims[s] for s in sites) ** power,) * 2):
+            raise ShapeError(f"a {matrix.shape} matrix does not fit sites {sites} of {dims}")
+        entries.append((sites, matrix))
+    k = len(gates)
+    gates = tuple((g, g.conj(), s) for s, g in entries[:k])
+    return _Moment(gates, tuple(entries[k:]) + channels)
+
+
+def compile_step(dims, gates=(), maps=(), noise: NoiseModel | None = None,
+                 t_ns: float = 0.0) -> CompiledCircuit:
+    """A one-step program on a register of ``dims``: the gates ``(matrix,
+    sites)`` in turn, then the maps ``(sites, transfer)`` (a transfer matrix
+    as in `qudit.ChannelMap`) in turn, then with ``noise`` every site's decay
+    over ``t_ns``: bit for bit `apply_gate`, `apply_channel`, `apply_noise_step`."""
+    dims = tuple(dims)
+    channels = _channels(dims, noise, t_ns * 1e-3, range(len(dims)))
+    return CompiledCircuit(dims, (_moment(dims, gates, maps, channels),), noise)
 
 
 def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> CompiledCircuit:
@@ -135,15 +167,12 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> Compil
     channels: dict[float, tuple] = {}
     steps = []
     for m in circuit.ops:
-        gates = []
-        for g in m.gates:
-            sites = [pos[s] for s in g.sites]
-            matrix = np.ascontiguousarray(gate_matrix(g, tuple(dims[k] for k in sites)), dtype=complex)
-            gates.append((matrix, matrix.conj(), sites))
+        gates = [(gate_matrix(g, tuple(dims[pos[s]] for s in g.sites)), [pos[s] for s in g.sites])
+                 for g in m.gates]
         t_us = m.duration_ns * 1e-3
         if t_us not in channels:
             channels[t_us] = _channels(dims, noise, t_us, range(len(dims)))
-        steps.append(_Moment(tuple(gates), channels[t_us]))
+        steps.append(_moment(dims, gates, (), channels[t_us]))
     return CompiledCircuit(dims, tuple(steps), noise)
 
 

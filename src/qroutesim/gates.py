@@ -37,18 +37,9 @@ SINGLE_NS = 30.0
 #: basis labels (q1, qc, q2) of the conditional-swap routing subspace
 ROUTING_LABELS = ("011", "020", "110", "111", "021", "120")
 
-#: the ideal CSWAP on ROUTING_LABELS: (−1) × permutation, no extra phases
-CSWAP_BLOCK = -np.array(
-    [
-        [0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
+#: the ideal CSWAP on ROUTING_LABELS: (−1) × the permutation 011 ↔ 110,
+#: 021 ↔ 120 (020 and 111 fixed), no extra phases
+CSWAP_BLOCK = -np.eye(6, dtype=complex)[[2, 1, 0, 3, 5, 4]]
 
 
 @dataclass(frozen=True)
@@ -465,12 +456,9 @@ def clifford_qrouter_circuit(
     """
     qi, qc, ql, qr = sites
     c = Circuit(dict(zip(sites, dims)))
-    for m in _fredkin_moments(qc, qi, ql):
-        c.add_moment(*m)
-    c.add_moment(GateSpec("x", (qc,), (), SINGLE_NS))
-    for m in _fredkin_moments(qc, qi, qr):
-        c.add_moment(*m)
-    c.add_moment(GateSpec("x", (qc,), (), SINGLE_NS))
+    for out in (ql, qr):
+        for m in _fredkin_moments(qc, qi, out) + [[GateSpec("x", (qc,), (), SINGLE_NS)]]:
+            c.add_moment(*m)
     return c
 
 

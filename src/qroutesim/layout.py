@@ -32,9 +32,12 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
+from .errors import CapacityError
 
 Coord = tuple[int, int]
+
+#: lattice qubits (rows × cols) a layout may span: `footprints` tabulates each one
+MAX_LATTICE_QUBITS = 1024
 
 #: corner offsets of a 2×2 cell, index order (TL, TR, BL, BR)
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -295,7 +298,11 @@ def footprints(grid: GridSpec) -> Footprints:
     """The placement table: in bounds, off defect qubits and defect couplers.
 
     Those checks see only a placement's 2×2 cell, so they run once per cell.
+    A lattice of more than `MAX_LATTICE_QUBITS` raises CapacityError.
     """
+    if grid.rows * grid.cols > MAX_LATTICE_QUBITS:
+        raise CapacityError(f"a {grid.rows}x{grid.cols} lattice exceeds the "
+                            f"{MAX_LATTICE_QUBITS}-qubit layout bound")
     dead_couplers = {frozenset(p) for p in grid.defect_couplers}
     cells = {}  # anchor -> corners and their bitmask, for each usable cell
     for r in range(grid.rows - 1):

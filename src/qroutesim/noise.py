@@ -13,7 +13,7 @@ observable.
 The cached 9×9 transfer matrix is the one place the decay factors are
 computed: a qubit site's channel is its {0, 1} restriction.  Compiled
 circuits apply the same matrices, through the same kernel, as
-`apply_noise_step`.
+`apply_noise_step`, which no run calls: it is the tests' oracle.
 """
 
 from __future__ import annotations

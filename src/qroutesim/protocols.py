@@ -8,7 +8,9 @@ A θ or φ scan runs the router once, whatever its number of points.  The
 router is a fixed linear channel Φ and only the address ρ_C on Q_C changes
 between points, so one run on a Choi state (Q_C maximally entangled with a
 trailing reference site) gives the address response Φ(|i⟩⟨j|_C), and each
-point's populations are Σ_ij ρ_C[i, j]·Φ(|i⟩⟨j|_C) on the diagonal.
+point's populations are Σ_ij ρ_C[i, j]·Φ(|i⟩⟨j|_C) on the diagonal.  The
+φ scan's π/2 layer is a zero-duration compiled step joined after the
+router, and each Floquet application is one run of a compiled step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import compile_circuit, run_circuit
+from .engine import compile_circuit, compile_step, run_circuit
 from .errors import CapacityError, FitError
 from .gates import (
     SINGLE_NS,
@@ -31,10 +33,9 @@ from .gates import (
     sqrt_cz_matrix,
     x01_half_matrix,
 )
-from .noise import NoiseModel, apply_noise_step
+from .noise import NoiseModel
 from .qudit import (
     QuditRegister,
-    apply_gate,
     choi_superop,
     from_site_states,
     partial_trace,
@@ -138,17 +139,13 @@ def _address_response(scheme: str, noise: NoiseModel | None, sqrt_cz_ns: float,
     trailing the router's (`qudit.choi_superop`), so an address ρ_C gives the
     populations Σ_ij ρ_C[i, j]·resp[:, i, j] for any number of addresses.
     """
-    router = compile_circuit(qrouter_circuit(
+    block = compile_circuit(qrouter_circuit(
         scheme, theta=noise.leakage.theta if noise else math.pi, dims=ROUTER_DIMS,
         sqrt_cz_ns=sqrt_cz_ns, single_ns=single_ns), noise)
-    basis = scheme_basis(scheme)
-
-    def block(reg: QuditRegister) -> QuditRegister:
-        out = router.run(reg)
-        return _interference_layer(out, basis) if interference else out
-
+    if interference:
+        block += _interference_layer(scheme_basis(scheme), noise)
     one, zero = np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    transfer = choi_superop(block, (one, 3, zero, zero))  # (24·24, 3·3)
+    transfer = choi_superop(block.run, (one, 3, zero, zero))  # (24·24, 3·3)
     return np.einsum("aaij->aij", transfer.reshape(24, 24, 3, 3))
 
 
@@ -203,18 +200,15 @@ class PhiScanResult:
     counters: dict = field(default_factory=dict)  # router runs and scan points
 
 
-def _interference_layer(state: QuditRegister, basis: str) -> QuditRegister:
-    """X_{π/2} on the address subspace of Q_C and on Q_L, Q_R."""
+def _interference_layer(basis: str, noise: NoiseModel | None):
+    """X_{π/2} on the address subspace {0, h} of Q_C and on Q_L, Q_R: a
+    zero-duration step on the router's register, to join after a router
+    compiled with ``noise``."""
     half2 = x01_half_matrix(dim=2)
-    if basis == "01":
-        qc_half = x01_half_matrix(dim=3)
-    else:
-        qc_half = np.eye(3, dtype=complex)
-        sub = np.array([[1, -1j], [-1j, 1]], dtype=complex) / math.sqrt(2)
-        qc_half[np.ix_([0, 2], [0, 2])] = sub
-    state = apply_gate(state, qc_half, [1])
-    state = apply_gate(state, half2, [2])
-    return apply_gate(state, half2, [3])
+    levels = [0, 1 if basis == "01" else 2]
+    qc_half = np.eye(3, dtype=complex)
+    qc_half[np.ix_(levels, levels)] = half2
+    return compile_step(ROUTER_DIMS, [(qc_half, (1,)), (half2, (2,)), (half2, (3,))], noise=noise)
 
 
 _ODD_KEYS = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=bool)  # parity of c + l + r
@@ -443,23 +437,20 @@ def _floquet_composite(theta: float, eta: float, zeta: float) -> np.ndarray:
 def floquet_cost(params: FloquetParams, m: int = 15,
                  noise: NoiseModel | None = None,
                  sqrt_cz_ns: float = 25.0) -> FloquetCost:
-    """Average alternating |02⟩/|11⟩ population over 2m repeated gates."""
+    """Average alternating |02⟩/|11⟩ population over 2m repeated gates, each
+    one run of a compiled step: the gate, then with ``noise`` a decay of both
+    qutrits over ``sqrt_cz_ns``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     U = _floquet_composite(params.theta, params.eta, params.zeta)
+    gate = compile_step((3, 3), [(U, (0, 1))], noise=noise, t_ns=sqrt_cz_ns)
     state = QuditRegister((3, 3), np.eye(9, dtype=complex)[4].astype(complex))
-    if noise is not None:
-        state = state.to_mixed()
     total = 0.0
-    i11, i02 = 4, 2
-    for k in range(2 * m):
-        if k % 2 == 0:
-            total += populations(state)[i11]
-        state = apply_gate(state, U, [0, 1])
-        if noise is not None:
-            state = apply_noise_step(state, noise.rates, sqrt_cz_ns * 1e-3)
-        if k % 2 == 0:
-            total += populations(state)[i02]
+    for _ in range(m):  # P11 before each odd application, P02 after it
+        total += populations(state)[4]
+        state = gate.run(state)
+        total += populations(state)[2]
+        state = gate.run(state)
     return FloquetCost(m, total / (2 * m), {"gate_applications": 2 * m})
 
 

@@ -13,12 +13,14 @@ concurrently without locking.
 Every matrix reaches a state through one kernel, `_Plan`: a gate on a
 state vector or on either side of ρ, a channel's transfer matrix on the
 ket and bra axes of its sites, and `gates.circuit_unitary`'s gates on an
-identity tensor.  Compiled circuits chain plans with `_link`, which feeds
-each product to the next plan in one reorder: on a small tensor one `take`
-of a memoised index (numpy's strided copy pays per contiguous run, and
-there the runs are one or two entries long), else reshape and transpose.
-Both give the same C-ordered operand, so the next product keeps its bits.
-`attach_site` reorders through the same links.
+identity tensor.  `apply_gate` and `apply_channel` apply one matrix as an
+entry of a compiled program (`engine`) does; no run calls them, and tests
+compare programs with them.  Compiled circuits chain plans with `_link`,
+which feeds each product to the next plan in one reorder: on a small tensor
+one `take` of a memoised index (numpy's strided copy pays per contiguous
+run, and there the runs are one or two entries long), else reshape and
+transpose.  Both give the same C-ordered operand, so the next product keeps
+its bits.  `attach_site` reorders through the same links.
 """
 
 from __future__ import annotations

@@ -14,13 +14,11 @@ Depth n+1 repeats depth n's blocks and adds one, so a trial is one run.
 On one router, at each depth the register, the fresh address and the
 router's first pass are simulated once, and the readout (the last block's
 single pass) and the next paired block (a second pass) both continue from
-that shared state.  The two-layer run is instead a product of cached
-maps, all built from one compiled router (see `_TwoLayerRun`): block maps
-on a few sites for the readout, and the router's own superoperator for the
-root passes of the paired block.  Every idle is a step of the compiled
-program of the block whose sites it acts on, so a readout or an advance is
-only attach, maps and discard.  The readout also reports the probability
-kept by every post-selection so far, the eraser's acceptance.
+that shared state.  The two-layer run instead applies cached block maps,
+all built from one compiled router (see `_TwoLayerRun`), and its readout
+or advance is one compiled run of those maps (`engine.compile_step`).  The
+readout also reports the probability kept by every post-selection so far,
+the eraser's acceptance.
 
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
@@ -37,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import compile_circuit, run_circuit  # noqa: F401  (run_circuit: public name)
+from .engine import compile_circuit, compile_step, run_circuit  # noqa: F401  (public name)
 from .errors import FitError
 from .fitting import FitReport, least_squares
 from .gates import qrouter_circuit
 from .noise import NoiseModel
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, _check_shots, scheme_basis
-from .qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_superop,
-                    new_basis_state, partial_trace, populations)
+from .qudit import (QuditRegister, attach_site, choi_superop, new_basis_state, partial_trace,
+                    populations)
 
 _SUPPORT_TOL = 1e-9
 
@@ -300,7 +298,8 @@ class _TwoLayerRun(_RouterRun):
       C1 live across the leaf stage: 576×576 superoperators, down ``first``
       and up idle(2τ, (0, 1)) + r, built on the first advance.
 
-    ``counters`` tallies map builds and cache hits.
+    A readout or an advance is one compiled run of its maps; ``counters``
+    tallies map builds and cache hits.
     """
 
     def __init__(self, *args, **kwargs):
@@ -354,21 +353,22 @@ class _TwoLayerRun(_RouterRun):
     def measure_final(self, names) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, D1..D4) after a last, single down-routing
         block, and the probability the post-selections kept."""
-        reg = apply_channel(self.state, ChannelMap((0, 1, 2), self._root_map(names[0])))
-        for sites, name in (((1, 3, 4), names[1]), ((2, 5, 6), names[2])):
-            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 1)))
+        maps = [((0, 1, 2), self._root_map(names[0])),
+                ((1, 3, 4), self._leaf_superop(names[1], 1)),
+                ((2, 5, 6), self._leaf_superop(names[2], 1))]
+        reg = compile_step(self.state.dims, maps=maps).run(self.state)
         return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
 
     def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
         """`measure_final`, then advance the run by the paired block: attach
-        C1 → root down → two-pass leaf maps → root up → discard C1."""
+        C1 → one run (root down, two-pass leaf maps, root up) → discard C1."""
         out = self.measure_final(names)
         reg = attach_site(self.state, 1, _address_vector(names[0], self.basis))
-        reg = apply_channel(reg, ChannelMap((0, 1, 2, 3), self._root_pass("down")))
-        for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
-            reg = apply_channel(reg, ChannelMap(sites, self._leaf_superop(name, 2)))
-        reg = apply_channel(reg, ChannelMap((0, 1, 2, 3), self._root_pass("up")))
-        self.state = _discard_address(reg, self.scheme)
+        maps = [((0, 1, 2, 3), self._root_pass("down")),
+                ((2, 4, 5), self._leaf_superop(names[1], 2)),
+                ((3, 6, 7), self._leaf_superop(names[2], 2)),
+                ((0, 1, 2, 3), self._root_pass("up"))]
+        self.state = _discard_address(compile_step(reg.dims, maps=maps).run(reg), self.scheme)
         return out
 
 

@@ -9,11 +9,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from qroutesim.engine import compile_circuit
-from qroutesim.gates import qrouter_circuit
+from qroutesim.gates import qrouter_circuit, x01_half_matrix
 from qroutesim.noise import DecayRates
-from qroutesim.protocols import (_ODD_KEYS, ROUTER_DIMS, AddressState, _interference_layer,
-                                 _ordered_sums, router_input, scheme_basis)
-from qroutesim.qudit import populations
+from qroutesim.protocols import (_ODD_KEYS, ROUTER_DIMS, AddressState, _ordered_sums,
+                                 router_input, scheme_basis)
+from qroutesim.qudit import apply_gate, populations
 
 # an example's time swings with what it compiles and builds: no per-example deadline
 settings.register_profile("qroutesim", deadline=None)
@@ -62,6 +62,21 @@ def per_point_theta_scan(thetas, scheme, noise=None, phi=0.0):
         excited = np.indices(out.dims).reshape(out.n_sites, -1)[[2, 3, 0]] != 0
         rows.append(_ordered_sums(np.where(excited, populations(out), 0.0)))
     return np.array(rows)
+
+
+def _interference_layer(state, basis):
+    """X_{π/2} on the address subspace of Q_C and on Q_L, Q_R, gate by gate
+    through `apply_gate`: the oracle for the compiled π/2 step of
+    `protocols.phi_scan`."""
+    half2 = x01_half_matrix(dim=2)
+    if basis == "01":
+        qc_half = x01_half_matrix(dim=3)
+    else:
+        qc_half = np.eye(3, dtype=complex)
+        qc_half[np.ix_([0, 2], [0, 2])] = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
+    for gate, site in ((qc_half, 1), (half2, 2), (half2, 3)):
+        state = apply_gate(state, gate, [site])
+    return state
 
 
 def per_point_phi_scan(phis, scheme, noise=None):

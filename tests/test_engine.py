@@ -317,6 +317,64 @@ def test_idle_is_the_stepped_noise_step_and_plus_runs_in_turn(circuit, rates, t_
         assert np.array_equal((a + b).run(state).data, b.run(a.run(state)).data)
 
 
+def _random_matrix(rng, k: int) -> np.ndarray:
+    return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+
+@settings(max_examples=60)
+@given(_circuits(max_sites=4).filter(lambda c: math.prod(c.site_dims.values()) <= 24), _RATES,
+       st.floats(0.0, 2000.0), st.integers(1, 3), st.data(), st.integers(0, 2**32 - 1))
+def test_compiled_steps_are_the_oracles_bit_for_bit(circuit, rates, t_ns, trailing, data, seed):
+    """`compile_step`, with a passive site of dimension ``trailing``, bit for
+    bit: maps on random site tuples (1 to 4 sites, any order) are
+    `apply_channel` in turn, then with noise `apply_noise_step`, and on a pure
+    register they run it as |ψ⟩⟨ψ|; a noisy gate step is `apply_gate` per
+    gate, then `apply_noise_step`, and with maps too `apply_channel` between
+    the two; and ``maps + circuit`` (either way round) runs the two in turn."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(circuit.site_dims.values())
+    n, full = len(dims), dims + (trailing,)
+
+    def some_sites(most: int) -> tuple:
+        return tuple(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, most))])
+
+    maps = [(sites, _random_matrix(rng, math.prod(dims[s] for s in sites) ** 2))
+            for sites in (some_sites(n) for _ in range(data.draw(st.integers(1, 3))))]
+    gates_ = [(_random_matrix(rng, math.prod(dims[s] for s in sites)), sites)
+              for sites in (some_sites(min(n, 2)) for _ in range(data.draw(st.integers(1, 3))))]
+    state, psi = _random_state(rng, full, False), _random_state(rng, full, True)
+    noise, site_rates = NoiseModel(rates), [rates] * n + [None]
+
+    def oracle(start, gates_, maps, nm):
+        want = start.to_mixed()
+        for g, sites in gates_:
+            want = apply_gate(want, g, sites)
+        for sites, transfer in maps:
+            want = apply_channel(want, ChannelMap(sites, transfer))
+        return want if nm is None else apply_noise_step(want, site_rates, t_ns * 1e-3)
+
+    for nm in (None, noise):
+        steps = engine.compile_step(dims, maps=maps, noise=nm, t_ns=t_ns)
+        for start in (state, psi):
+            got = steps.run(start)
+            assert not got.is_pure and np.array_equal(got.data, oracle(start, (), maps, nm).data)
+        compiled = compile_circuit(circuit, nm)
+        for a, b in [(steps, compiled), (compiled, steps)]:
+            assert np.array_equal((a + b).run(state).data, b.run(a.run(state)).data)
+    got = engine.compile_step(dims, gates_, noise=noise, t_ns=t_ns).run(state)
+    assert np.array_equal(got.data, oracle(state, gates_, (), noise).data)
+    got = engine.compile_step(dims, gates_, maps, noise, t_ns).run(state)
+    assert np.array_equal(got.data, oracle(state, gates_, maps, noise).data)
+
+
+def test_compile_step_rejects_what_does_not_fit():
+    for gates_, maps in [([(np.eye(6), (0, 0))], ()), ([(np.eye(3), (3,))], ()),
+                         ([(np.eye(4), (0, 1))], ()), ((), [((1, 2), np.eye(35))]),
+                         ((), [((2, 1, 2), np.eye(144))])]:
+        with pytest.raises(ShapeError, match="does not fit"):
+            engine.compile_step((2, 3, 2), gates_, maps)
+
+
 def test_idle_and_plus_reject_what_is_not_the_register():
     noise = NoiseModel(reference_rates())
     router = compile_circuit(qrouter_circuit("eraser", dims=(2, 3, 2, 2)), noise)

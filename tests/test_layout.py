@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qroutesim import layout
+from qroutesim.cli import main
+from qroutesim.errors import CapacityError
 from qroutesim.layout import (
     GridSpec,
     Triangle,
@@ -258,3 +261,17 @@ def test_search_counters():
     assert diag["search"]["nodes_expanded"] == diag["search"]["dead_states"] > 0
     assert best_layout(grid, 2)[2]["search"] == {"seeds_tried": 0, "nodes_expanded": 0,
                                                  "dead_states": 0}
+
+
+def test_lattice_bound_exits_3_and_writes_nothing(tmp_path, capsys):
+    """A lattice of `MAX_LATTICE_QUBITS` + 1 qubits (25×41) is refused before
+    the placement table is built: CapacityError from `best_layout`, exit 3
+    and no file from the CLI.  A 32×32 lattice, at the bound, is tabulated."""
+    assert layout.MAX_LATTICE_QUBITS == 1024 == 32 * 32 == 25 * 41 - 1
+    with pytest.raises(CapacityError, match="1024-qubit"):
+        best_layout(GridSpec(25, 41), 9)
+    assert main(["layout", "--grid", "25x41", "--layers", "9",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("capacity: a 25x41 lattice")
+    assert not (tmp_path / "out").exists()
+    assert len(footprints(GridSpec(32, 32)).at) == 1024

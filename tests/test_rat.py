@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from qroutesim import rat
-from qroutesim.engine import compile_circuit
+from qroutesim.engine import compile_circuit, compile_step
 from qroutesim.errors import FitError
 from qroutesim.gates import Circuit, qrouter_circuit
 from qroutesim.network import two_layer_landscape
 from qroutesim.noise import LeakageSpec, NoiseModel, apply_noise_step, reference_rates
-from qroutesim.protocols import ADDRESS_NAMES
-from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, attach_site, choi_matrix,
-                             partial_trace, populations, project)
+from qroutesim.protocols import (ADDRESS_NAMES, AddressState, FloquetParams, _floquet_composite,
+                                 floquet_cost, leakage_repetition_scan, phi_scan, qst,
+                                 scheme_basis, theta_scan)
+from qroutesim.qudit import (DEFAULT_POLICY, ChannelMap, QuditRegister, apply_channel, attach_site,
+                             choi_matrix, new_basis_state, partial_trace, populations, project)
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
 
@@ -519,19 +521,52 @@ def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
 
 
 def test_two_layer_runs_never_step_noise(monkeypatch):
-    """Every idle of a two-layer block is a step of its compiled program:
-    with `apply_noise_step` refusing to run, wherever it was imported, the
-    noisy RAT and landscape still run."""
+    """Every run goes through the compiled executor: with `apply_gate`,
+    `apply_channel` and `apply_noise_step` refusing to run, wherever they
+    were imported, the two-layer RAT and landscape, the scans, Floquet,
+    single-router RAT, QST and the leakage scan run, noisy and noiseless."""
     def refuse(*args, **kwargs):
-        raise AssertionError("apply_noise_step called")
+        raise AssertionError("a test oracle ran at run time")
 
     for module in [m for name, m in sys.modules.items() if name.startswith("qroutesim")]:
-        if hasattr(module, "apply_noise_step"):
-            monkeypatch.setattr(module, "apply_noise_step", refuse)
-    r = rat_two_layer(3, "eraser", _LEAKY, trials=2, seed=4)
-    assert np.all(np.isfinite(r.m_values))
-    surf = two_layer_landscape([0.3, 0.9], [0.5], "eraser", _LEAKY)
-    assert np.all(np.isfinite(surf))
+        for oracle in ("apply_gate", "apply_channel", "apply_noise_step"):
+            if hasattr(module, oracle):
+                monkeypatch.setattr(module, oracle, refuse)
+    for noise in (None, _LEAKY):
+        for scheme in ("eraser", "non-eraser"):
+            r = rat_two_layer(3, scheme, noise, trials=2, seed=4)
+            assert np.all(np.isfinite(r.m_values))
+            assert np.all(np.isfinite(two_layer_landscape([0.3, 0.9], [0.5], scheme, noise)))
+            assert np.all(np.isfinite(theta_scan([0.2, 0.7], scheme, noise).p_left))
+            assert math.isfinite(phi_scan(np.linspace(0, 6, 5), scheme, noise).phi0)
+            assert np.all(np.isfinite(rat_single(3, scheme, noise, trials=2, seed=4).m_values))
+            q = qst(AddressState(0.6, 0.3, scheme_basis(scheme)), scheme,
+                    method="linear-inversion", shots=100, noise=noise)
+            assert math.isfinite(q.fidelity)
+            assert np.all(np.isfinite(leakage_repetition_scan(3, scheme).survival))
+        assert math.isfinite(floquet_cost(FloquetParams(3.0, 0.1, 0.2), 3, noise).value)
+
+
+def test_noisy_runs_keep_valid_states():
+    """Numerical health at `DEFAULT_POLICY`: the noisy non-eraser two-layer ρ
+    after each of 5 advances, the eraser's once divided by its trace (the
+    post-selections drop weight), and the noisy Floquet ρ after each
+    application all pass `QuditRegister.validate`."""
+    for scheme in ("non-eraser", "eraser"):
+        run = _two_layer_run(scheme, True)
+        for names in [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0"), ("0", "h", "h"),
+                      ("-", "-", "+")]:
+            run.measure_and_advance(names)
+            rho = run.state.data
+            if scheme == "eraser":
+                rho = rho / np.trace(rho).real
+            QuditRegister(run.state.dims, rho).validate(DEFAULT_POLICY)
+    step = compile_step((3, 3), [(_floquet_composite(2.9, 0.3, -0.4), (0, 1))], noise=_LEAKY,
+                        t_ns=25.0)
+    state = new_basis_state((3, 3), "11")
+    for _ in range(30):
+        state = step.run(state)
+        state.validate(DEFAULT_POLICY)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
