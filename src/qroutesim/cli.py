@@ -245,6 +245,7 @@ def _write_rat(cfg: RunConfig, name: str, r, extra: dict) -> int:
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
             "fit_converged": r.fit_converged, "fit_iterations": r.fit_iterations,
+            "fit_optimality": r.fit_optimality, "fit_active_bounds": list(r.fit_active_bounds),
             "postselection_kept": r.kept.tolist(), "seed": r.seed, "trials": r.trials, **extra},
            counters=r.counters)
     return 0

@@ -1,8 +1,11 @@
 """Shared numerics: bounded least squares, root finding, ODE oracle.
 
 Thin, deterministic wrappers over scipy with the package's error types.
-ode_integrate exists to serve as the independent oracle for the closed-form
-decay laws; production code never calls it.
+Each wrapper imports its scipy piece on its own first call, so importing
+this module (and with it any qroutesim subcommand) does not load scipy.
+Only least_squares runs in production, for the F_RAT fit of ``rat`` and
+``rat2``; find_root and ode_integrate serve the tests as independent
+oracles (ode_integrate for the closed-form decay laws).
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import solve_ivp
 
 from .errors import BracketError, FitError, IntegrationError
 
@@ -22,6 +23,8 @@ class FitReport:
     residual_rms: float
     converged: bool
     iterations: int
+    optimality: float  # scipy's first-order optimality, the measure trf compares with gtol
+    active_bounds: tuple[int, ...]  # indices of the parameters that end on a bound
 
 
 def least_squares(model, xdata, ydata, init, bounds=None) -> FitReport:
@@ -45,6 +48,8 @@ def least_squares(model, xdata, ydata, init, bounds=None) -> FitReport:
     def resid(p):
         return model(xdata, *p) - ydata
 
+    from scipy import optimize
+
     try:
         res = optimize.least_squares(resid, init, bounds=(lo, hi), method="trf", xtol=1e-14,
                                      ftol=1e-14, gtol=1e-14, max_nfev=20000)
@@ -53,7 +58,8 @@ def least_squares(model, xdata, ydata, init, bounds=None) -> FitReport:
     if not np.all(np.isfinite(res.x)):
         raise FitError("non-finite fit parameters")
     rms = float(np.sqrt(np.mean(res.fun**2)))
-    return FitReport(res.x, rms, bool(res.status > 0), int(res.nfev))
+    return FitReport(res.x, rms, bool(res.status > 0), int(res.nfev), float(res.optimality),
+                     tuple(int(i) for i in np.flatnonzero(res.active_mask)))
 
 
 def ode_integrate(system, y0, t, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
@@ -66,6 +72,8 @@ def ode_integrate(system, y0, t, rtol: float = 1e-10, atol: float = 1e-12) -> np
 
     else:
         fun = system
+    from scipy.integrate import solve_ivp
+
     try:
         sol = solve_ivp(fun, (0.0, float(t)), np.asarray(y0, dtype=float),
                         method="DOP853", rtol=rtol, atol=atol)
@@ -86,4 +94,6 @@ def find_root(f, bracket, tol: float = 1e-12) -> float:
         return float(b)
     if np.sign(fa) == np.sign(fb):
         raise BracketError(f"f({a})={fa} and f({b})={fb} have the same sign")
+    from scipy import optimize
+
     return float(optimize.brentq(f, a, b, xtol=tol))

@@ -69,9 +69,15 @@ class RatResult:
     trials: int
     fit_converged: bool
     fit_iterations: int  # least-squares function evaluations
+    fit_optimality: float  # the fit's first-order optimality at its end point
+    fit_active_bounds: tuple[str, ...]  # names among FIT_PARAMS that end on a bound
     kept: np.ndarray  # per depth, trial mean of the probability the post-selections kept
     m_per_trial: np.ndarray = field(repr=False, default=None)
     counters: dict = field(default_factory=dict)  # per runner: runs or map builds, cache hits
+
+
+#: names of the fitted parameters, in the order of ``RatResult.fit``
+FIT_PARAMS = ("l1", "l2", "F")
 
 
 def rat_model(n, l1, l2, f):
@@ -99,7 +105,8 @@ def _rat_result(scheme: str, seed: int, per_trial: np.ndarray, kept: np.ndarray,
     depths, m_values = np.arange(per_trial.shape[1]), per_trial.mean(axis=0)
     r = fit_rat(depths, m_values)
     return RatResult(depths, m_values, scheme, tuple(map(float, r.params)), r.residual_rms,
-                     seed, len(per_trial), r.converged, r.iterations, kept.mean(axis=0),
+                     seed, len(per_trial), r.converged, r.iterations, r.optimality,
+                     tuple(FIT_PARAMS[i] for i in r.active_bounds), kept.mean(axis=0),
                      per_trial, counters or {})
 
 

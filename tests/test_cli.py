@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qroutesim
 from qroutesim.cli import SCHEMA, SUBCOMMANDS, _fmt, build_parser, example_config, main
-from qroutesim.noise import NoiseModel, reference_rates
+from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
 from qroutesim.rat import draw_addresses, rat_single
 
 from conftest import per_point_phi_scan, per_point_theta_scan
@@ -295,10 +295,18 @@ def test_rat_subcommand_small(tmp_path, capsys):
     blob = json.loads((tmp_path / "rat.json").read_text())
     assert 0.0 <= blob["fit_f_rat"] <= 1.0
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
+    assert 0.0 <= blob["fit_optimality"] <= 1e-8 and blob["fit_active_bounds"] == []
     kept = blob["postselection_kept"]
     assert len(kept) == 4 and 0.0 < kept[-1] < kept[0] < 1.0
     rows = (tmp_path / "rat.csv").read_text().splitlines()
     assert rows[1] == "depth,m_rat" and len(rows) == 6
+    # a one-trial paper-depth curve whose fit ends with l1 on its lower bound,
+    # and one whose fit ends inside the box
+    for scheme, leak, seed, active in (("non-eraser", 0.403, 1716840369, ("l1",)),
+                                       ("eraser", 0.0, 518677876, ())):
+        r = rat_single(30, scheme, NoiseModel(reference_rates(), LeakageSpec(leak)),
+                       trials=1, seed=seed)
+        assert r.fit_active_bounds == active and 0.0 <= r.fit_optimality <= 1e-8
 
 
 def test_rat_json_counts_router_runs_and_oracle_hits(tmp_path, capsys):
@@ -326,6 +334,32 @@ def test_python_m_runs_the_cli(tmp_path):
     assert out.returncode == 0 and out.stdout == "6 6 12\n"
 
 
+_NO_SCIPY_UNTIL_FIT = """
+import sys
+import qroutesim, qroutesim.cli as cli
+for argv in (["theta-scan", "--grid-points", "5"], ["phi-scan", "--grid-points", "5"],
+             ["qst", "--method", "linear-inversion", "--shots", "10"], ["floquet"],
+             ["noise-curves", "--grid-points", "5"], ["compile", "--layers", "2"], ["counts"],
+             ["layout", "--grid", "6x6", "--layers", "2"]):
+    assert cli.main([*argv, "--out-dir", sys.argv[1]]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
+from qroutesim import rat
+rat.fit_rat([0, 1, 2, 3], rat.rat_model([0, 1, 2, 3], 0.1, 0.9, 0.95))
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_fresh_process_loads_scipy_only_to_fit(tmp_path):
+    """Every subcommand but rat/rat2 runs without importing scipy; the
+    F_RAT fit imports scipy.optimize when it is first called."""
+    src = Path(qroutesim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_UNTIL_FIT, str(tmp_path)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_example_config_parses(tmp_path, capsys):
     cfg = tmp_path / "example.ini"
     cfg.write_text(example_config())
@@ -341,6 +375,8 @@ def test_rat2_echoes_effective_depth(tmp_path, capsys):
     assert '"n_max": 8' in (tmp_path / "rat2.json").read_text()
     assert len((tmp_path / "rat2.csv").read_text().splitlines()) == 2 + 9
     assert isinstance(blob["fit_converged"], bool) and blob["fit_iterations"] > 0
+    assert 0.0 <= blob["fit_optimality"] <= 1e-8
+    assert set(blob["fit_active_bounds"]) <= {"l1", "l2", "F"}
     assert blob["postselection_kept"] == pytest.approx([1.0] * 9, abs=1e-12)
     counters = blob["metadata"]["counters"]
     assert set(counters) == {"noisy", "ideal"}

@@ -17,7 +17,7 @@ def test_least_squares_exact_model():
     rep = least_squares(expo, x, y, init=[1.0, 1.0])
     assert rep.residual_rms < 1e-10
     assert rep.params == pytest.approx([2.0, 0.7], abs=1e-8)
-    assert rep.converged
+    assert rep.converged and rep.active_bounds == () and rep.optimality < 1e-8
 
 
 def test_least_squares_bounds_clamp():
@@ -29,6 +29,7 @@ def test_least_squares_bounds_clamp():
 
     rep = least_squares(const, x, y, init=[0.5], bounds=[(0.0, 1.0)])
     assert rep.params[0] == pytest.approx(1.0)
+    assert rep.active_bounds == (0,)
 
 
 def test_least_squares_reorder_invariance():
