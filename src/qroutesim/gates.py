@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,9 +173,11 @@ def cx_matrix(dims=(2, 2)) -> np.ndarray:
 # --- gate specs and circuits -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """A named operation on named sites with parameters and a duration."""
+class GateSpec(NamedTuple):
+    """A named operation on named sites with parameters and a duration.
+
+    A plain tuple of strings and floats: cheap to build, and the collector
+    can stop tracking its inner tuples."""
 
     name: str
     sites: tuple[str, ...]
@@ -496,36 +499,44 @@ def dumps_circuit(circuit: Circuit) -> str:
     """Line-oriented text form: GATE name sites... params... duration_ns."""
     lines = [_HEADER]
     lines.append("SITES " + " ".join(f"{n}:{d}" for n, d in circuit.site_dims.items()))
-    # each gate object is formatted once; keyed by identity, since equal
-    # specs can print differently (0.0 == -0.0)
+    # each gate object and each params tuple is formatted once; keyed by
+    # identity, since equal specs can print differently (0.0 == -0.0)
     text: dict[int, str] = {}
+    tails: dict[int, str] = {}
     for m in circuit.ops:
         lines.append("MOMENT")
         for g in m.gates:
             line = text.get(id(g))
             if line is None:
-                parts = ["GATE", g.name, *g.sites]
-                parts += [f"{k}={v!r}" for k, v in g.params]
-                parts.append(repr(g.duration_ns))
-                line = text[id(g)] = " ".join(parts)
+                name, sites, params, duration = g
+                tail = tails.get(id(params))
+                if tail is None:
+                    tail = tails[id(params)] = "".join([f" {k}={v!r}" for k, v in params])
+                line = text[id(g)] = f"GATE {' '.join((name, *sites))}{tail} {duration!r}"
             lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def loads_circuit(text: str) -> Circuit:
     """Parse the text form of `dumps_circuit`; malformed input raises
-    ShapeError naming the line (for a moment's site checks, its MOMENT line)."""
+    ShapeError naming the line (for a moment's site checks, its MOMENT line).
+
+    The text is read a moment at a time, split at ``"\\nMOMENT\\n"``: a chunk
+    of GATE lines read before under the current SITES stands for the same
+    `Moment` again, and every other chunk goes through the line parser."""
     circuit: Circuit | None = None
     moment_ln, gates = 0, None  # the open MOMENT's GATE lines, added when it closes
     specs: dict[str, GateSpec] = {}  # each GATE line parsed under the current SITES
     # each distinct block of GATE lines checked once under the current SITES,
     # keyed by its text since equal specs can print differently (0.0 == -0.0)
     blocks: dict[tuple[str, ...], Moment] = {}
+    chunks: dict[str, tuple[Moment, int]] = {}  # a moment's raw text: its Moment, its lines
 
     def close_moment():
+        nonlocal gates
         if gates is None:
             return
-        key = tuple(gates)
+        key, gates = tuple(gates), None
         moment = blocks.get(key)
         if moment is None:
             try:
@@ -536,23 +547,30 @@ def loads_circuit(text: str) -> Circuit:
         else:
             circuit.ops.append(moment)
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    def parse_line(ln: int, raw: str) -> None:
+        nonlocal circuit, moment_ln, gates
         line = raw.strip()
         if gates is not None and line in specs:  # a GATE line met before
             gates.append(line)
-            continue
+            return
         if not line or line.startswith("#"):
-            continue
+            return
         tok = line.split()
         if tok[0] != "GATE":
             close_moment()
-            gates = None
         try:
             if tok[0] == "SITES":
-                circuit = Circuit({name: int(d) for name, _, d in
-                                   (item.partition(":") for item in tok[1:])})
+                dims: dict[str, int] = {}
+                for name, _, d in (item.partition(":") for item in tok[1:]):
+                    if name in dims:
+                        raise ShapeError(f"site {name} listed twice")
+                    dims[name] = int(d)
+                    if dims[name] < 1:
+                        raise ShapeError(f"site {name} has dimension {d}, not a positive one")
+                circuit = Circuit(dims)
                 specs.clear()
                 blocks.clear()
+                chunks.clear()
             elif circuit is None:
                 raise ShapeError(f"{tok[0]} before SITES")
             elif tok[0] == "MOMENT":
@@ -560,7 +578,7 @@ def loads_circuit(text: str) -> Circuit:
             elif tok[0] == "GATE":
                 if gates is None:
                     raise ShapeError("GATE outside a MOMENT")
-                sites, params, duration = [], [], SINGLE_NS
+                sites, params, durations = [], [], []
                 for item in tok[2:]:
                     if "=" in item:
                         k, _, v = item.partition("=")
@@ -568,13 +586,42 @@ def loads_circuit(text: str) -> Circuit:
                     elif item in circuit.site_dims:
                         sites.append(item)
                     else:
-                        duration = float(item)
+                        durations.append(float(item))
+                if not sites:
+                    raise ShapeError(f"gate {tok[1]} names no site")
+                if len(durations) > 1:
+                    raise ShapeError(f"gate {tok[1]} has {len(durations)} durations")
+                duration = durations[0] if durations else SINGLE_NS
+                if not 0.0 <= duration < math.inf:
+                    raise ShapeError(f"duration {duration!r} is not finite and non-negative")
                 specs[line] = GateSpec(tok[1], tuple(sites), tuple(params), duration)
                 gates.append(line)
             else:
                 raise ShapeError(f"unknown directive {tok[0]!r}")
         except (ShapeError, ValueError, IndexError) as exc:
             raise ShapeError(f"line {ln}: {exc}") from exc
+
+    pieces = text.split("\nMOMENT\n")
+    ln = 1  # the line the next piece starts on
+    for i, chunk in enumerate(pieces):
+        if i:  # the chunk follows a MOMENT line
+            hit = chunks.get(chunk)
+            if hit is not None:
+                close_moment()
+                circuit.ops.append(hit[0])
+                ln += 1 + hit[1]
+                continue
+            moment_at = ln
+            parse_line(ln, "MOMENT")
+            ln += 1
+        # a piece's own "\n" ends its last line, as it does in the whole text
+        lines = (chunk + "\n").splitlines() if i + 1 < len(pieces) else chunk.splitlines()
+        for k, raw in enumerate(lines, ln):
+            parse_line(k, raw)
+        ln += len(lines)
+        if i and gates is not None and moment_ln == moment_at:  # GATE lines only
+            close_moment()
+            chunks[chunk] = (circuit.ops[-1], len(lines))
     close_moment()
     if circuit is None:
         raise ShapeError("no SITES line found")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -183,6 +184,33 @@ def _transfer_moments(scheme: str, src: str, dst: str, reverse: bool = False,
     return core + [[x12]]
 
 
+def _copied_pass(block: list[tuple[GateSpec, ...]], first: tuple[str, ...],
+                 rest: list[tuple[str, ...]]) -> list[list[GateSpec]]:
+    """The moments of a pass that runs ``block``, a block of moments on the
+    sites ``first``, on each site tuple of ``rest`` too.
+
+    A block's gates name their sites only by position, so each distinct
+    gate object is copied once onto each tuple of ``rest``, keeping its
+    ``params`` tuple and duration; copies on the same sites share one sites
+    tuple.  Each moment joins the copies site tuple by site tuple, in the
+    order of ``first, *rest``."""
+    if not rest:
+        return [list(gates) for gates in block]
+    position = {s: k for k, s in enumerate(first)}
+    placed: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    copies: dict[int, list[GateSpec]] = {}
+    for gates in block:
+        for g in gates:
+            if id(g) not in copies:
+                on = placed.get(g.sites)
+                if on is None:
+                    at = [position[s] for s in g.sites]
+                    on = placed[g.sites] = [tuple([sites[k] for k in at]) for sites in rest]
+                name, _, params, duration = g
+                copies[id(g)] = [g] + [GateSpec(name, sites, params, duration) for sites in on]
+    return [list(chain.from_iterable(zip(*[copies[id(g)] for g in gates]))) for gates in block]
+
+
 class _Pass(NamedTuple):
     """A router pass or transfer group, built once per query: the zipped
     moments of its site-disjoint blocks, its tallies and its sites."""
@@ -223,22 +251,21 @@ class _QueryBuilder:
     def _tally(self, counts: tuple[int, int, int]) -> None:
         self.counts = tuple(a + b for a, b in zip(self.counts, counts))
 
-    def _build(self, blocks: list[list[list[GateSpec]]]) -> _Pass:
-        """Zip the moments of site-disjoint blocks into shared moments, checked
-        against the query's sites once."""
+    def _build(self, moments: list[list[GateSpec]]) -> _Pass:
+        """Check a pass's moments against the query's sites once and tally them."""
         check = Circuit(self.circuit.site_dims)
-        for k in range(max((len(b) for b in blocks), default=0)):
-            check.add_moment(*(g for b in blocks if k < len(b) for g in b[k]))
+        for gates in moments:
+            check.add_moment(*gates)
         gates = [g for m in check.ops for g in m.gates]
         self.counters["passes_built"] += 1
         return _Pass(tuple(check.ops), gate_counts(check), len(gates),
                      tuple(sorted({s for g in gates for s in g.sites})))
 
-    def _append(self, level: int, key: tuple, blocks) -> None:
-        """Append the pass ``key``, building it from ``blocks()`` on first use."""
+    def _append(self, level: int, key: tuple, moments) -> None:
+        """Append the pass ``key``, building it from ``moments()`` on first use."""
         p = self._passes.get(key)
         if p is None:
-            p = self._passes[key] = self._build(blocks())
+            p = self._passes[key] = self._build(moments())
         self.schedule.append(ScheduleGroup(self._stage_name, level, level % 2, p.gate_count,
                                            p.sites))
         self.circuit.ops.extend(p.moments)
@@ -249,22 +276,24 @@ class _QueryBuilder:
         if self.scheme not in DIRECTIONAL_SCHEMES:
             direction = "down"  # the same block either way: one pass per level
 
-        def blocks():
-            out = []
-            for node in self.tree.level_nodes(level):
-                sites = (node.input_site, node.address_site, node.left_site, node.right_site)
-                dims = tuple(self.circuit.site_dims[s] for s in sites)
-                out.append([m.gates for m in
-                            router_circuit_for(self.scheme, direction, sites, dims).ops])
-            return out
+        def moments():
+            # one router block per pass, on the level's first node
+            first, *rest = [(n.input_site, n.address_site, n.left_site, n.right_site)
+                            for n in self.tree.level_nodes(level)]
+            dims = tuple(self.circuit.site_dims[s] for s in first)
+            block = router_circuit_for(self.scheme, direction, first, dims).ops
+            return _copied_pass([m.gates for m in block], first, rest)
 
-        self._append(level, ("router", level, direction), blocks)
+        self._append(level, ("router", level, direction), moments)
 
     def transfer(self, pairs: list[tuple[str, str]], reverse: bool = False,
                  level: int = 0, to_address: bool = False) -> None:
-        self._append(level, ("transfer", tuple(pairs), reverse, to_address),
-                     lambda: [_transfer_moments(self.scheme, src, dst, reverse, to_address)
-                              for src, dst in pairs])
+        def moments():
+            first, *rest = pairs
+            block = _transfer_moments(self.scheme, *first, reverse, to_address)
+            return _copied_pass(block, first, rest)
+
+        self._append(level, ("transfer", tuple(pairs), reverse, to_address), moments)
 
     def leaf_layer(self, data_bits) -> None:
         gates = [

@@ -1,11 +1,15 @@
 """Gate library: exchange blocks, CSWAP algebra, router contracts, serde."""
 
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qroutesim import gates
+from qroutesim import gates, network
 from qroutesim.engine import run_circuit
 from qroutesim.errors import ShapeError
 from qroutesim.gates import (
@@ -341,6 +345,14 @@ def test_add_moment_names_the_first_offending_site():
     ("MOMENT\nGATE x01 zz 30\n", 4),            # unknown site token
     ("POSTSELECT zz 1\n", 3),                   # unknown directive
     ("SITES a:x\n", 3),                         # non-integer dimension
+    ("SITES a:2 a:3\n", 3),                     # site listed twice
+    ("SITES a:0\n", 3),                         # dimensions are positive
+    ("SITES a:-3\n", 3),
+    ("MOMENT\nGATE x 30.0\n", 4),               # gate with no site
+    ("MOMENT\nGATE x a 30 40\n", 4),            # two durations
+    ("MOMENT\nGATE x a nan\n", 4),              # durations are finite and non-negative
+    ("MOMENT\nGATE x a inf\n", 4),
+    ("MOMENT\nGATE x a -5\n", 4),
 ])
 def test_loads_circuit_rejects_malformed_text(body, line):
     text = "# qroutesim-circuit v1\nSITES a:2 b:3\n" + body
@@ -365,3 +377,199 @@ def test_loads_circuit_names_a_failing_block_after_valid_repeats():
     assert [len(m.gates) for m in back.ops] == [2, 2, 2]
     # a repeated block is checked once and stands as one moment object
     assert len({id(m) for m in back.ops}) == 1
+
+
+# --- loads_circuit against the line-by-line parser -----------------------------------
+
+
+def _line_by_line_loads(text: str) -> Circuit:
+    """The oracle: `loads_circuit` as it read every line in turn, before it
+    looked moments up by their raw text, with the same checks on SITES and
+    GATE lines."""
+    circuit = None
+    moment_ln, gates_open = 0, None
+    specs, blocks = {}, {}
+
+    def close_moment():
+        if gates_open is None:
+            return
+        key = tuple(gates_open)
+        moment = blocks.get(key)
+        if moment is None:
+            try:
+                circuit.add_moment(*(specs[g] for g in key))
+            except ShapeError as exc:
+                raise ShapeError(f"line {moment_ln}: {exc}") from exc
+            blocks[key] = circuit.ops[-1]
+        else:
+            circuit.ops.append(moment)
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if gates_open is not None and line in specs:
+            gates_open.append(line)
+            continue
+        if not line or line.startswith("#"):
+            continue
+        tok = line.split()
+        if tok[0] != "GATE":
+            close_moment()
+            gates_open = None
+        try:
+            if tok[0] == "SITES":
+                dims = {}
+                for name, _, d in (item.partition(":") for item in tok[1:]):
+                    if name in dims:
+                        raise ShapeError(f"site {name} listed twice")
+                    dims[name] = int(d)
+                    if dims[name] < 1:
+                        raise ShapeError(f"site {name} has dimension {d}, not a positive one")
+                circuit = Circuit(dims)
+                specs.clear()
+                blocks.clear()
+            elif circuit is None:
+                raise ShapeError(f"{tok[0]} before SITES")
+            elif tok[0] == "MOMENT":
+                moment_ln, gates_open = ln, []
+            elif tok[0] == "GATE":
+                if gates_open is None:
+                    raise ShapeError("GATE outside a MOMENT")
+                sites, params, durations = [], [], []
+                for item in tok[2:]:
+                    if "=" in item:
+                        k, _, v = item.partition("=")
+                        params.append((k, float(v)))
+                    elif item in circuit.site_dims:
+                        sites.append(item)
+                    else:
+                        durations.append(float(item))
+                if not sites:
+                    raise ShapeError(f"gate {tok[1]} names no site")
+                if len(durations) > 1:
+                    raise ShapeError(f"gate {tok[1]} has {len(durations)} durations")
+                duration = durations[0] if durations else gates.SINGLE_NS
+                if not 0.0 <= duration < math.inf:
+                    raise ShapeError(f"duration {duration!r} is not finite and non-negative")
+                specs[line] = GateSpec(tok[1], tuple(sites), tuple(params), duration)
+                gates_open.append(line)
+            else:
+                raise ShapeError(f"unknown directive {tok[0]!r}")
+        except (ShapeError, ValueError, IndexError) as exc:
+            raise ShapeError(f"line {ln}: {exc}") from exc
+    close_moment()
+    if circuit is None:
+        raise ShapeError("no SITES line found")
+    return circuit
+
+
+@functools.lru_cache(maxsize=None)
+def _query_text(layers: int, mode: str, scheme: str) -> str:
+    return dumps_circuit(network.compile_query(network.build_tree(layers), mode, scheme).circuit)
+
+
+_QUERY_CONFIGS = [(layers, mode, scheme) for layers in (2, 3) for mode in network.MODES
+                  for scheme in network.SCHEMES if (scheme, mode) != ("sp-tcg", "full")]
+
+
+@st.composite
+def _small_circuit_texts(draw):
+    """Small circuits whose moments come from a few templates, so most repeat."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3))
+    names = [f"s{k}" for k in range(len(dims))]
+    value = st.sampled_from([0.0, -0.0, 0.5, math.pi, 1e-300])
+    per_site = {s: [GateSpec(draw(st.sampled_from(["x01", "zv", "h"])), (s,),
+                             (("phase", draw(value)),), draw(st.sampled_from([0.0, 25.0, 30.0])))
+                    for _ in range(2)] for s in names}
+    templates = [[g for s in names if (g := draw(st.sampled_from([None, *per_site[s]])))]
+                 for _ in range(draw(st.integers(1, 3)))]
+    circuit = Circuit(dict(zip(names, dims)))
+    for k in draw(st.lists(st.integers(0, len(templates) - 1), max_size=12)):
+        circuit.add_moment(*templates[k])
+    return dumps_circuit(circuit)
+
+
+_MALFORMED_LINES = [
+    "POSTSELECT a 1", "GATE", "GATE x01", "GATE x01 {site} 30 40", "GATE x01 {site} nan",
+    "GATE x01 {site} -5", "GATE x01 zz 30.0", "GATE x01 {site} phase=abc 30.0",
+    "GATE cx {site} {site} 25.0", "SITES a:2 a:3", "SITES a:0", "SITES a:x", "MOMENT extra",
+]
+
+
+@st.composite
+def _edited_texts(draw):
+    """A query or small circuit text with comments, blank lines, indents, a
+    second SITES section, other line endings or one malformed line put in."""
+    if draw(st.booleans()):
+        text = _query_text(*draw(st.sampled_from(_QUERY_CONFIGS)))
+    else:
+        text = draw(_small_circuit_texts())
+    lines = text.splitlines()
+    sites_line = lines[1]
+    site = sites_line.split()[1].partition(":")[0]
+    position = st.integers(2, len(lines))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(position), draw(st.sampled_from(["# note", "", "   ", "\t# x", "\x0c"])))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(position) - 1
+        lines[k] = draw(st.sampled_from(["  ", "\t", " \t "])) + lines[k]
+    if draw(st.booleans()):  # the same sites again, or all but the last one
+        lines.insert(draw(position), draw(st.sampled_from([sites_line, sites_line.rsplit(" ", 1)[0]])))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(_MALFORMED_LINES)).format(site=site)
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    ending = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if ending == "mixed":
+        text = "".join(ln + draw(st.sampled_from(["\n", "\r\n"])) for ln in lines)
+    else:
+        text = ending.join(lines) + ending
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(parse, text: str):
+    """What a parser makes of ``text``: its error, or its sites, moments, text
+    form and which moments are one object."""
+    try:
+        circuit = parse(text)
+    except ShapeError as exc:
+        return str(exc)
+    first: dict[int, int] = {}
+    return (circuit.site_dims, circuit.ops, dumps_circuit(circuit),
+            [first.setdefault(id(m), k) for k, m in enumerate(circuit.ops)])
+
+
+@settings(max_examples=300)
+@given(_edited_texts())
+def test_loads_circuit_is_the_line_by_line_parser(text):
+    assert _outcome(loads_circuit, text) == _outcome(_line_by_line_loads, text)
+
+
+@pytest.mark.parametrize("config", _QUERY_CONFIGS)
+def test_loads_circuit_is_the_line_by_line_parser_on_query_texts(config):
+    text = _query_text(*config)
+    got = _outcome(loads_circuit, text)
+    assert got == _outcome(_line_by_line_loads, text)
+    assert len(set(got[3])) < len(got[3])  # repeated blocks stand as one moment object
+
+
+def _parse_line_calls(text: str) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "parse_line":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        loads_circuit(text)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_loads_circuit_parses_each_distinct_moment_text_once():
+    head = "# qroutesim-circuit v1\nSITES a:2 b:3\n"
+    block = "MOMENT\nGATE x a 30.0\nGATE x b 25.0\n"
+    other = "MOMENT\nGATE h b 30.0\n"
+    assert _parse_line_calls(head + (block + other) * 3) == _parse_line_calls(
+        head + (block + other) * 30)

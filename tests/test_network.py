@@ -10,7 +10,7 @@ import pytest
 from qroutesim import network
 from qroutesim.engine import run_circuit
 from qroutesim.errors import CapacityError, IncompatibleMode, ShapeError
-from qroutesim.gates import Circuit, GateSpec, dumps_circuit
+from qroutesim.gates import Circuit, GateSpec, dumps_circuit, loads_circuit
 from qroutesim.network import (
     DIRECTIONAL_SCHEMES,
     MODES,
@@ -298,26 +298,79 @@ def test_compiled_query_golden_digest(layers, mode, scheme):
 def test_each_router_pass_built_once(monkeypatch):
     built = Counter()
     real = network.router_circuit_for
+    tree = build_tree(5)
+    level_of = {n.input_site: n.level for n in tree.nodes}
 
     def counting(scheme, direction, sites, dims):
-        built[direction, sites] += 1
+        built[level_of[sites[0]], direction] += 1
         return real(scheme, direction, sites, dims)
 
     monkeypatch.setattr(network, "router_circuit_for", counting)
-    tree = build_tree(5)
     for mode in MODES:
         for scheme in SCHEMES:
             if scheme == "sp-tcg" and mode == "full":
                 continue
             built.clear()
             q = compile_query(tree, mode, scheme)
-            # one router block per node and direction: each (level, direction) pass once
-            assert max(built.values()) == 1
-            # a block that ignores the direction serves both from one pass per level
-            ups = any(direction == "up" for direction, _ in built)
-            assert ups == (scheme in DIRECTIONAL_SCHEMES)
+            # one router block per (level, direction) pass, on the level's first
+            # node; the loads route down through levels 1..4, the unloads up
+            down = range(1, 6 if mode in ("full", "write-only") else 5)
+            up = range(1, 6 if mode in ("full", "read-only") else 5)
+            if scheme in DIRECTIONAL_SCHEMES:
+                want = {(lv, "down") for lv in down} | {(lv, "up") for lv in up}
+            else:  # a block that ignores the direction serves both from one pass per level
+                want = {(lv, "down") for lv in range(1, 6)}
+            assert built == Counter(dict.fromkeys(want, 1))
             assert q.counters["passes_appended"] == len(q.schedule) - 1  # all but the leaf layer
             assert q.counters["passes_built"] < q.counters["passes_appended"]
+
+
+@pytest.mark.parametrize("direction", ["down", "up"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_relabeled_router_blocks_are_the_per_node_blocks(scheme, direction):
+    tree = build_tree(5)
+    dims = tree.site_dims()
+    for level in range(1, 6):
+        b = network._QueryBuilder(tree, scheme)
+        b.router_pass(level, direction)
+        for node in tree.level_nodes(level):
+            sites = (node.input_site, node.address_site, node.left_site, node.right_site)
+            want = network.router_circuit_for(scheme, direction, sites,
+                                              tuple(dims[s] for s in sites))
+            got = Circuit(want.site_dims)
+            for m in b.circuit.ops:
+                got.add_moment(*(g for g in m.gates if set(g.sites) <= set(sites)))
+            assert got.ops == want.ops
+            assert dumps_circuit(got) == dumps_circuit(want)
+
+
+@pytest.mark.parametrize("reverse, to_address", [(False, False), (True, False), (False, True),
+                                                  (True, True)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_copied_transfer_groups_are_the_per_pair_blocks(scheme, reverse, to_address):
+    tree = build_tree(5)
+    for level in range(1, 6):
+        pairs = [(n.input_site, n.address_site) for n in tree.level_nodes(level)]
+        b = network._QueryBuilder(tree, scheme)
+        b.transfer(pairs, reverse, level, to_address)
+        for src, dst in pairs:
+            want = network._transfer_moments(scheme, src, dst, reverse, to_address)
+            got = [[g for g in m.gates if set(g.sites) <= {src, dst}] for m in b.circuit.ops]
+            assert got == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("layers", [2, 3, 4])
+def test_query_text_round_trip(layers, mode, scheme):
+    if scheme == "sp-tcg" and mode == "full":
+        return
+    q = _seeded_query(layers, mode, scheme)
+    text = dumps_circuit(q.circuit)
+    back = loads_circuit(text)
+    assert back.site_dims == q.circuit.site_dims
+    assert back.ops == q.circuit.ops
+    assert dumps_circuit(back) == text
 
 
 def test_query_moments_are_frozen_and_shared_per_pass(monkeypatch):
