@@ -89,6 +89,9 @@ class RunConfig:
     def rates(self) -> DecayRates:
         return DecayRates(self.gamma10, self.gamma21, self.gamma2, self.gamma3, self.gamma4)
 
+    def grid(self) -> GridSpec:
+        return GridSpec(self.rows, self.cols, _parse_defects(self.defects))
+
     def noise_model(self) -> NoiseModel | None:
         if not self.noisy:
             return None
@@ -104,6 +107,8 @@ def _check(cfg: RunConfig) -> None:
     try:
         cfg.rates()
         LeakageSpec(cfg.delta_theta)
+        if cfg.experiment == "layout":
+            cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for key in ("grid_points", "trials", "m_repeats"):
@@ -155,7 +160,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                     raise ConfigError(f"[{section}] {key}={raw!r}: {exc}") from exc
                 setattr(cfg, key, value)
     for key, value in overrides.items():
-        if value is not None:
+        if value is None:
+            continue
+        if key == "grid":  # ROWSxCOLS, the one flag that sets two fields
+            rows, _, cols = value.partition("x")
+            try:
+                cfg.rows, cfg.cols = int(rows), int(cols)
+            except ValueError:
+                raise ConfigError(f"bad grid {value!r}: want ROWSxCOLS") from None
+        else:
             setattr(cfg, key, value)
     if env := os.environ.get("QROUTESIM_OUTDIR"):
         cfg.out_dir = env
@@ -307,15 +320,14 @@ def run_counts(cfg: RunConfig) -> int:
 
 def _parse_defects(text: str) -> frozenset:
     pairs = (chunk.strip().partition(",") for chunk in text.split(";") if chunk.strip())
-    return frozenset((int(r), int(c)) for r, _, c in pairs)
+    try:
+        return frozenset((int(r), int(c)) for r, _, c in pairs)
+    except ValueError:
+        raise ValueError(f"bad defects {text!r}: want r,c;r,c") from None
 
 
 def run_layout(cfg: RunConfig) -> int:
-    try:
-        grid = GridSpec(cfg.rows, cfg.cols, _parse_defects(cfg.defects))
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    grid = cfg.grid()
     seed, layout, diag = best_layout(grid, cfg.layers)
     search = diag.pop("search")
     if layout is None:
@@ -408,15 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "grid")}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     overrides["experiment"] = args.command
-    if getattr(args, "grid", None):
-        try:
-            rows, _, cols = args.grid.partition("x")
-            overrides["rows"], overrides["cols"] = int(rows), int(cols)
-        except ValueError:
-            print(f"bad --grid {args.grid!r}: want ROWSxCOLS", file=sys.stderr)
-            return 2
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:

@@ -583,6 +583,8 @@ def loads_circuit(text: str) -> Circuit:
                     if "=" in item:
                         k, _, v = item.partition("=")
                         params.append((k, float(v)))
+                        if not math.isfinite(params[-1][1]):
+                            raise ShapeError(f"parameter {k}={v} is not finite")
                     elif item in circuit.site_dims:
                         sites.append(item)
                     else:

@@ -401,10 +401,6 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int,
         return False
 
     start_points = [(0, out) for out in seed.outputs()]
-    if levels == 1:
-        if _holes(grid, _occupied(grid, occ)):
-            return None, best_achieved
-        return TriangleLayout(tris, parents), 3
     if attach_children(start_points, 1):
         return TriangleLayout(list(tris), list(parents)), target_layers
     return None, best_achieved

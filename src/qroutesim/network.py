@@ -212,100 +212,39 @@ def _copied_pass(block: list[tuple[GateSpec, ...]], first: tuple[str, ...],
 
 
 class _Pass(NamedTuple):
-    """A router pass or transfer group, built once per query: the zipped
-    moments of its site-disjoint blocks, its tallies and its sites."""
+    """A router pass, transfer group or leaf layer, built once per query: the
+    zipped moments of its site-disjoint blocks, its tallies and its sites."""
 
     moments: tuple[Moment, ...]
     counts: tuple[int, int, int]  # (N1q, N2q, depth), as `gate_counts` tallies
-    gate_count: int
     sites: tuple[str, ...]
 
 
-class _QueryBuilder:
-    """Appends passes to a query circuit, building each distinct router pass
-    (per level, and per direction for `DIRECTIONAL_SCHEMES`) and transfer
-    group once; every use appends the pass's own immutable `Moment`s and an
-    equal `ScheduleGroup`, and adds the pass's tallies to the query's."""
-
-    def __init__(self, tree: RoutingTree, scheme: str):
-        self.tree = tree
-        self.scheme = scheme
-        self.circuit = Circuit(tree.site_dims())
-        self.schedule: list[ScheduleGroup] = []
-        self.stage_moments: dict[str, tuple[int, int]] = {}
-        self.counts = (0, 0, 0)  # (N1q, N2q, depth) appended so far
-        # a pass here is a router pass or a transfer group
-        self.counters = {"passes_built": 0, "passes_appended": 0}
-        self._passes: dict[tuple, _Pass] = {}
-        self._stage_start: int | None = None
-        self._stage_name: str | None = None
-
-    def start_stage(self, name: str) -> None:
-        self._stage_name = name
-        self._stage_start = self.counts[2]
-
-    def end_stage(self) -> None:
-        self.stage_moments[self._stage_name] = (self._stage_start, self.counts[2])
-        self._stage_name = None
-
-    def _tally(self, counts: tuple[int, int, int]) -> None:
-        self.counts = tuple(a + b for a, b in zip(self.counts, counts))
-
-    def _build(self, moments: list[list[GateSpec]]) -> _Pass:
-        """Check a pass's moments against the query's sites once and tally them."""
-        check = Circuit(self.circuit.site_dims)
-        for gates in moments:
-            check.add_moment(*gates)
-        gates = [g for m in check.ops for g in m.gates]
-        self.counters["passes_built"] += 1
-        return _Pass(tuple(check.ops), gate_counts(check), len(gates),
-                     tuple(sorted({s for g in gates for s in g.sites})))
-
-    def _append(self, level: int, key: tuple, moments) -> None:
-        """Append the pass ``key``, building it from ``moments()`` on first use."""
-        p = self._passes.get(key)
-        if p is None:
-            p = self._passes[key] = self._build(moments())
-        self.schedule.append(ScheduleGroup(self._stage_name, level, level % 2, p.gate_count,
-                                           p.sites))
-        self.circuit.ops.extend(p.moments)
-        self._tally(p.counts)
-        self.counters["passes_appended"] += 1
-
-    def router_pass(self, level: int, direction: str) -> None:
-        if self.scheme not in DIRECTIONAL_SCHEMES:
-            direction = "down"  # the same block either way: one pass per level
-
-        def moments():
-            # one router block per pass, on the level's first node
-            first, *rest = [(n.input_site, n.address_site, n.left_site, n.right_site)
-                            for n in self.tree.level_nodes(level)]
-            dims = tuple(self.circuit.site_dims[s] for s in first)
-            block = router_circuit_for(self.scheme, direction, first, dims).ops
-            return _copied_pass([m.gates for m in block], first, rest)
-
-        self._append(level, ("router", level, direction), moments)
-
-    def transfer(self, pairs: list[tuple[str, str]], reverse: bool = False,
-                 level: int = 0, to_address: bool = False) -> None:
-        def moments():
-            first, *rest = pairs
-            block = _transfer_moments(self.scheme, *first, reverse, to_address)
-            return _copied_pass(block, first, rest)
-
-        self._append(level, ("transfer", tuple(pairs), reverse, to_address), moments)
-
-    def leaf_layer(self, data_bits) -> None:
-        gates = [
-            GateSpec("cls_x", (leaf,), (("bit", float(bit)),), SINGLE_NS)
-            for leaf, bit in zip(self.tree.leaf_sites, data_bits)
-        ]
-        self.schedule.append(ScheduleGroup(
-            self._stage_name, self.tree.layers + 1, (self.tree.layers + 1) % 2,
-            len(gates), tuple(self.tree.leaf_sites),
-        ))
-        self.circuit.add_moment(*gates)
-        self._tally((len(gates), 0, 1 if gates else 0))
+def _build_pass(tree: RoutingTree, site_dims: dict[str, int], scheme: str, key: tuple) -> _Pass:
+    """The pass ``key`` of a query plan (a router pass over one level, a
+    transfer group or the leaf layer), checked against the query's sites once."""
+    kind, *args = key
+    if kind == "router":
+        level, direction = args
+        # one router block per pass, on the level's first node
+        first, *rest = [(n.input_site, n.address_site, n.left_site, n.right_site)
+                        for n in tree.level_nodes(level)]
+        block = router_circuit_for(scheme, direction, first, tuple(site_dims[s] for s in first)).ops
+        moments = _copied_pass([m.gates for m in block], first, rest)
+    elif kind == "transfer":
+        (first, *rest), reverse, to_address = args
+        moments = _copied_pass(_transfer_moments(scheme, *first, reverse, to_address), first, rest)
+    else:  # ("leaf", bits)
+        moments = [[GateSpec("cls_x", (leaf,), (("bit", float(bit)),), SINGLE_NS)
+                    for leaf, bit in zip(tree.leaf_sites, args[0])]]
+    check = Circuit(site_dims)
+    for gates in moments:
+        check.add_moment(*gates)
+    if kind == "leaf":  # in tree order: sorted, D10 would come before D2
+        sites = tuple(tree.leaf_sites)
+    else:
+        sites = tuple(sorted({s for m in check.ops for g in m.gates for s in g.sites}))
+    return _Pass(tuple(check.ops), gate_counts(check), sites)
 
 
 def compile_query(
@@ -321,6 +260,10 @@ def compile_query(
     write-only: load → route-down → leaf transfer → unload.
 
     The sp-tcg scheme realizes only one-way transfer and rejects full mode.
+
+    The query is written down as a plan of (stage, level, pass key) entries,
+    then assembled in one loop: each distinct pass is built once, and every
+    use appends its own immutable `Moment`s, a `ScheduleGroup` and its tallies.
     """
     if mode not in MODES:
         raise ShapeError(f"unknown mode {mode!r}")
@@ -332,47 +275,63 @@ def compile_query(
     if len(data_bits) != len(tree.leaf_sites) or any(bit not in (0, 1) for bit in data_bits):
         raise ShapeError(f"data_bits needs one 0/1 bit per leaf ({len(tree.leaf_sites)}), "
                          f"got {data_bits!r}")
-    b = _QueryBuilder(tree, scheme)
     L = tree.layers
+    plan: list[tuple[str, int, tuple]] = []
 
-    b.start_stage("load")
+    def router(stage: str, level: int, direction: str) -> None:
+        if scheme not in DIRECTIONAL_SCHEMES:
+            direction = "down"  # the same block either way: one pass per level
+        plan.append((stage, level, ("router", level, direction)))
+
+    def transfer(stage: str, pairs: list[tuple[str, str]], reverse: bool = False,
+                 level: int = 0, to_address: bool = False) -> None:
+        plan.append((stage, level, ("transfer", tuple(pairs), reverse, to_address)))
+
     for k in range(1, L + 1):
-        b.transfer([(f"A{k}", "IN1")])
+        transfer("load", [(f"A{k}", "IN1")])
         for level in range(1, k):
-            b.router_pass(level, "down")
-        b.transfer([(n.input_site, n.address_site) for n in tree.level_nodes(k)],
-                   level=k, to_address=True)
-    b.end_stage()
+            router("load", level, "down")
+        transfer("load", [(n.input_site, n.address_site) for n in tree.level_nodes(k)],
+                 level=k, to_address=True)
 
     if mode in ("full", "write-only"):
-        b.start_stage("route-down")
-        b.transfer([(tree.data_bus, "IN1")])
+        transfer("route-down", [(tree.data_bus, "IN1")])
         for level in range(1, L + 1):
-            b.router_pass(level, "down")
-        b.end_stage()
+            router("route-down", level, "down")
 
-    b.start_stage("data")
-    b.leaf_layer(data_bits)
-    b.end_stage()
+    plan.append(("data", L + 1, ("leaf", tuple(data_bits))))
 
     if mode in ("full", "read-only"):
-        b.start_stage("route-up")
         for level in range(L, 0, -1):
-            b.router_pass(level, "up")
-        b.transfer([(tree.data_bus, "IN1")], reverse=True)
-        b.end_stage()
+            router("route-up", level, "up")
+        transfer("route-up", [(tree.data_bus, "IN1")], reverse=True)
 
-    b.start_stage("unload")
     for k in range(L, 0, -1):
-        b.transfer([(n.input_site, n.address_site) for n in tree.level_nodes(k)],
-                   reverse=True, level=k, to_address=True)
+        transfer("unload", [(n.input_site, n.address_site) for n in tree.level_nodes(k)],
+                 reverse=True, level=k, to_address=True)
         for level in range(k - 1, 0, -1):
-            b.router_pass(level, "up")
-        b.transfer([(f"A{k}", "IN1")], reverse=True)
-    b.end_stage()
+            router("unload", level, "up")
+        transfer("unload", [(f"A{k}", "IN1")], reverse=True)
 
-    return CompiledQuery(b.circuit, b.counts, b.schedule, mode, scheme,
-                         b.stage_moments, b.counters)
+    circuit = Circuit(tree.site_dims())
+    schedule: list[ScheduleGroup] = []
+    stage_moments: dict[str, tuple[int, int]] = {}
+    passes: dict[tuple, _Pass] = {}
+    n1 = n2 = depth = 0
+    for stage, level, key in plan:
+        p = passes.get(key)
+        if p is None:
+            p = passes[key] = _build_pass(tree, circuit.site_dims, scheme, key)
+        circuit.ops.extend(p.moments)
+        schedule.append(ScheduleGroup(stage, level, level % 2, p.counts[0] + p.counts[1], p.sites))
+        start = stage_moments.get(stage, (depth, depth))[0]
+        n1, n2, depth = n1 + p.counts[0], n2 + p.counts[1], depth + p.counts[2]
+        stage_moments[stage] = (start, depth)
+    # a counted pass is a router pass or a transfer group, not the leaf layer
+    counters = {"passes_built": sum(key[0] != "leaf" for key in passes),
+                "passes_appended": sum(key[0] != "leaf" for _, _, key in plan)}
+    return CompiledQuery(circuit, (n1, n2, depth), schedule, mode, scheme,
+                         stage_moments, counters)
 
 
 # --- two-layer landscape -----------------------------------------------------

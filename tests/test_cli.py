@@ -169,13 +169,16 @@ def test_unknown_config_field_exit_2(tmp_path, capsys):
     (["qst", "--method", "linear-inversion", "--shots", "10", "--seed", "-1"], None, "seed"),
     (["rat2", "--seed", "-3"], None, "seed"),
     (["rat", "--n-max", "2", "--trials", "1", "--shots", str(2**63)], None, "shots"),
+    (["layout", "--grid", "12by6"], None, "grid"),
+    (["layout", "--defects", "0,0;x"], None, "defects"),
+    (["layout", "--defects", "99,0"], None, "defect"),
 ], ids=["delta_theta", "gamma10", "grid_points", "m_repeats", "shots", "scheme-theta-scan",
         "scheme-counts", "scheme-rat", "method", "mode", "rat-clifford", "n_max-rat",
         "n_max-rat2", "layers-compile", "layers-layout-0", "layers-layout-negative",
         "grid-rows-0", "grid-cols-negative",
         "theta-nan", "phi-inf", "sqrt_cz_ns-negative", "sqrt_cz_ns-0", "single_ns-inf",
         "block_overhead_ns-negative", "block_overhead_ns-nan", "seed-rat", "seed-qst",
-        "seed-rat2", "shots-2**63"])
+        "seed-rat2", "shots-2**63", "grid-malformed", "defects-malformed", "defects-off-lattice"])
 def test_bad_config_value_exit_2(argv, ini, word, tmp_path, capsys):
     if ini is not None:
         (tmp_path / "bad.ini").write_text(ini)

@@ -353,6 +353,8 @@ def test_add_moment_names_the_first_offending_site():
     ("MOMENT\nGATE x a nan\n", 4),              # durations are finite and non-negative
     ("MOMENT\nGATE x a inf\n", 4),
     ("MOMENT\nGATE x a -5\n", 4),
+    ("MOMENT\nGATE x01 a phase=nan 30\n", 4),  # parameters are finite
+    ("MOMENT\nGATE sqrt_cz a b theta=inf eta=0.0 25\n", 4),
 ])
 def test_loads_circuit_rejects_malformed_text(body, line):
     text = "# qroutesim-circuit v1\nSITES a:2 b:3\n" + body
@@ -439,6 +441,8 @@ def _line_by_line_loads(text: str) -> Circuit:
                     if "=" in item:
                         k, _, v = item.partition("=")
                         params.append((k, float(v)))
+                        if not math.isfinite(params[-1][1]):
+                            raise ShapeError(f"parameter {k}={v} is not finite")
                     elif item in circuit.site_dims:
                         sites.append(item)
                     else:
@@ -491,6 +495,7 @@ def _small_circuit_texts(draw):
 _MALFORMED_LINES = [
     "POSTSELECT a 1", "GATE", "GATE x01", "GATE x01 {site} 30 40", "GATE x01 {site} nan",
     "GATE x01 {site} -5", "GATE x01 zz 30.0", "GATE x01 {site} phase=abc 30.0",
+    "GATE x01 {site} phase=nan 30.0", "GATE sqrt_cz {site} theta=inf eta=0.0 25.0",
     "GATE cx {site} {site} 25.0", "SITES a:2 a:3", "SITES a:0", "SITES a:x", "MOMENT extra",
 ]
 

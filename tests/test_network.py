@@ -236,9 +236,21 @@ def _seeded_query(layers, mode, scheme):
 
 
 # SHA-256 of a query's text form, counts, schedule and stage_moments, with
-# data bits seeded by (layers, mode, scheme); recorded when every pass was
-# rebuilt on every use, so building each pass once must leave them as they are.
+# data bits seeded by (layers, mode, scheme); L2–L5 were recorded when every
+# pass was rebuilt on every use, L1 and L6 before queries were assembled from
+# a plan of passes, so neither change may move them.
 _GOLDEN_QUERY_SHA256 = {
+    (1, "full", "clifford"): "638a9431fdc84677f4953a54c125f9e023149087f88d092933491cd8d00309d2",
+    (1, "full", "tcg-non-eraser"): "3c598045160da8bcd7c9e3b14c089877193ea927e7fabc9efda883256843dfd8",
+    (1, "full", "tcg-eraser"): "e089e8f67a35ae3f48e0053cb0641f9b92e9c16f22af2d3cb970b03b9919e05f",
+    (1, "read-only", "clifford"): "ede601820c6b03c0b675a1df09a6ed05356a8d0f3e193a873f29e18e26efe1ef",
+    (1, "read-only", "tcg-non-eraser"): "d7210f607436df227dee5df22170c0a06024fd1f737bbe86cbb4b786569bb006",
+    (1, "read-only", "tcg-eraser"): "9a92da82721dc3627388db13deb4778ac87052115aab724a8e1259f881268d9f",
+    (1, "read-only", "sp-tcg"): "58285a438e4bee5372ffee331ed0851b411ffc5fa69d7b0d1ba4a05d805d6f09",
+    (1, "write-only", "clifford"): "72555a4eaa4b4ef758ad4175fcaf4f806cbaa7ff5eea8cdfca35f5f6cbbed2e3",
+    (1, "write-only", "tcg-non-eraser"): "72b82898a6cf93baaa1eb5093dbbb59cfc4223b88e49473e0af3499bbf23b482",
+    (1, "write-only", "tcg-eraser"): "97f24dec0769e04b93cadb89f468a3f76b04e20d0df3d7a231358b861e58a2b9",
+    (1, "write-only", "sp-tcg"): "d5828999c57efa391fc01d728a5bbe050f0d985e1401902d618298f0aa4c27fd",
     (2, "full", "clifford"): "9079569a41c00131520fab8aa5d81bf3702a51456f25dd998fce48c4580005f3",
     (2, "full", "tcg-non-eraser"): "5b6ddbd6d0c55effb3874b5bd6befbbdd74c1b79140e020f5f02d43a625a742a",
     (2, "full", "tcg-eraser"): "5da603b574f700dea03395dcce9f0e26133c784fdb30c75712bad7a904909d71",
@@ -283,6 +295,17 @@ _GOLDEN_QUERY_SHA256 = {
     (5, "write-only", "tcg-non-eraser"): "34d07c4e406ad102f62839c89dc4b33b017312b671e5689de8684d8ef55e225f",
     (5, "write-only", "tcg-eraser"): "a7e21669d6faeb5363582918003d84d9b91720705b6dc2af8338a531b867aa5c",
     (5, "write-only", "sp-tcg"): "3b53d48b242f1df3133fa8ac3b63426b38881056c2bd97613b9012be9a714b39",
+    (6, "full", "clifford"): "71989c1ed351dd0b2246a9c3de72e72dd6cac721242f7ff4029d126f036a98c6",
+    (6, "full", "tcg-non-eraser"): "1c5a80478d37f23c008a4c9b15e6fd1918dbffd9804eeb9095054de5298dad31",
+    (6, "full", "tcg-eraser"): "88d31648e1aa58236840caaff030a2ebcfc54a0894c85d00d5961438cc62843b",
+    (6, "read-only", "clifford"): "5d3417faf25bce7ea23e4ba23b88ba6ff8c82ca630c77de5d8346516146c7ba5",
+    (6, "read-only", "tcg-non-eraser"): "cf1862d203c8513ca513f1b59a2f1d4df847515c94baff50e92f605af7b1b0d7",
+    (6, "read-only", "tcg-eraser"): "7dcf6b17906277583c1db4a992f03e31dbc4d1d5f8377feef0225946ee38cd64",
+    (6, "read-only", "sp-tcg"): "a0439650560014adea25de0f56b541080979415e0b1aa60e720e4725379870aa",
+    (6, "write-only", "clifford"): "7d042c7f106ab4a5e00a8db06c514c026668f24d7d91e7815ec54fcc4c95e999",
+    (6, "write-only", "tcg-non-eraser"): "9412c797aa5a8a73de60090a71b0cd741bf41e04df7c5bc9df3e96a75aa18ef0",
+    (6, "write-only", "tcg-eraser"): "c433b6aaca8abf04c23c2760172ddc587cf9d34d275fa3be360fab5f7994a14e",
+    (6, "write-only", "sp-tcg"): "cf291e90b6c2322bee3a62ca01fa7e2ecc4734835354192bd7cf27c265940893",
 }
 
 
@@ -331,14 +354,13 @@ def test_relabeled_router_blocks_are_the_per_node_blocks(scheme, direction):
     tree = build_tree(5)
     dims = tree.site_dims()
     for level in range(1, 6):
-        b = network._QueryBuilder(tree, scheme)
-        b.router_pass(level, direction)
+        p = network._build_pass(tree, dims, scheme, ("router", level, direction))
         for node in tree.level_nodes(level):
             sites = (node.input_site, node.address_site, node.left_site, node.right_site)
             want = network.router_circuit_for(scheme, direction, sites,
                                               tuple(dims[s] for s in sites))
             got = Circuit(want.site_dims)
-            for m in b.circuit.ops:
+            for m in p.moments:
                 got.add_moment(*(g for g in m.gates if set(g.sites) <= set(sites)))
             assert got.ops == want.ops
             assert dumps_circuit(got) == dumps_circuit(want)
@@ -351,11 +373,11 @@ def test_copied_transfer_groups_are_the_per_pair_blocks(scheme, reverse, to_addr
     tree = build_tree(5)
     for level in range(1, 6):
         pairs = [(n.input_site, n.address_site) for n in tree.level_nodes(level)]
-        b = network._QueryBuilder(tree, scheme)
-        b.transfer(pairs, reverse, level, to_address)
+        key = ("transfer", tuple(pairs), reverse, to_address)
+        p = network._build_pass(tree, tree.site_dims(), scheme, key)
         for src, dst in pairs:
             want = network._transfer_moments(scheme, src, dst, reverse, to_address)
-            got = [[g for g in m.gates if set(g.sites) <= {src, dst}] for m in b.circuit.ops]
+            got = [[g for g in m.gates if set(g.sites) <= {src, dst}] for m in p.moments]
             assert got == want
 
 
@@ -374,29 +396,44 @@ def test_query_text_round_trip(layers, mode, scheme):
 
 
 def test_query_moments_are_frozen_and_shared_per_pass(monkeypatch):
-    appended = []
-    real = network._QueryBuilder._append
+    built = []
+    real = network._build_pass
 
-    def spy(self, level, key, blocks):
-        start = len(self.circuit.ops)
-        real(self, level, key, blocks)
-        appended.append((key, self.circuit.ops[start:]))
+    def spy(tree, site_dims, scheme, key):
+        p = real(tree, site_dims, scheme, key)
+        built.append((key, p))
+        return p
 
-    monkeypatch.setattr(network._QueryBuilder, "_append", spy)
+    monkeypatch.setattr(network, "_build_pass", spy)
     q = compile_query(build_tree(3), "full", "tcg-eraser")
     moment = q.circuit.ops[0]
     assert isinstance(moment.gates, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         moment.gates = ()
-    # a pass appended k times contributes the same moment objects k times
-    uses = Counter(key for key, _ in appended)
-    assert max(uses.values()) > 1
-    first = {}
-    for key, ops in appended:
-        assert all(a is b for a, b in zip(first.setdefault(key, ops), ops, strict=True))
+    # each distinct pass is built once, and a pass used k times contributes
+    # the same moment objects k times
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys))
     in_query = Counter(map(id, q.circuit.ops))
-    for key, ops in first.items():
-        assert all(in_query[id(m)] == uses[key] for m in ops)
+    uses = {key: in_query[id(p.moments[0])] for key, p in built}
+    assert max(uses.values()) > 1
+    for key, p in built:
+        assert all(in_query[id(m)] == uses[key] for m in p.moments)
+    assert sum(uses[key] * len(p.moments) for key, p in built) == len(q.circuit.ops)
+    assert sum(n for key, n in uses.items() if key[0] != "leaf") == q.counters["passes_appended"]
+
+
+# the counters of an L5 query, as the README states them
+@pytest.mark.parametrize("mode, scheme, built, appended", [
+    *[("full", s, 27, 52) for s in ("clifford", "tcg-non-eraser", "tcg-eraser")],
+    *[(m, s, 26, 46) for m in ("read-only", "write-only")
+      for s in ("clifford", "tcg-non-eraser", "tcg-eraser")],
+    ("read-only", "sp-tcg", 30, 46),
+    ("write-only", "sp-tcg", 30, 46),
+])
+def test_l5_query_counters(mode, scheme, built, appended):
+    q = compile_query(build_tree(5), mode, scheme)
+    assert q.counters == {"passes_built": built, "passes_appended": appended}
 
 
 def test_two_layer_landscape_noiseless_product_law():
