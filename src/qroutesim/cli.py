@@ -38,10 +38,6 @@ from .rat import rat_single, rat_two_layer
 
 SCHEMA = "# qroutesim-schema v1"
 
-SUBCOMMANDS = (
-    "theta-scan", "phi-scan", "qst", "rat", "rat2", "floquet",
-    "compile", "counts", "layout", "noise-curves",
-)
 #: the subcommands that simulate the router, and the schemes they run
 ROUTER_COMMANDS = ("theta-scan", "phi-scan", "qst", "rat", "rat2")
 ROUTER_SCHEMES = ("eraser", "non-eraser")
@@ -369,6 +365,7 @@ RUNNERS = {
     "layout": run_layout,
     "noise-curves": run_noise_curves,
 }
+SUBCOMMANDS = tuple(RUNNERS)
 
 
 #: the float-valued flags, whose values may be negative with an exponent

@@ -147,8 +147,8 @@ def _moment(dims: tuple, gates, maps, channels: tuple) -> _Moment:
 def compile_step(dims, gates=(), maps=(), noise: NoiseModel | None = None,
                  t_ns: float = 0.0) -> CompiledCircuit:
     """A one-step program on a register of ``dims``: the gates ``(matrix,
-    sites)`` in turn, then the maps ``(sites, transfer)`` (a transfer matrix
-    as in `qudit.ChannelMap`) in turn, then with ``noise`` every site's decay
+    sites)`` in turn, then the maps ``(sites, transfer)`` (the channel form
+    `qudit.apply_channel` takes) in turn, then with ``noise`` every site's decay
     over ``t_ns``: bit for bit `apply_gate`, `apply_channel`, `apply_noise_step`."""
     dims = tuple(dims)
     channels = _channels(dims, noise, t_ns * 1e-3, range(len(dims)))

@@ -521,9 +521,10 @@ def loads_circuit(text: str) -> Circuit:
     """Parse the text form of `dumps_circuit`; malformed input raises
     ShapeError naming the line (for a moment's site checks, its MOMENT line).
 
-    The text is read a moment at a time, split at ``"\\nMOMENT\\n"``: a chunk
-    of GATE lines read before under the current SITES stands for the same
-    `Moment` again, and every other chunk goes through the line parser."""
+    The text is read a moment at a time, split at ``"\\nMOMENT\\n"`` once any
+    ``"\\r"`` line ends are rewritten as ``"\\n"``: a chunk of GATE lines read
+    before under the current SITES stands for the same `Moment` again, and
+    every other chunk goes through the line parser."""
     circuit: Circuit | None = None
     moment_ln, gates = 0, None  # the open MOMENT's GATE lines, added when it closes
     specs: dict[str, GateSpec] = {}  # each GATE line parsed under the current SITES
@@ -603,6 +604,8 @@ def loads_circuit(text: str) -> Circuit:
         except (ShapeError, ValueError, IndexError) as exc:
             raise ShapeError(f"line {ln}: {exc}") from exc
 
+    if "\r" in text:  # the same lines (`splitlines`'s), each ended by "\n"
+        text = "\n".join(text.splitlines()) + "\n"
     pieces = text.split("\nMOMENT\n")
     ln = 1  # the line the next piece starts on
     for i, chunk in enumerate(pieces):

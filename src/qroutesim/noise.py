@@ -10,10 +10,10 @@ coherences, Γ3 the (0,2)/(2,0), Γ4 the (1,2)/(2,1).  The defaults keep
 Γ2=Γ3=Γ4, so overriding a single rate is what makes the slot assignment
 observable.
 
-The cached 9×9 transfer matrix is the one place the decay factors are
-computed: a qubit site's channel is its {0, 1} restriction.  Compiled
-circuits apply the same matrices, through the same kernel, as
-`apply_noise_step`, which no run calls: it is the tests' oracle.
+The cached 9×9 transfer matrix (`qutrit_channel`) is the one place the decay
+factors are computed: a qubit site's channel is its {0, 1} restriction.
+Compiled circuits apply each site's channel ``(sites, transfer)`` through the
+same kernel as `apply_noise_step`, which no run calls: it is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateRates, InvalidTime, RequiresMixed, ShapeError
-from .qudit import ChannelMap, QuditRegister, apply_channel
+from .qudit import QuditRegister, apply_channel
 
 #: relative rate difference below which the Γ10→Γ21 limit forms kick in
 _DEGENERATE_RTOL = 1e-9
@@ -138,14 +138,14 @@ def _transfer_cached(rates: DecayRates, t: float) -> np.ndarray:
     return T
 
 
-def qutrit_channel(rates: DecayRates, t_us: float, site: int = 0) -> ChannelMap:
+def qutrit_channel(rates: DecayRates, t_us: float) -> np.ndarray:
     """The 9×9 transfer matrix for evolution time t (μs) on one qutrit site.
 
     Identity at t=0; satisfies channel(t1)∘channel(t2) = channel(t1+t2).
     """
     if t_us < 0:
         raise InvalidTime(f"negative time {t_us}")
-    return ChannelMap(site, _transfer_cached(rates, float(t_us)))
+    return _transfer_cached(rates, float(t_us))
 
 
 def qubit_transfer(rates: DecayRates, t_us: float) -> np.ndarray:
@@ -161,7 +161,7 @@ def site_transfer(rates: DecayRates, t_us: float, dim: int) -> np.ndarray:
     qutrit channel, or its {0, 1} restriction on a qubit.  The cascade is
     defined on qubits and qutrits only; other dimensions raise ShapeError."""
     if dim == 3:
-        return qutrit_channel(rates, t_us).transfer
+        return qutrit_channel(rates, t_us)
     if dim == 2:
         return qubit_transfer(rates, t_us)
     raise ShapeError(f"no decay channel for a site of dimension {dim}")
@@ -182,7 +182,7 @@ def apply_noise_step(state: QuditRegister, rates, dt_us: float) -> QuditRegister
     per_site = list(rates) if isinstance(rates, (list, tuple)) else [rates] * state.n_sites
     for site, r in enumerate(per_site):
         if r is not None:
-            state = apply_channel(state, ChannelMap(site, site_transfer(r, dt_us, state.dims[site])))
+            state = apply_channel(state, (site,), site_transfer(r, dt_us, state.dims[site]))
     return state
 
 

@@ -20,7 +20,8 @@ which feeds each product to the next plan in one reorder: on a small tensor
 one `take` of a memoised index (numpy's strided copy pays per contiguous
 run, and there the runs are one or two entries long), else reshape and
 transpose.  Both give the same C-ordered operand, so the next product keeps
-its bits.  `attach_site` reorders through the same links.
+its bits.  `attach_site` reorders through the same links; `trace_out`
+undoes it, and may keep only some digits of the site (the eraser's discard).
 """
 
 from __future__ import annotations
@@ -309,39 +310,35 @@ def attach_site(state: QuditRegister, pos: int, site: np.ndarray) -> QuditRegist
     return QuditRegister(new_dims, _reorder(t, link))
 
 
+def trace_out(state: QuditRegister, site: int, digits=None) -> QuditRegister:
+    """The register without ``site``, traced over its ``digits`` (all by
+    default): `np.trace` over the site's ket and bra axes after a `take` of
+    ``digits``, so the other digits' branches drop out unnormalized."""
+    site = _check_sites(state, [site])[0]
+    dims, n = state.dims, state.n_sites
+    rho = state.density().reshape(dims * 2)
+    if digits is not None:
+        if len(set(digits)) != len(digits) or not set(digits) <= set(range(dims[site])):
+            raise ShapeError(f"digits {digits} are not distinct digits below {dims[site]}")
+        rho = rho.take(digits, axis=site).take(digits, axis=site + n)
+    rest, out = dims[:site] + dims[site + 1:], np.trace(rho, axis1=site, axis2=site + n)
+    return QuditRegister(rest, out.reshape(math.prod(rest), -1))
+
+
 def partial_trace(state: QuditRegister, keep) -> QuditRegister:
     """Reduced density matrix over ``keep`` (result site order follows ``keep``)."""
     keep = _check_sites(state, list(keep))
     if not keep:
         raise ShapeError("keep must be nonempty")
-    n = state.n_sites
-    rho = state.density().reshape(list(state.dims) * 2)
-    traced = [a for a in range(n) if a not in keep]
-    # contract bra/ket axes of each traced site, highest axis first
-    for a in sorted(traced, reverse=True):
-        rho = np.trace(rho, axis1=a, axis2=a + rho.ndim // 2)
-    # remaining axes follow original site order; permute to requested order
-    remaining = sorted(keep)
-    perm = [remaining.index(s) for s in keep]
-    half = rho.ndim // 2
-    rho = rho.transpose(perm + [p + half for p in perm])
-    d = math.prod(state.dims[s] for s in keep)
-    return QuditRegister(tuple(state.dims[s] for s in keep), rho.reshape(d, d))
+    for s in sorted(set(range(state.n_sites)) - set(keep), reverse=True):
+        state = trace_out(state, s)
+    # the kept sites are left in their original order; permute to ``keep``'s
+    perm = [sorted(keep).index(s) for s in keep]
+    rho = state.density().reshape(state.dims * 2).transpose(perm + [p + len(perm) for p in perm])
+    return QuditRegister(tuple(state.dims[p] for p in perm), rho.reshape(state.dim, state.dim))
 
 
 # --- single-site channels -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChannelMap:
-    """Transfer matrix acting on a vectorized density matrix of one site, or
-    of the sites in a tuple (their joint matrix, labels in tuple order).
-
-    The vectorization is row-major: (ρ00, ρ01, ..., ρ_{d-1,d-1}).
-    """
-
-    site: int | tuple[int, ...]
-    transfer: np.ndarray = field(repr=False)
 
 
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
@@ -384,18 +381,15 @@ def is_cptp(transfer: np.ndarray, eig_floor: float = -1e-9, tp_atol: float = 1e-
     return bool(np.abs(traces - np.eye(d)).max() <= tp_atol)
 
 
-def apply_channel(state: QuditRegister, channel: ChannelMap) -> QuditRegister:
-    """Apply a channel's transfer matrix to a density-matrix register."""
+def apply_channel(state: QuditRegister, sites, transfer: np.ndarray) -> QuditRegister:
+    """Apply the channel ``(sites, transfer)`` to a density-matrix register: the
+    transfer matrix acts on the sites' joint ρ, row-major vectorized (ρ00, ρ01, …)."""
     if state.is_pure:
         raise RequiresMixed("channels act on density matrices; call to_mixed() first")
-    sites = _check_sites(state, [channel.site] if np.isscalar(channel.site) else channel.site)
+    sites = _check_sites(state, sites)
     d = math.prod(state.dims[s] for s in sites)
-    if channel.transfer.shape != (d * d, d * d):
-        raise ShapeError(
-            f"transfer shape {channel.transfer.shape} does not fit sites {sites} (dim {d})"
-        )
-    n = state.n_sites
+    if np.shape(transfer) != (d * d, d * d):
+        raise ShapeError(f"transfer shape {np.shape(transfer)} does not fit sites {sites} (dim {d})")
     # the transfer's row-major (ρ_kets, ρ_bras) labels are the sites' ket then bra axes
-    plan = _plan(state.dims * 2, sites + [s + n for s in sites])
-    return QuditRegister(state.dims, plan.apply(channel.transfer, state.data).reshape(
-        state.dim, state.dim))
+    plan = _plan(state.dims * 2, sites + [s + state.n_sites for s in sites])
+    return QuditRegister(state.dims, plan.apply(transfer, state.data).reshape(state.dim, -1))

@@ -23,13 +23,12 @@ the eraser's acceptance.
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
 prefix across depths); the eraser scheme post-selects Q_C ≠ |1⟩ once per
-block, before the address reset; address preparation and reset are
-instantaneous state assignments.
+block, as `qudit.trace_out` discards the address over digits 0 and 2 only;
+address preparation and reset are instantaneous state assignments.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from .gates import qrouter_circuit
 from .noise import NoiseModel
 from .protocols import ADDRESS_NAMES, AddressState, SplitMix64, _check_shots, scheme_basis
 from .qudit import (QuditRegister, attach_site, choi_superop, new_basis_state, partial_trace,
-                    populations)
+                    populations, trace_out)
 
 _SUPPORT_TOL = 1e-9
 
@@ -118,19 +117,6 @@ def _match(p_ideal: np.ndarray, p_exp: np.ndarray) -> float:
 # --- address blocks ---------------------------------------------------------------
 
 
-def _discard_address(reg: QuditRegister, scheme: str) -> QuditRegister:
-    """End of a block: the address at site 1 is traced out, its diagonal
-    summed in digit order; the eraser drops the |1⟩ branch (unnormalized), so
-    it sums digits 0 and 2 only: the bits of `project` then `partial_trace`."""
-    dims, n = reg.dims, reg.n_sites
-    rho = reg.density().reshape(dims * 2)
-    kept = (0, 2) if scheme == "eraser" else range(dims[1])
-    out = functools.reduce(np.add, (rho[(slice(None), k) + (slice(None),) * (n - 1) + (k,)]
-                                    for k in kept))
-    rest = dims[:1] + dims[2:]
-    return QuditRegister(rest, out.reshape(math.prod(rest), -1))
-
-
 def _normalized(p: np.ndarray) -> tuple[np.ndarray, float]:
     """Populations renormalized, and the total they had: the probability that
     survived every post-selection so far."""
@@ -183,10 +169,11 @@ def _flip_single_ns(scheme: str, single_ns: float) -> float:
 
 
 class _RouterRun:
-    """What both runners share: the scheme, its address basis and the router,
-    compiled once; ``first`` is the router after the block-initialization
-    window, in which its four sites idle for the overhead before it fires.
-    Choi runs of its blocks carry their reference as a trailing site."""
+    """What both runners share: the scheme, its address basis, the address
+    digits a discard keeps and the router, compiled once; ``first`` is the
+    router after the block-initialization window, in which its four sites
+    idle for the overhead before it fires.  Choi runs of its blocks carry
+    their reference as a trailing site."""
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
@@ -194,6 +181,7 @@ class _RouterRun:
         self.scheme = scheme
         self.noise = noise
         self.basis = scheme_basis(scheme)
+        self.kept_digits = (0, 2) if scheme == "eraser" else None
         self.overhead = block_overhead_ns
         circuit = qrouter_circuit(
             scheme, parasitic=parasitic, theta=noise.leakage.theta if noise else math.pi,
@@ -233,7 +221,7 @@ class _SingleRouterRun(_RouterRun):
         return self._run(self.first, attach_site(self.state, 1, _address_vector(name, self.basis)))
 
     def _readout(self, reg: QuditRegister) -> tuple[np.ndarray, float]:
-        return _normalized(populations(_discard_address(reg, self.scheme)))
+        return _normalized(populations(trace_out(reg, 1, self.kept_digits)))
 
     def measure_final(self, name: str) -> tuple[np.ndarray, float]:
         """Populations over (Q_I, Q_L, Q_R) after a last, single block, and
@@ -245,7 +233,7 @@ class _SingleRouterRun(_RouterRun):
         from one shared first pass."""
         reg = self._first_pass(name)
         out = self._readout(reg)
-        self.state = _discard_address(self._run(self.router, reg), self.scheme)
+        self.state = trace_out(self._run(self.router, reg), 1, self.kept_digits)
         return out
 
 
@@ -335,7 +323,7 @@ class _TwoLayerRun(_RouterRun):
             if name is None:
                 return run(reg)
             reg = attach_site(reg, 1, _address_vector(name, self.basis))
-            return _discard_address(run(reg), self.scheme)
+            return trace_out(run(reg), 1, self.kept_digits)
 
         if key in self._maps:
             self.counters["map_cache_hits"] += 1
@@ -375,7 +363,7 @@ class _TwoLayerRun(_RouterRun):
                 ((2, 4, 5), self._leaf_superop(names[1], 2)),
                 ((3, 6, 7), self._leaf_superop(names[2], 2)),
                 ((0, 1, 2, 3), self._root_pass("up"))]
-        self.state = _discard_address(compile_step(reg.dims, maps=maps).run(reg), self.scheme)
+        self.state = trace_out(compile_step(reg.dims, maps=maps).run(reg), 1, self.kept_digits)
         return out
 
 

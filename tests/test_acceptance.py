@@ -14,20 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from qroutesim.engine import run_circuit
 from qroutesim.fitting import find_root, ode_integrate
 from qroutesim.gates import (
     CSWAP_BLOCK,
     ROUTING_LABELS,
     circuit_unitary,
     cswap_sequence,
-    sqrt_cz_matrix,
-    SqrtCzParams,
 )
 from qroutesim.layout import GridSpec, best_layout, check_layout
 from qroutesim.network import router_counts
 from qroutesim.noise import (
-    DecayRates,
     LeakageSpec,
     NoiseModel,
     amplitude_a110,
@@ -137,11 +133,11 @@ def test_criterion_05_channel_validity():
     min_eig = 0.0
     semigroup = 0.0
     for t1 in np.linspace(0.05, 4.0, 5):
-        C = choi_matrix(qutrit_channel(rates, t1).transfer)
+        C = choi_matrix(qutrit_channel(rates, t1))
         min_eig = min(min_eig, float(np.linalg.eigvalsh((C + C.conj().T) / 2).min()))
         for t2 in np.linspace(0.05, 4.0, 5):
-            lhs = qutrit_channel(rates, t1).transfer @ qutrit_channel(rates, t2).transfer
-            semigroup = max(semigroup, float(np.abs(lhs - qutrit_channel(rates, t1 + t2).transfer).max()))
+            lhs = qutrit_channel(rates, t1) @ qutrit_channel(rates, t2)
+            semigroup = max(semigroup, float(np.abs(lhs - qutrit_channel(rates, t1 + t2)).max()))
     elapsed = time.time() - t0
     ok = min_eig > -1e-9 and semigroup < 1e-9 and elapsed < 5.0
     report(5, ok, f"Choi min eig {min_eig:.1e}, semigroup dev {semigroup:.1e} in {elapsed:.1f}s")

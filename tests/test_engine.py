@@ -15,7 +15,7 @@ from qroutesim.gates import (Circuit, GateSpec, circuit_unitary, dumps_circuit, 
                              loads_circuit, qrouter_circuit)
 from qroutesim.noise import NoiseModel, apply_noise_step, qubit_transfer, qutrit_channel, reference_rates
 from qroutesim.protocols import AddressState, router_input
-from qroutesim.qudit import (ChannelMap, QuditRegister, apply_channel, apply_gate, attach_site,
+from qroutesim.qudit import (QuditRegister, apply_channel, apply_gate, attach_site,
                              new_basis_state, populations)
 
 from conftest import physical_rates
@@ -46,7 +46,7 @@ def test_layer_noise_matches_manual_channel():
     c = Circuit({"a": 3, "b": 3})
     c.add_moment(GateSpec("x01", ("a",), (("phase", 0.0),), 500.0))
     res = run_circuit(new_basis_state([3, 3], "02"), c, nm)
-    T = qutrit_channel(reference_rates(), 0.5).transfer
+    T = qutrit_channel(reference_rates(), 0.5)
     r_a = (T @ np.outer([0, 1, 0], [0, 1, 0]).reshape(9).astype(complex)).reshape(3, 3)
     r_b = (T @ np.outer([0, 0, 1], [0, 0, 1]).reshape(9).astype(complex)).reshape(3, 3)
     assert np.abs(res.data - np.kron(r_a, r_b)).max() < 1e-12
@@ -350,7 +350,7 @@ def test_compiled_steps_are_the_oracles_bit_for_bit(circuit, rates, t_ns, traili
         for g, sites in gates_:
             want = apply_gate(want, g, sites)
         for sites, transfer in maps:
-            want = apply_channel(want, ChannelMap(sites, transfer))
+            want = apply_channel(want, sites, transfer)
         return want if nm is None else apply_noise_step(want, site_rates, t_ns * 1e-3)
 
     for nm in (None, noise):
@@ -446,7 +446,7 @@ def _tensordot_run(state: QuditRegister, circuit: Circuit, noise: NoiseModel | N
         if noise is not None and m.duration_ns > 0:
             t_us, rho = m.duration_ns * 1e-3, data.reshape(dims + dims)
             for s, d in enumerate(dims):
-                T = qutrit_channel(noise.rates, t_us).transfer if d == 3 else qubit_transfer(
+                T = qutrit_channel(noise.rates, t_us) if d == 3 else qubit_transfer(
                     noise.rates, t_us)
                 rho = _tensordot_into(rho, T, [s, s + n])
             data = rho.reshape(data.shape)
@@ -492,13 +492,13 @@ def test_qudit_kernels_are_tensordot_bit_for_bit(dims, pure, rates, t_us, seed, 
         return
     n, rho = len(dims), state.data.reshape(dims + dims)
     site = sites[0]
-    T = qutrit_channel(rates, t_us).transfer if dims[site] == 3 else qubit_transfer(rates, t_us)
+    T = qutrit_channel(rates, t_us) if dims[site] == 3 else qubit_transfer(rates, t_us)
     want = _tensordot_into(rho, T, [site, site + n]).reshape(state.data.shape)
-    assert np.array_equal(apply_channel(state, ChannelMap(site, T)).data, want)
+    assert np.array_equal(apply_channel(state, (site,), T).data, want)
     if len(sites) == 3:
         S = rng.normal(size=(k * k, k * k)) + 1j * rng.normal(size=(k * k, k * k))
         want = _tensordot_into(rho, S, sites + [s + n for s in sites]).reshape(state.data.shape)
-        assert np.array_equal(apply_channel(state, ChannelMap(tuple(sites), S)).data, want)
+        assert np.array_equal(apply_channel(state, tuple(sites), S).data, want)
 
 
 @settings(max_examples=40)

@@ -578,3 +578,8 @@ def test_loads_circuit_parses_each_distinct_moment_text_once():
     other = "MOMENT\nGATE h b 30.0\n"
     assert _parse_line_calls(head + (block + other) * 3) == _parse_line_calls(
         head + (block + other) * 30)
+
+
+def test_loads_circuit_finds_repeated_moments_in_crlf_text():
+    text = _query_text(3, "full", "tcg-eraser")
+    assert _parse_line_calls(text.replace("\n", "\r\n")) == _parse_line_calls(text)

@@ -10,7 +10,7 @@ import pytest
 from qroutesim import network
 from qroutesim.engine import run_circuit
 from qroutesim.errors import CapacityError, IncompatibleMode, ShapeError
-from qroutesim.gates import Circuit, GateSpec, dumps_circuit, loads_circuit
+from qroutesim.gates import Circuit, dumps_circuit, loads_circuit
 from qroutesim.network import (
     DIRECTIONAL_SCHEMES,
     MODES,

@@ -20,7 +20,7 @@ from qroutesim.noise import (
     reference_rates,
     qutrit_channel,
 )
-from qroutesim.qudit import QuditRegister, choi_matrix, is_cptp, new_basis_state
+from qroutesim.qudit import QuditRegister, is_cptp, new_basis_state
 
 from conftest import physical_rates
 
@@ -48,13 +48,13 @@ def cascade_system(rates):
 
 
 def test_channel_identity_at_zero():
-    T = qutrit_channel(RATES, 0.0).transfer
+    T = qutrit_channel(RATES, 0.0)
     assert np.abs(T - np.eye(9)).max() < 1e-14
 
 
 def test_channel_rho22_decay():
     t = 1.7
-    T = qutrit_channel(RATES, t).transfer
+    T = qutrit_channel(RATES, t)
     assert T[8, 8] == pytest.approx(math.exp(-RATES.gamma21 * t))
 
 
@@ -62,7 +62,7 @@ def test_channel_v2_feeds_rho11():
     t = 1.0
     g10, g21 = RATES.gamma10, RATES.gamma21
     v2 = g21 * (math.exp(-g21 * t) - math.exp(-g10 * t)) / (g10 - g21)
-    T = qutrit_channel(RATES, t).transfer
+    T = qutrit_channel(RATES, t)
     assert T[4, 8] == pytest.approx(v2, abs=1e-12)
     # cross-check against numerical integration of the population rates
     A = np.zeros((3, 3))
@@ -77,15 +77,15 @@ def test_channel_v2_feeds_rho11():
 def test_channel_semigroup():
     for t1 in np.linspace(0.05, 4.0, 5):
         for t2 in np.linspace(0.05, 4.0, 5):
-            lhs = qutrit_channel(RATES, t1).transfer @ qutrit_channel(RATES, t2).transfer
-            rhs = qutrit_channel(RATES, t1 + t2).transfer
+            lhs = qutrit_channel(RATES, t1) @ qutrit_channel(RATES, t2)
+            rhs = qutrit_channel(RATES, t1 + t2)
             assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_channel_cptp_grid():
     for rates in (RATES, DecayRates(0.2, 0.05, 1.0, 0.8, 0.9)):
         for t in (0.0, 0.05, 0.5, 2.0, 10.0):
-            T = qutrit_channel(rates, t).transfer
+            T = qutrit_channel(rates, t)
             assert is_cptp(T, eig_floor=-1e-9)
 
 
@@ -173,11 +173,11 @@ def test_channel_degenerate_limit_continuous():
     exact = DecayRates(gamma10=0.1, gamma21=0.1)
     t = 2.3
     assert np.abs(
-        qutrit_channel(near, t).transfer - qutrit_channel(exact, t).transfer
+        qutrit_channel(near, t) - qutrit_channel(exact, t)
     ).max() < 1e-6
     g = 0.1
     v1_limit = 1 - math.exp(-g * t) * (1 + g * t)
-    assert qutrit_channel(exact, t).transfer[0, 8] == pytest.approx(v1_limit, abs=1e-12)
+    assert qutrit_channel(exact, t)[0, 8] == pytest.approx(v1_limit, abs=1e-12)
 
 
 def test_channel_rejects_negative_time():
@@ -191,8 +191,8 @@ def test_matrix_exponential_cross_check():
     t = 1.3
     # generator reconstructed from the short-time limit must exponentiate back
     eps = 1e-7
-    G = (qutrit_channel(RATES, eps).transfer - np.eye(9)) / eps
-    assert np.abs(expm(G * t) - qutrit_channel(RATES, t).transfer).max() < 1e-5
+    G = (qutrit_channel(RATES, eps) - np.eye(9)) / eps
+    assert np.abs(expm(G * t) - qutrit_channel(RATES, t)).max() < 1e-5
 
 
 def test_a110_closed_form():
@@ -262,7 +262,7 @@ def test_apply_noise_step_factorizes():
     v2 /= np.linalg.norm(v2)
     joint = QuditRegister((3, 3), np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj())))
     out = apply_noise_step(joint, RATES, 0.8)
-    T = qutrit_channel(RATES, 0.8).transfer
+    T = qutrit_channel(RATES, 0.8)
     r1 = (T @ np.outer(v1, v1.conj()).reshape(9)).reshape(3, 3)
     r2 = (T @ np.outer(v2, v2.conj()).reshape(9)).reshape(3, 3)
     assert np.abs(out.data - np.kron(r1, r2)).max() < 1e-12

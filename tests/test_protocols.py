@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qroutesim import engine, gates, protocols
 from qroutesim.errors import CapacityError, FitError
 from qroutesim.network import two_layer_landscape
-from qroutesim.noise import DecayRates, LeakageSpec, NoiseModel, reference_rates
+from qroutesim.noise import LeakageSpec, NoiseModel, reference_rates
 from qroutesim.qudit import partial_trace, postselect
 from qroutesim.rat import rat_single
 from qroutesim.protocols import (

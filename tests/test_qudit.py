@@ -1,13 +1,14 @@
 """Register substrate: indexing, gates, populations, projection, tracing."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qroutesim.errors import AllDiscarded, InvalidLabel, RequiresMixed, ShapeError
 from qroutesim.qudit import (
-    ChannelMap,
     QuditRegister,
     apply_channel,
     apply_gate,
@@ -21,6 +22,7 @@ from qroutesim.qudit import (
     populations,
     postselect,
     project,
+    trace_out,
 )
 
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -195,10 +197,10 @@ def test_apply_channel_on_three_sites_matches_axis_formula():
     axes = list(sites) + [s + 4 for s in sites]
     t = np.moveaxis(rho.reshape(list(dims) * 2), axes, range(6))
     t = np.moveaxis((S @ t.reshape(144, -1)).reshape(t.shape), range(6), axes)
-    out = apply_channel(QuditRegister(dims, rho), ChannelMap(sites, S))
+    out = apply_channel(QuditRegister(dims, rho), sites, S)
     assert np.array_equal(out.data, t.reshape(24, 24))
     with pytest.raises(ShapeError):
-        apply_channel(QuditRegister(dims, rho), ChannelMap((0, 1), S))
+        apply_channel(QuditRegister(dims, rho), (0, 1), S)
 
 
 def test_partial_trace_product_state():
@@ -223,6 +225,59 @@ def test_partial_trace_preserves_trace():
     red = partial_trace(reg, [2, 0])
     assert red.dims == (2, 3)
     assert np.trace(red.data).real == pytest.approx(1.0, abs=1e-10)
+
+
+def _loop_partial_trace(state, keep):
+    """The reduced ρ over ``keep`` as one `np.trace` per traced site, highest
+    first, on the whole ρ tensor, written apart from `trace_out`; an empty
+    ``keep`` leaves the 1×1 trace."""
+    rho = state.density().reshape(list(state.dims) * 2)
+    for a in sorted(set(range(state.n_sites)) - set(keep), reverse=True):
+        rho = np.trace(rho, axis1=a, axis2=a + rho.ndim // 2)
+    remaining = sorted(keep)
+    perm = [remaining.index(s) for s in keep]
+    rho = np.asarray(rho).transpose(perm + [p + len(perm) for p in perm])
+    d = int(np.prod([state.dims[s] for s in keep]))
+    return QuditRegister(tuple(state.dims[s] for s in keep), rho.reshape(d, d))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+@example([2, 3, 2, 2], 0)  # the router register, whose eraser discard keeps digits (0, 2)
+def test_trace_out_is_the_trace_loop_and_project_then_trace(dims, seed):
+    """Tracing out any site is the loop's trace, bit for bit, as is
+    `partial_trace`; keeping a subset of the site's digits is `project` on
+    each other digit, then that trace."""
+    dims, n = tuple(dims), len(dims)
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for reg in (QuditRegister(dims, v / np.linalg.norm(v)),
+                QuditRegister(dims, _random_rho(rng, dim))):
+        for site in range(n):
+            rest = [s for s in range(n) if s != site]
+            got, want = trace_out(reg, site), _loop_partial_trace(reg, rest)
+            assert got.dims == want.dims and got.data.tobytes() == want.data.tobytes()
+            for size in range(1, dims[site] + 1):
+                for digits in itertools.combinations(range(dims[site]), size):
+                    projected = reg
+                    for k in sorted(set(range(dims[site])) - set(digits)):
+                        projected = project(projected, site, k)[0]
+                    got = trace_out(reg, site, digits)
+                    assert got.dims == want.dims
+                    assert np.array_equal(got.data, _loop_partial_trace(projected, rest).data)
+        keep = [int(s) for s in rng.permutation(n)[:rng.integers(1, n + 1)]]
+        got, want = partial_trace(reg, keep), _loop_partial_trace(reg, keep)
+        assert got.dims == want.dims and got.data.tobytes() == want.data.tobytes()
+
+
+def test_trace_out_rejects_bad_digits():
+    reg = new_basis_state([2, 3], "01").to_mixed()
+    for site, digits in [(1, (0, 3)), (1, (-1,)), (0, (2,)), (1, (2, 2)), (1, (0, 2, 0))]:
+        with pytest.raises(ShapeError):
+            trace_out(reg, site, digits)
+    with pytest.raises(ShapeError):
+        trace_out(reg, 2)
 
 
 @settings(max_examples=25)
@@ -266,8 +321,7 @@ def test_validate_rejects_bad_states():
 
 
 def test_channel_identity_and_cptp_helpers():
-    ident = ChannelMap(0, np.eye(9))
-    assert is_cptp(ident.transfer)
+    assert is_cptp(np.eye(9))
     C = choi_matrix(np.eye(4))
     assert np.linalg.eigvalsh(C).min() > -1e-12
 
@@ -275,5 +329,5 @@ def test_channel_identity_and_cptp_helpers():
 def test_apply_channel_requires_mixed():
     reg = new_basis_state([3], "0")
     with pytest.raises(RequiresMixed):
-        apply_channel(reg, ChannelMap(0, np.eye(9)))
+        apply_channel(reg, (0,), np.eye(9))
 
