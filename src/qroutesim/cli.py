@@ -174,6 +174,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _write(cfg: RunConfig, name: str, header: list[str], rows: list[list],
            summary: dict, counters: dict | None = None) -> Path:
+    """The CSV of ``rows`` and the JSON summary.  Callers build the rows
+    from ``.tolist()``: Python floats format to the same text as numpy
+    floats, in about two thirds of the time."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
@@ -214,7 +217,7 @@ def _json_default(o):
 def run_theta_scan(cfg: RunConfig) -> int:
     thetas = np.linspace(0.0, math.pi / 2, cfg.grid_points)
     r = theta_scan(thetas, cfg.scheme, cfg.noise_model(), cfg.phi, cfg.sqrt_cz_ns, cfg.single_ns)
-    rows = [[t, pl, pr, pi] for t, pl, pr, pi in zip(r.thetas, r.p_left, r.p_right, r.p_input)]
+    rows = list(zip(*(a.tolist() for a in (r.thetas, r.p_left, r.p_right, r.p_input))))
     dev = float(np.abs(r.p_left - np.sin(r.thetas) ** 2).max())
     _write(cfg, "theta_scan", ["theta", "p_left", "p_right", "p_input"], rows,
            {"scheme": cfg.scheme, "max_dev_from_sin2": dev,
@@ -226,7 +229,7 @@ def run_phi_scan(cfg: RunConfig) -> int:
     phis = np.linspace(0.0, 2 * math.pi, cfg.grid_points)
     r = phi_scan(phis, cfg.scheme, cfg.noise_model(), cfg.sqrt_cz_ns, cfg.single_ns)
     rows = [[p, po, pe, *pops] for p, po, pe, pops in
-            zip(r.phis, r.p_odd, r.p_even, r.state_pops)]
+            zip(*(a.tolist() for a in (r.phis, r.p_odd, r.p_even, r.state_pops)))]
     header = ["phi", "p_odd", "p_even"] + [f"p_{k:03b}" for k in range(8)]
     _write(cfg, "phi_scan", header, rows, {"scheme": cfg.scheme, "phi0": r.phi0},
            counters=r.counters)
@@ -237,8 +240,8 @@ def run_qst(cfg: RunConfig) -> int:
     addr = AddressState(cfg.theta, cfg.phi, scheme_basis(cfg.scheme))
     r = qst(addr, cfg.scheme, method=cfg.method, shots=cfg.shots, seed=cfg.seed,
             noise=cfg.noise_model(), sqrt_cz_ns=cfg.sqrt_cz_ns, single_ns=cfg.single_ns)
-    rows = [[i, j, r.rho[i, j].real, r.rho[i, j].imag]
-            for i in range(r.rho.shape[0]) for j in range(r.rho.shape[1])]
+    rows = [[i, j, re, im] for i, row in enumerate(zip(r.rho.real.tolist(), r.rho.imag.tolist()))
+            for j, (re, im) in enumerate(zip(*row))]
     _write(cfg, "qst", ["row", "col", "re", "im"], rows,
            {"scheme": cfg.scheme, "method": r.method, "fidelity": r.fidelity,
             "mle_iterations": r.iterations,
@@ -249,7 +252,7 @@ def run_qst(cfg: RunConfig) -> int:
 
 def _write_rat(cfg: RunConfig, name: str, r, extra: dict) -> int:
     """The depth curve of a RAT run and its fit summary, then ``extra``."""
-    rows = [[int(n), m] for n, m in zip(r.depths, r.m_values)]
+    rows = [[int(n), m] for n, m in zip(r.depths, r.m_values.tolist())]
     _write(cfg, name, ["depth", "m_rat"], rows,
            {"scheme": cfg.scheme, "fit_l1": r.fit[0], "fit_l2": r.fit[1],
             "fit_f_rat": r.fit[2], "residual_rms": r.residual_rms,
@@ -344,7 +347,7 @@ def run_layout(cfg: RunConfig) -> int:
 def run_noise_curves(cfg: RunConfig) -> int:
     rates = cfg.rates()
     ts = np.linspace(0.0, 40.0, cfg.grid_points)
-    rows = [[t, *amplitude_a120(rates, t), amplitude_a110(rates, t)] for t in ts]
+    rows = [[t, *amplitude_a120(rates, t), amplitude_a110(rates, t)] for t in ts.tolist()]
     bp = balance_point(rates)
     _write(cfg, "noise_curves", ["t_us", "a120_raw", "a120_postselected", "a110"], rows,
            {"balance_point_us": bp}, counters={"points": len(rows)})

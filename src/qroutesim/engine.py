@@ -16,8 +16,9 @@ advance (`rat`), a Floquet application, the φ scan's π/2 layer (`protocols`).
 Each program, one per state representation (vector and ρ) and register
 shape, is built on its first run; noise or a map makes it a ρ program.  Each
 gate side and channel entry is an entry ``(matrix, link)``: its `qudit._Plan`
-linked to the previous product by `qudit._link`, on a small tensor one `take`
-of a memoised index.  A run is one product per entry and a final restore.
+linked to the previous product by `qudit._link`, on a small tensor one
+gather of a memoised flat index.  A run is one product per entry and a final
+restore.
 The products take the operands `_Plan.apply` gives (the first entry takes
 the state as it does), with complex128 matrices, so a run is bit for bit
 `apply_gate` per gate, `apply_channel` per map and `noise.apply_noise_step`
@@ -74,7 +75,11 @@ class CompiledCircuit:
         entries, restore = self.programs[key]
         data = state.data
         for matrix, link in entries:
-            data = matrix @ _reorder(data, link)
+            if type(link) is tuple:
+                shape, perm, flat = link
+                data = matrix @ data.reshape(shape).transpose(perm).reshape(flat)
+            else:
+                data = matrix @ data.ravel()[link]
         return QuditRegister(dims, _reorder(data, restore))
 
     def _program(self, pure: bool, dims: tuple) -> tuple:

@@ -17,11 +17,12 @@ identity tensor.  `apply_gate` and `apply_channel` apply one matrix as an
 entry of a compiled program (`engine`) does; no run calls them, and tests
 compare programs with them.  Compiled circuits chain plans with `_link`,
 which feeds each product to the next plan in one reorder: on a small tensor
-one `take` of a memoised index (numpy's strided copy pays per contiguous
-run, and there the runs are one or two entries long), else reshape and
-transpose.  Both give the same C-ordered operand, so the next product keeps
-its bits.  `attach_site` reorders through the same links; `trace_out`
-undoes it, and may keep only some digits of the site (the eraser's discard).
+one gather of a memoised flat index (numpy's strided copy pays per
+contiguous run, and there the runs are one or two entries long), else
+reshape and transpose.  Both give the same C-ordered operand, so the next
+product keeps its bits.  `attach_site` reorders through the same links;
+`trace_out` undoes it, and may keep only some digits of the site (the
+eraser's discard), gathering each kept digit's slice the same way.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ def _link(src: tuple, order: tuple, perm: tuple, flat: tuple):
     restoring transpose: the same elements in the same layout.
 
     On at most `_GATHER_MAX` entries, where the reorder copies, the link is
-    the flat index of each output entry (read-only, 8 B an entry);
-    otherwise it is ``(shape, perm, flat)`` for one reshape, transpose and
-    reshape, which may be a view."""
+    the flat index of each output entry (read-only, 8 B an entry), which
+    one gather reads; otherwise it is ``(shape, perm, flat)`` for one
+    reshape, transpose and reshape, which may be a view."""
     runs: list[list[int]] = []
     for a in (order[p] for p in perm):
         if runs and runs[-1][-1] + 1 == a:
@@ -216,11 +217,12 @@ def _link(src: tuple, order: tuple, perm: tuple, flat: tuple):
 
 
 def _reorder(data: np.ndarray, link) -> np.ndarray:
-    """``data`` through a `_link` link: one `take`, or the strided form."""
+    """``data`` through a `_link` link: one gather of its flat entries, or
+    the strided form."""
     if type(link) is tuple:
         shape, perm, flat = link
         return data.reshape(shape).transpose(perm).reshape(flat)
-    return data.take(link)
+    return data.ravel()[link]
 
 
 def apply_gate(state: QuditRegister, gate: np.ndarray, sites) -> QuditRegister:
@@ -312,17 +314,38 @@ def attach_site(state: QuditRegister, pos: int, site: np.ndarray) -> QuditRegist
 
 def trace_out(state: QuditRegister, site: int, digits=None) -> QuditRegister:
     """The register without ``site``, traced over its ``digits`` (all by
-    default): `np.trace` over the site's ket and bra axes after a `take` of
-    ``digits``, so the other digits' branches drop out unnormalized."""
+    default), so the other digits' branches drop out unnormalized.  Each
+    kept digit's ket = bra slice is one gather of a memoised flat index, and
+    the slices are summed in digit order from zero, as `np.trace` sums (so
+    signed zeros agree).  A pure register gathers its digits from the vector
+    and forms only those slices of |ψ⟩⟨ψ|."""
     site = _check_sites(state, [site])[0]
-    dims, n = state.dims, state.n_sites
-    rho = state.density().reshape(dims * 2)
-    if digits is not None:
-        if len(set(digits)) != len(digits) or not set(digits) <= set(range(dims[site])):
-            raise ShapeError(f"digits {digits} are not distinct digits below {dims[site]}")
-        rho = rho.take(digits, axis=site).take(digits, axis=site + n)
-    rest, out = dims[:site] + dims[site + 1:], np.trace(rho, axis1=site, axis2=site + n)
-    return QuditRegister(rest, out.reshape(math.prod(rest), -1))
+    dims = state.dims
+    if digits is None:
+        digits = range(dims[site])
+    elif len(set(digits)) != len(digits) or not set(digits) <= set(range(dims[site])):
+        raise ShapeError(f"digits {digits} are not distinct digits below {dims[site]}")
+    terms = state.data.ravel()[_digit_slices(dims, site, tuple(digits), state.is_pure)]
+    if state.is_pure:
+        terms = terms[:, :, None] * terms.conj()[:, None, :]
+    out = np.zeros(terms.shape[1:], dtype=terms.dtype)
+    for term in terms:
+        out += term
+    return QuditRegister(dims[:site] + dims[site + 1:], out)
+
+
+@lru_cache(maxsize=256)
+def _digit_slices(dims: tuple, site: int, digits: tuple, pure: bool) -> np.ndarray:
+    """The flat index, per digit of ``digits``, of the entries of a vector
+    over ``dims`` that hold it at ``site`` (shape (digits, rest)), or of ρ's
+    entries that hold it at ``site`` on both the ket and the bra (shape
+    (digits, rest, rest)); read-only."""
+    inner = math.prod(dims[site + 1:])
+    high, low = divmod(np.arange(math.prod(dims) // dims[site]), inner)
+    ket = high * (dims[site] * inner) + low + np.array(digits, dtype=np.intp)[:, None] * inner
+    index = ket if pure else ket[:, :, None] * math.prod(dims) + ket[:, None, :]
+    index.flags.writeable = False
+    return index
 
 
 def partial_trace(state: QuditRegister, keep) -> QuditRegister:

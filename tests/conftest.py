@@ -36,6 +36,17 @@ def physical_rates(draw):
                       (g10 + g21) / 2 + phi(1, 2))
 
 
+def with_signed_zeros(rng, a: np.ndarray) -> np.ndarray:
+    """Complex ``a`` with about a third of its real and imaginary parts set
+    to +0 or -0 at random, so that a result that loses a sign shows in its
+    bytes (``==`` does not see it)."""
+    re, im = a.real.copy(), a.imag.copy()
+    for part in (re, im):
+        hit = rng.random(part.shape) < 0.35
+        part[hit] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[hit]
+    return re + 1j * im
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LINES:
         return

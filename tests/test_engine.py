@@ -18,7 +18,7 @@ from qroutesim.protocols import AddressState, router_input
 from qroutesim.qudit import (QuditRegister, apply_channel, apply_gate, attach_site,
                              new_basis_state, populations)
 
-from conftest import physical_rates
+from conftest import physical_rates, with_signed_zeros
 
 
 def test_run_circuit_routes_basis_label():
@@ -245,6 +245,31 @@ def test_link_gathers_a_copying_reorder_of_at_most_the_bound():
         assert np.array_equal(qudit._reorder(data, link), want)
     # a reorder that is a view stays one, on any size
     assert qudit._link((4, 8), (0, 1), (1, 0), (8, 4)) == ((4, 8), (1, 0), (8, 4))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.data())
+def test_gather_is_the_strided_reorder_and_take(src, data):
+    """On random shapes, restoring orders, target orders and flat splits, a
+    gather link gives the bytes of the strided reorder and of `np.take` of
+    the same index, on contiguous and non-contiguous inputs alike."""
+    src = tuple(src)
+    order = tuple(data.draw(st.permutations(range(len(src)))))
+    perm = tuple(data.draw(st.permutations(range(len(src)))))
+    logical = tuple(src[a] for a in order)
+    split = data.draw(st.integers(0, len(src)))
+    flat = tuple(math.prod(logical[a] for a in part) for part in (perm[:split], perm[split:]))
+    link = qudit._link(src, order, perm, flat)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = math.prod(src)
+    base = with_signed_zeros(rng, rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size))
+    for x in (base[:size], base[::2], base[:size].reshape(-1, src[0]).T, base[1::2].real):
+        want = np.ascontiguousarray(x.reshape(src).transpose(order).transpose(perm).reshape(flat))
+        got = qudit._reorder(x, link)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if type(link) is np.ndarray:
+            assert got.flags.c_contiguous and got.tobytes() == np.take(x, link).tobytes()
 
 
 @settings(max_examples=80)

@@ -25,6 +25,8 @@ from qroutesim.qudit import (
     trace_out,
 )
 
+from conftest import with_signed_zeros
+
 X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
 
 
@@ -269,6 +271,49 @@ def test_trace_out_is_the_trace_loop_and_project_then_trace(dims, seed):
         keep = [int(s) for s in rng.permutation(n)[:rng.integers(1, n + 1)]]
         got, want = partial_trace(reg, keep), _loop_partial_trace(reg, keep)
         assert got.dims == want.dims and got.data.tobytes() == want.data.tobytes()
+
+
+def _take_then_trace(state, site, digits=None):
+    """`trace_out` as it was written before it gathered: |ψ⟩⟨ψ| of a pure
+    register, an `np.take` of ``digits`` on the site's ket and bra axes,
+    then `np.trace` over them."""
+    dims, n = state.dims, state.n_sites
+    rho = state.density().reshape(dims * 2)
+    if digits is not None:
+        rho = np.take(np.take(rho, digits, axis=site), digits, axis=site + n)
+    rest = dims[:site] + dims[site + 1:]
+    out = np.trace(rho, axis1=site, axis2=site + n)
+    return QuditRegister(rest, out.reshape(int(np.prod(rest)), -1))
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4), st.integers(1, 8),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example([2, 3, 2, 2], 1, False, 0)  # the router register
+@example([2, 3, 2, 2], 8, True, 1)  # a pure Choi column of the two-layer leaf maps
+def test_trace_out_is_take_then_trace(dims, ref_dim, pure, seed):
+    """On pure and mixed registers holding exact ±0 entries, tracing out any
+    site over all its digits or over subsets in any order gives the bytes
+    of `np.take` then `np.trace`: the same sums in the same order, signed
+    zeros included."""
+    dims = (*dims, ref_dim) if ref_dim > 1 else tuple(dims)
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    v = with_signed_zeros(rng, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    if pure:
+        reg = QuditRegister(dims, v)
+    else:
+        rho = np.outer(v, v.conj()) if seed % 2 else rng.normal(size=(dim, dim)) * 1j
+        reg = QuditRegister(dims, with_signed_zeros(rng, rho))
+    for site, d in enumerate(dims):
+        # every order of every subset on a qubit or qutrit, four on the reference
+        subsets = [None] + ([digits for size in range(1, d + 1)
+                             for digits in itertools.permutations(range(d), size)] if d <= 3
+                            else [tuple(rng.permutation(d)[:k].tolist()) for k in (1, 2, 5, d)])
+        for digits in subsets:
+            got, want = trace_out(reg, site, digits), _take_then_trace(reg, site, digits)
+            assert got.dims == want.dims and got.data.shape == want.data.shape
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_trace_out_rejects_bad_digits():
