@@ -517,48 +517,46 @@ def dumps_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _add_block(circuit: Circuit, specs: dict[str, GateSpec],
+               blocks: dict[tuple[str, ...], Moment], block: list[str], ln: int) -> None:
+    """Close a MOMENT (on line ``ln``) of GATE lines: a block checked before
+    under the current SITES stands for the same `Moment` again."""
+    key = tuple(block)
+    moment = blocks.get(key)
+    if moment is None:
+        try:
+            circuit.add_moment(*(specs[g] for g in key))
+        except ShapeError as exc:
+            raise ShapeError(f"line {ln}: {exc}") from exc
+        blocks[key] = circuit.ops[-1]
+    else:
+        circuit.ops.append(moment)
+
+
 def loads_circuit(text: str) -> Circuit:
     """Parse the text form of `dumps_circuit`; malformed input raises
     ShapeError naming the line (for a moment's site checks, its MOMENT line).
 
-    The text is read a moment at a time, split at ``"\\nMOMENT\\n"`` once any
-    ``"\\r"`` line ends are rewritten as ``"\\n"``: a chunk of GATE lines read
-    before under the current SITES stands for the same `Moment` again, and
-    every other chunk goes through the line parser."""
+    One pass over ``text.splitlines()`` with two memos, both cleared at each
+    SITES line: each distinct GATE line is parsed into one `GateSpec`, and
+    each distinct block of GATE lines is checked once and then stands for the
+    same `Moment`.  Blocks are keyed by their text, since equal specs can
+    print differently (0.0 == -0.0)."""
     circuit: Circuit | None = None
-    moment_ln, gates = 0, None  # the open MOMENT's GATE lines, added when it closes
-    specs: dict[str, GateSpec] = {}  # each GATE line parsed under the current SITES
-    # each distinct block of GATE lines checked once under the current SITES,
-    # keyed by its text since equal specs can print differently (0.0 == -0.0)
+    specs: dict[str, GateSpec] = {}
     blocks: dict[tuple[str, ...], Moment] = {}
-    chunks: dict[str, tuple[Moment, int]] = {}  # a moment's raw text: its Moment, its lines
-
-    def close_moment():
-        nonlocal gates
-        if gates is None:
-            return
-        key, gates = tuple(gates), None
-        moment = blocks.get(key)
-        if moment is None:
-            try:
-                circuit.add_moment(*(specs[g] for g in key))
-            except ShapeError as exc:
-                raise ShapeError(f"line {moment_ln}: {exc}") from exc
-            blocks[key] = circuit.ops[-1]
-        else:
-            circuit.ops.append(moment)
-
-    def parse_line(ln: int, raw: str) -> None:
-        nonlocal circuit, moment_ln, gates
+    moment_ln, block = 0, None  # the open MOMENT's line and GATE lines
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if gates is not None and line in specs:  # a GATE line met before
-            gates.append(line)
-            return
+        if block is not None and line in specs:  # a GATE line met before
+            block.append(line)
+            continue
         if not line or line.startswith("#"):
-            return
+            continue
         tok = line.split()
-        if tok[0] != "GATE":
-            close_moment()
+        if tok[0] != "GATE" and block is not None:
+            _add_block(circuit, specs, blocks, block, moment_ln)
+            block = None
         try:
             if tok[0] == "SITES":
                 dims: dict[str, int] = {}
@@ -571,13 +569,12 @@ def loads_circuit(text: str) -> Circuit:
                 circuit = Circuit(dims)
                 specs.clear()
                 blocks.clear()
-                chunks.clear()
             elif circuit is None:
                 raise ShapeError(f"{tok[0]} before SITES")
             elif tok[0] == "MOMENT":
-                moment_ln, gates = ln, []
+                moment_ln, block = ln, []
             elif tok[0] == "GATE":
-                if gates is None:
+                if block is None:
                     raise ShapeError("GATE outside a MOMENT")
                 sites, params, durations = [], [], []
                 for item in tok[2:]:
@@ -598,36 +595,13 @@ def loads_circuit(text: str) -> Circuit:
                 if not 0.0 <= duration < math.inf:
                     raise ShapeError(f"duration {duration!r} is not finite and non-negative")
                 specs[line] = GateSpec(tok[1], tuple(sites), tuple(params), duration)
-                gates.append(line)
+                block.append(line)
             else:
                 raise ShapeError(f"unknown directive {tok[0]!r}")
         except (ShapeError, ValueError, IndexError) as exc:
             raise ShapeError(f"line {ln}: {exc}") from exc
-
-    if "\r" in text:  # the same lines (`splitlines`'s), each ended by "\n"
-        text = "\n".join(text.splitlines()) + "\n"
-    pieces = text.split("\nMOMENT\n")
-    ln = 1  # the line the next piece starts on
-    for i, chunk in enumerate(pieces):
-        if i:  # the chunk follows a MOMENT line
-            hit = chunks.get(chunk)
-            if hit is not None:
-                close_moment()
-                circuit.ops.append(hit[0])
-                ln += 1 + hit[1]
-                continue
-            moment_at = ln
-            parse_line(ln, "MOMENT")
-            ln += 1
-        # a piece's own "\n" ends its last line, as it does in the whole text
-        lines = (chunk + "\n").splitlines() if i + 1 < len(pieces) else chunk.splitlines()
-        for k, raw in enumerate(lines, ln):
-            parse_line(k, raw)
-        ln += len(lines)
-        if i and gates is not None and moment_ln == moment_at:  # GATE lines only
-            close_moment()
-            chunks[chunk] = (circuit.ops[-1], len(lines))
-    close_moment()
+    if block is not None:
+        _add_block(circuit, specs, blocks, block, moment_ln)
     if circuit is None:
         raise ShapeError("no SITES line found")
     return circuit

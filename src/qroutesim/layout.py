@@ -23,7 +23,8 @@ coupler, each with the bitmask of its three other corners; every seed's
 search shares that table and tracks occupancy as one int bitmask.  The
 search prunes a level when the free qubits cannot hold the triangles still
 to come, and when its (occupancy, frontier points) state already failed
-under the same seed.
+under the same seed.  A call visits at most `MAX_SEARCH_STATES` states
+over all its seeds and raises CapacityError when it needs more.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ Coord = tuple[int, int]
 #: lattice qubits (rows × cols) a layout may span: `footprints` tabulates each one
 MAX_LATTICE_QUBITS = 1024
 
+#: search states (frontier states expanded plus complete trees checked for
+#: enclosed qubits) one `best_layout` or `grow_layout` call may visit, summed
+#: over seeds; a search that needs more raises CapacityError
+MAX_SEARCH_STATES = 250_000
+
 #: corner offsets of a 2×2 cell, index order (TL, TR, BL, BR)
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -48,7 +54,7 @@ class GridSpec:
     rows: int
     cols: int
     defect_qubits: frozenset = frozenset()
-    defect_couplers: frozenset = frozenset()  # frozenset of sorted coord pairs
+    defect_couplers: frozenset = frozenset()  # frozenset of adjacent coord pairs, either order
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -56,17 +62,18 @@ class GridSpec:
         for r, c in self.defect_qubits:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise ValueError(f"defect qubit {(r, c)} outside {self.rows}x{self.cols}")
-        for a, b in self.defect_couplers:
-            if not (self.in_bounds(a) and self.in_bounds(b)
+        for pair in self.defect_couplers:
+            a, b = pair
+            if not (isinstance(pair, tuple) and self.in_bounds(a) and self.in_bounds(b)
                     and abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1):
-                raise ValueError(f"defect coupler {(a, b)} is not a coupler of the "
+                raise ValueError(f"defect coupler {pair} is not a coupler of the "
                                  f"{self.rows}x{self.cols} lattice")
 
     def in_bounds(self, q: Coord) -> bool:
         return 0 <= q[0] < self.rows and 0 <= q[1] < self.cols
 
     def coupler_ok(self, a: Coord, b: Coord) -> bool:
-        return frozenset((a, b)) not in {frozenset(p) for p in self.defect_couplers}
+        return (a, b) not in self.defect_couplers and (b, a) not in self.defect_couplers
 
 
 @dataclass(frozen=True)
@@ -281,6 +288,7 @@ class Footprints:
 
     at: dict[Coord, tuple[_Placement, ...]]
     nodes_expanded: int = 0  # frontier states whose children were tried
+    trees_checked: int = 0  # complete trees checked for enclosed free qubits
     dead_states: int = 0  # frontier states that failed, summed over seeds
 
 
@@ -303,14 +311,13 @@ def footprints(grid: GridSpec) -> Footprints:
     if grid.rows * grid.cols > MAX_LATTICE_QUBITS:
         raise CapacityError(f"a {grid.rows}x{grid.cols} lattice exceeds the "
                             f"{MAX_LATTICE_QUBITS}-qubit layout bound")
-    dead_couplers = {frozenset(p) for p in grid.defect_couplers}
     cells = {}  # anchor -> corners and their bitmask, for each usable cell
     for r in range(grid.rows - 1):
         for c in range(grid.cols - 1):
             cell = Triangle((r, c), 0, 1)  # every triangle of a cell has its corners and edges
             corners = cell.corners()
             if (grid.defect_qubits.isdisjoint(corners)
-                    and dead_couplers.isdisjoint(map(frozenset, cell.edges()))):
+                    and all(grid.coupler_ok(a, b) for a, b in cell.edges())):
                 cells[r, c] = corners, sum(_bit(grid, q) for q in corners)
     at = {}
     for r in range(grid.rows):
@@ -328,8 +335,21 @@ def footprints(grid: GridSpec) -> Footprints:
     return Footprints(at)
 
 
-def _occupied(grid: GridSpec, occ: int) -> set[Coord]:
-    return {divmod(i, grid.cols) for i in range(grid.rows * grid.cols) if occ >> i & 1}
+def _encloses(grid: GridSpec, occ: int) -> bool:
+    """Whether the occupancy bitmask ``occ`` encloses a free qubit: `_holes`
+    as a flood fill over bitmasks, from the free boundary qubits inward."""
+    cols = grid.cols
+    row = (1 << cols) - 1
+    left = sum(1 << r * cols for r in range(grid.rows))
+    free = ~occ & ((1 << grid.rows * cols) - 1)
+    reached = free & (row | row << (grid.rows - 1) * cols | left | left << cols - 1)
+    while True:
+        # a shift by one that wraps round a row lands on a boundary qubit,
+        # which is reached from the start if free
+        grown = free & (reached | reached << 1 | reached >> 1 | reached << cols | reached >> cols)
+        if grown == reached:
+            return grown != free
+        reached = grown
 
 
 def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int,
@@ -363,9 +383,13 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int,
 
     def attach_children(points: list[tuple[int, Coord]], level: int) -> bool:
         nonlocal best_achieved
+        if table.nodes_expanded + table.trees_checked >= MAX_SEARCH_STATES:
+            raise CapacityError(f"the {target_layers}-layer layout search on {grid.rows}x"
+                                f"{grid.cols} passed {MAX_SEARCH_STATES} states")
         best_achieved = max(best_achieved, level + 2)
         if level >= levels:
-            return not _holes(grid, _occupied(grid, occ))
+            table.trees_checked += 1
+            return not _encloses(grid, occ)
         remaining_levels = levels - level
         # each new triangle adds exactly 3 fresh qubits
         if free - occ.bit_count() < 3 * len(points) * (2 ** remaining_levels - 1):

@@ -43,7 +43,6 @@ from .qudit import (
     postselect,
 )
 
-ROUTER_SITES = ("Q_I", "Q_C", "Q_L", "Q_R")
 ROUTER_DIMS = (2, 3, 2, 2)
 
 

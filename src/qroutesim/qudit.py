@@ -114,7 +114,9 @@ def new_basis_state(dims, label: str) -> QuditRegister:
         raise InvalidLabel(f"label {label!r} has {len(label)} digits, register has {len(dims)} sites")
     digits = []
     for pos, ch in enumerate(label):
-        if not ch.isdigit() or int(ch) >= dims[pos]:
+        if ch not in "0123456789":  # str.isdigit also passes "²" and "٣"
+            raise InvalidLabel(f"{ch!r} at site {pos} is not a digit 0-9")
+        if int(ch) >= dims[pos]:
             raise InvalidLabel(f"digit {ch!r} at site {pos} exceeds dimension {dims[pos]}")
         digits.append(int(ch))
     vec = np.zeros(int(np.prod(dims)), dtype=complex)

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -556,30 +555,39 @@ def test_loads_circuit_is_the_line_by_line_parser_on_query_texts(config):
     assert len(set(got[3])) < len(got[3])  # repeated blocks stand as one moment object
 
 
-def _parse_line_calls(text: str) -> int:
-    calls = 0
+def _parse_counts(monkeypatch, text: str) -> tuple[int, int]:
+    """How many `GateSpec`s `loads_circuit` builds for ``text``, and how many
+    moments it checks through `Circuit.add_moment`."""
+    counts = [0, 0]
+    real_spec, real_add = gates.GateSpec, Circuit.add_moment
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "parse_line":
-            calls += 1
+    def spec(*args):
+        counts[0] += 1
+        return real_spec(*args)
 
-    sys.setprofile(count)
-    try:
+    def add_moment(self, *specs):
+        counts[1] += 1
+        return real_add(self, *specs)
+
+    with monkeypatch.context() as m:
+        m.setattr(gates, "GateSpec", spec)
+        m.setattr(Circuit, "add_moment", add_moment)
         loads_circuit(text)
-    finally:
-        sys.setprofile(None)
-    return calls
+    return counts[0], counts[1]
 
 
-def test_loads_circuit_parses_each_distinct_moment_text_once():
+def test_loads_circuit_checks_each_distinct_block_once(monkeypatch):
     head = "# qroutesim-circuit v1\nSITES a:2 b:3\n"
     block = "MOMENT\nGATE x a 30.0\nGATE x b 25.0\n"
     other = "MOMENT\nGATE h b 30.0\n"
-    assert _parse_line_calls(head + (block + other) * 3) == _parse_line_calls(
-        head + (block + other) * 30)
+    assert _parse_counts(monkeypatch, head + (block + other) * 3) == _parse_counts(
+        monkeypatch, head + (block + other) * 30) == (3, 2)
+    # each SITES line starts both memos afresh
+    assert _parse_counts(monkeypatch, (head + block + other) * 2) == (6, 4)
 
 
-def test_loads_circuit_finds_repeated_moments_in_crlf_text():
+def test_loads_circuit_reads_crlf_text_as_lf_text(monkeypatch):
     text = _query_text(3, "full", "tcg-eraser")
-    assert _parse_line_calls(text.replace("\n", "\r\n")) == _parse_line_calls(text)
+    crlf = text.replace("\n", "\r\n")
+    assert _parse_counts(monkeypatch, crlf) == _parse_counts(monkeypatch, text)
+    assert _outcome(loads_circuit, crlf) == _outcome(loads_circuit, text)

@@ -15,6 +15,8 @@ from qroutesim.layout import (
     GridSpec,
     Triangle,
     TriangleLayout,
+    _encloses,
+    _holes,
     _placements_at,
     _triangle_ok,
     best_layout,
@@ -65,12 +67,22 @@ def test_defect_rejection():
 
 
 @pytest.mark.parametrize("pair", [((0, 0), (9, 9)), ((0, 0), (2, 2)), ((0, 0), (1, 1)),
-                                  ((1, 1), (1, 1)), ((3, 3), (3, 4)), ((-1, 0), (0, 0))])
+                                  ((1, 1), (1, 1)), ((3, 3), (3, 4)), ((-1, 0), (0, 0)),
+                                  frozenset({(0, 0), (0, 1)})])  # `coupler_ok` reads tuples
 def test_defect_coupler_must_be_a_lattice_coupler(pair):
     with pytest.raises(ValueError, match="defect coupler"):
         GridSpec(4, 4, defect_couplers=frozenset({pair}))
     # a lattice coupler is accepted, in either order
     GridSpec(4, 4, defect_couplers=frozenset({((1, 2), (1, 3)), ((3, 0), (2, 0))}))
+
+
+@pytest.mark.parametrize("pair", [((0, 0), (0, 1)), ((0, 1), (0, 0))])
+def test_a_dead_coupler_is_dead_in_either_order(pair):
+    grid = GridSpec(3, 3, defect_couplers=frozenset({pair}))
+    assert not grid.coupler_ok((0, 0), (0, 1)) and not grid.coupler_ok((0, 1), (0, 0))
+    assert grid.coupler_ok((0, 0), (1, 0))
+    assert footprints(grid).at[0, 0] == ()  # the one cell that has the coupler is dead
+    assert len(footprints(grid).at[1, 1]) == 9
 
 
 def test_hole_detection():
@@ -275,3 +287,41 @@ def test_lattice_bound_exits_3_and_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("capacity: a 25x41 lattice")
     assert not (tmp_path / "out").exists()
     assert len(footprints(GridSpec(32, 32)).at) == 1024
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_encloses_is_the_hole_finder(rows, cols, data):
+    grid = GridSpec(rows, cols)
+    occ = data.draw(st.integers(0, (1 << rows * cols) - 1))
+    occupied = {divmod(i, cols) for i in range(rows * cols) if occ >> i & 1}
+    assert _encloses(grid, occ) == bool(_holes(grid, occupied))
+
+
+def test_search_budget_raises_capacity_error(monkeypatch):
+    """Past `MAX_SEARCH_STATES` states (frontier states expanded plus complete
+    trees checked, summed over seeds) a search raises instead of running on;
+    the exhausted 8×8 six-layer search, the largest any test makes, fits."""
+    table = footprints(GridSpec(8, 8))
+    for seed in seed_candidates(GridSpec(8, 8)):
+        assert grow_layout(GridSpec(8, 8), seed, 6, table)[0] is None
+    assert (table.nodes_expanded, table.trees_checked) == (39612, 26244)
+    assert table.nodes_expanded + table.trees_checked < layout.MAX_SEARCH_STATES
+    monkeypatch.setattr(layout, "MAX_SEARCH_STATES", 100)
+    grid = GridSpec(12, 6)
+    match = "^the 6-layer layout search on 12x6 passed 100 states$"
+    with pytest.raises(CapacityError, match=match):
+        best_layout(grid, 6)
+    table = footprints(grid)  # grow_layout calls that share a table share the budget
+    with pytest.raises(CapacityError, match=match):
+        for seed in seed_candidates(grid):
+            grow_layout(grid, seed, 6, table)
+
+
+def test_search_budget_exits_3_and_writes_nothing(tmp_path, capsys):
+    assert layout.MAX_SEARCH_STATES == 250_000
+    assert main(["layout", "--grid", "16x16", "--layers", "7",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "capacity: the 7-layer layout search on 16x16 passed 250000 states\n")
+    assert not (tmp_path / "out").exists()

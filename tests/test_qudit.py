@@ -61,6 +61,13 @@ def test_bad_labels():
         new_basis_state([2, 3], "20")
 
 
+@pytest.mark.parametrize("dims, label", [((3,), "\u00b2"), ((4,), "\u0663"), ((2, 2), "0x")])
+def test_labels_take_ascii_digits_only(dims, label):
+    # superscript two and Arabic-Indic three pass str.isdigit; int() reads "\u0663" as 3
+    with pytest.raises(InvalidLabel, match="is not a digit 0-9$"):
+        new_basis_state(dims, label)
+
+
 def test_identity_gate_noop():
     reg = from_site_states([3, 2], [[1, 1j, 0.5], [1, -1]])
     out = apply_gate(reg, np.eye(6), [0, 1])

@@ -1,10 +1,15 @@
-"""The package reorders small tensors in one way.
+"""Source checks beside the unused-import one.
 
-A source check beside the unused-import one: no module of the package calls
-a ``take`` method or function (``data.take(index)``, ``np.take(...)``), so a
-gather of a memoised flat index (``data.ravel()[index]``) stays the only
-small-tensor reorder, and a `take` that costs about twice the gather does
-not come back.  Docstrings and comments may name it.
+The package reorders small tensors in one way: no module calls a ``take``
+method or function (``data.take(index)``, ``np.take(...)``), so a gather of
+a memoised flat index (``data.ravel()[index]``) stays the only small-tensor
+reorder, and a `take` that costs about twice the gather does not come back.
+Docstrings and comments may name it.
+
+Only the command line reads the environment: no module but ``cli.py``
+touches ``os.environ`` or ``os.getenv`` (or imports them from ``os``), so
+``QROUTESIM_OUTDIR`` stays the one variable honoured and run settings stay
+in config files and flags.
 """
 
 import ast
@@ -40,3 +45,32 @@ def test_the_check_sees_a_take_call(tmp_path):
                    "c = np.take(a, [2])\n"
                    "d = a.ravel()[[3]]\n")
     assert _take_calls(mod) == ["mod.py:4", "mod.py:5"]
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in _ENV_NAMES for alias in node.names)}
+    return [f"{path.name}:{n}" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", [p for p in _PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_environment_read_outside_the_cli(path):
+    assert _environment_reads(path) == []
+
+
+def test_the_check_sees_an_environment_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text('"""a docstring may say os.environ"""\n'
+                   "import os\n"
+                   "from os import environ, path\n"
+                   "a = os.environ.get('X')  # a mapping\n"
+                   "b = os.getenv('Y')\n"
+                   "c = os.path.join('d', 'e')\n")
+    assert _environment_reads(mod) == ["mod.py:3", "mod.py:4", "mod.py:5"]
