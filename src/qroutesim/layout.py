@@ -11,9 +11,11 @@ Layer counting follows the packed-system convention — the stack is the
 input-bus level, the routing levels, and the data-leaf level — so a
 ``layers``-deep system holds 2^(layers−2) − 1 triangles (zero for layers
 ≤ 2, which are trivially placeable).  With this geometry a defect-free
-12×6 lattice accommodates exactly up to five system layers (7 triangles);
-six layers need 15 corner-linked cells, which require at least a 12×8
-lattice (verified by exhaustive search, independent of the qubit budget).
+12×6 lattice accommodates exactly up to five system layers (7 triangles).
+Six layers need 15 corner-linked cells, and no six-layer layout is known:
+the search is exhausted on defect-free 8×8 and 12×8 lattices, where
+complete trees exist but every one encloses a free qubit, and on 10×10,
+16×16 and larger it reaches `MAX_SEARCH_STATES` without a layout.
 
 `best_layout` tries root placements in lexicographic order and grows a
 tree from each by depth-first search, one tree level at a time.  Once per
@@ -103,9 +105,6 @@ class Triangle:
         return tuple(q for k, q in enumerate(self.corners())
                      if k not in (self.address_corner, self.input_corner))
 
-    def qubits(self) -> tuple[Coord, ...]:
-        return self.corners()
-
     def edges(self) -> tuple[tuple[Coord, Coord], ...]:
         """Lattice couplers the cell relies on: its four side edges."""
         (r, c) = self.anchor
@@ -135,7 +134,7 @@ class TriangleLayout:
     def occupied(self) -> set[Coord]:
         out: set[Coord] = set()
         for t in self.triangles:
-            out.update(t.qubits())
+            out.update(t.corners())
         return out
 
     def to_json(self) -> str:
@@ -198,7 +197,7 @@ def check_layout(grid: GridSpec, layout: TriangleLayout) -> LayoutReport:
     for i, t in enumerate(tris):
         if t.address_corner == t.input_corner:
             v.append(f"triangle {i}: address and input share a corner")
-        for q in t.qubits():
+        for q in t.corners():
             if not grid.in_bounds(q):
                 v.append(f"triangle {i}: qubit {q} out of bounds")
             elif q in grid.defect_qubits:
@@ -216,7 +215,7 @@ def check_layout(grid: GridSpec, layout: TriangleLayout) -> LayoutReport:
         if not 0 <= p < i:
             v.append(f"triangle {i}: parent index {p} invalid")
             continue
-        link = set(tris[i].qubits()) & set(tris[p].qubits())
+        link = set(tris[i].corners()) & set(tris[p].corners())
         if len(link) != 1:
             v.append(f"triangles {p}->{i}: share {len(link)} qubits, want exactly 1")
             continue
@@ -228,7 +227,7 @@ def check_layout(grid: GridSpec, layout: TriangleLayout) -> LayoutReport:
         shared_allowed[frozenset((p, i))] = link
     for i in range(len(tris)):
         for j in range(i + 1, len(tris)):
-            overlap = set(tris[i].qubits()) & set(tris[j].qubits())
+            overlap = set(tris[i].corners()) & set(tris[j].corners())
             allowed = shared_allowed.get(frozenset((i, j)), set())
             extra = overlap - allowed
             if extra:
@@ -260,7 +259,7 @@ def _placements_at(grid: GridSpec, point: Coord) -> list[Triangle]:
 
 
 def _triangle_ok(grid: GridSpec, t: Triangle, occupied: set[Coord], attach: Coord) -> bool:
-    for q in t.qubits():
+    for q in t.corners():
         if not grid.in_bounds(q) or q in grid.defect_qubits:
             return False
         if q != attach and q in occupied:
@@ -378,7 +377,7 @@ def grow_layout(grid: GridSpec, seed: Triangle, target_layers: int,
 
     tris = [seed]
     parents = [-1]
-    occ = sum(_bit(grid, q) for q in seed.qubits())
+    occ = sum(_bit(grid, q) for q in seed.corners())
     dead: set[tuple] = set()
 
     def attach_children(points: list[tuple[int, Coord]], level: int) -> bool:

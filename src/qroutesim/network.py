@@ -357,8 +357,7 @@ def two_layer_landscape(theta1s, theta2s, scheme: str = "eraser",
     excited = np.indices((2,) * 5).reshape(5, 32)[1:] == 1
     for i, t1 in enumerate(theta1s):
         for j, t2 in enumerate(theta2s):
-            run.reset()
             addr = (AddressState(t1, 0.0, basis), AddressState(t2, 0.0, basis),
                     AddressState(t2, 0.0, basis))
-            out[i, j] = _ordered_sums(np.where(excited, run.measure_final(addr)[0], 0.0))
+            out[i, j] = _ordered_sums(np.where(excited, run.step(run.start, addr, False)[0][0], 0.0))
     return out

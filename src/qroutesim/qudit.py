@@ -84,19 +84,20 @@ class QuditRegister:
             return QuditRegister(self.dims, np.outer(self.data, self.data.conj()))
         return self
 
-    def validate(self, policy: NumericPolicy = DEFAULT_POLICY) -> None:
-        """Raise ShapeError if norm/trace/Hermiticity/positivity are violated."""
+    def validate(self) -> None:
+        """Raise ShapeError if norm/trace/Hermiticity/positivity are violated
+        beyond `DEFAULT_POLICY`."""
         if self.is_pure:
             norm = float(np.vdot(self.data, self.data).real)
-            if abs(norm - 1.0) > policy.trace_atol:
+            if abs(norm - 1.0) > DEFAULT_POLICY.trace_atol:
                 raise ShapeError(f"pure state norm {norm} != 1")
         else:
             rho = self.data
-            if abs(np.trace(rho).real - 1.0) > policy.trace_atol:
+            if abs(np.trace(rho).real - 1.0) > DEFAULT_POLICY.trace_atol:
                 raise ShapeError(f"trace {np.trace(rho)} != 1")
-            if np.abs(rho - rho.conj().T).max() > policy.atol:
+            if np.abs(rho - rho.conj().T).max() > DEFAULT_POLICY.atol:
                 raise ShapeError("density matrix not Hermitian")
-            if np.linalg.eigvalsh(rho).min() < policy.eig_floor:
+            if np.linalg.eigvalsh(rho).min() < DEFAULT_POLICY.eig_floor:
                 raise ShapeError("density matrix not positive semidefinite")
 
 
@@ -278,7 +279,6 @@ def postselect(
     state: QuditRegister,
     site: int,
     forbidden: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[QuditRegister, float]:
     """Project out every component carrying ``forbidden`` at ``site``.
 
@@ -286,7 +286,7 @@ def postselect(
     AllDiscarded when the kept weight is numerically zero.
     """
     out, kept = project(state, site, forbidden)
-    if kept < policy.discard_floor:
+    if kept < DEFAULT_POLICY.discard_floor:
         raise AllDiscarded(f"post-selection on site {site} kept {kept}")
     norm = np.sqrt(kept) if state.is_pure else kept
     return QuditRegister(state.dims, out.data / norm), kept

@@ -10,15 +10,15 @@ run of the same sequence is
 
 and the depth curve is fitted with M(N) = l1 + l2·F^(2N+1).
 
-Depth n+1 repeats depth n's blocks and adds one, so a trial is one run.
-On one router, at each depth the register, the fresh address and the
-router's first pass are simulated once, and the readout (the last block's
-single pass) and the next paired block (a second pass) both continue from
-that shared state.  The two-layer run instead applies cached block maps,
-all built from one compiled router (see `_TwoLayerRun`), and its readout
-or advance is one compiled run of those maps (`engine.compile_step`).  The
-readout also reports the probability kept by every post-selection so far,
-the eraser's acceptance.
+Depth n+1 repeats depth n's blocks and adds one, so a trial is one run,
+its state held by the caller: a runner's ``step(state, key, advance)``
+reads out a last, single block and, with ``advance``, returns the state
+after the paired block.  On one router both continue from one simulation
+of the fresh address and the first pass.  The two-layer runner applies
+cached block maps, all built from one compiled router (see
+`_TwoLayerRun`), and its readout or advance is one compiled run of those
+maps (`engine.compile_step`).  The readout also reports the probability
+kept by every post-selection so far, the eraser's acceptance.
 
 Policies this implementation fixes: addresses are
 redrawn per trial (one SplitMix64 stream per (seed, trial), shared as a
@@ -137,24 +137,22 @@ def _run_trials(noisy, ideal, blocks: list[list], shots: int = 0,
     hits; ``blocks[trial]`` holds the trial's block keys, one per depth.
 
     Depth n's readout continues the run of depth n − 1, so each trial is one
-    run of its runner.  Noiseless paired blocks are exact identities on the
-    measured register, so the oracle is the ideal runner's single last block,
-    memoised per key.  With ``shots``, outcome frequencies are drawn from
-    ``shot_rng`` per (trial, depth).
+    run, its state held here.  Noiseless paired blocks are exact identities
+    on the measured register, so the oracle is the ideal runner's single
+    last block from ``start``, memoised per key.  With ``shots``, outcome
+    frequencies are drawn from ``shot_rng`` per (trial, depth).
     """
     shape = (len(blocks), len(blocks[0]) if blocks else 0)
     per_trial, kept = np.zeros(shape), np.zeros(shape)
     oracle: dict = {}
     for trial, keys in enumerate(blocks):
-        noisy.reset()
+        state = noisy.start
         for n, key in enumerate(keys):
-            step = noisy.measure_and_advance if n < len(keys) - 1 else noisy.measure_final
-            p_exp, kept[trial, n] = step(key)
+            (p_exp, kept[trial, n]), state = noisy.step(state, key, n < len(keys) - 1)
             if shots:
                 p_exp = shot_rng.multinomial(shots, p_exp) / shots
             if key not in oracle:
-                ideal.reset()
-                oracle[key] = ideal.measure_final(key)[0]
+                oracle[key] = ideal.step(ideal.start, key, False)[0][0]
             per_trial[trial, n] = _match(oracle[key], p_exp)
     return per_trial, kept, per_trial.size - len(oracle)  # one lookup per (trial, depth)
 
@@ -173,7 +171,8 @@ class _RouterRun:
     digits a discard keeps and the router, compiled once; ``first`` is the
     router after the block-initialization window, in which its four sites
     idle for the overhead before it fires.  Choi runs of its blocks carry
-    their reference as a trailing site."""
+    their reference as a trailing site.  Every trial starts from ``start``,
+    read-only: |1⟩ at Q_I (the basis label ``START``), other sites empty."""
 
     def __init__(self, scheme: str, noise: NoiseModel | None,
                  sqrt_cz_ns: float, single_ns: float, block_overhead_ns: float = 0.0,
@@ -189,16 +188,19 @@ class _RouterRun:
         self.tau_router = circuit.duration_ns()
         self.router = compile_circuit(circuit, noise)
         self.first = self.router.idle(block_overhead_ns) + self.router
-        self.reset()
+        self.start = new_basis_state((2,) * len(self.START), self.START).to_mixed()
+        self.start.data.setflags(write=False)
 
 
 class _SingleRouterRun(_RouterRun):
-    """Evolves (Q_I, Q_L, Q_R) through address blocks on one router.
+    """Steps (Q_I, Q_L, Q_R) through address blocks on one router.
 
     A block's first pass is one run of ``first``, the fresh address idling
     with the register through the init window.  ``counters`` tallies router
     runs and the compiled programs the runs built.
     """
+
+    START = "100"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -209,32 +211,19 @@ class _SingleRouterRun(_RouterRun):
         return {"router_runs": self.router_runs,
                 "programs_built": len(self.router.programs) + len(self.first.programs)}
 
-    def reset(self) -> None:
-        """Fresh run state: |1⟩ at Q_I, paths empty."""
-        self.state = new_basis_state((2, 2, 2), "100").to_mixed()
-
     def _run(self, compiled, reg: QuditRegister) -> QuditRegister:
         self.router_runs += 1
         return compiled.run(reg)
 
-    def _first_pass(self, name: str) -> QuditRegister:
-        return self._run(self.first, attach_site(self.state, 1, _address_vector(name, self.basis)))
-
-    def _readout(self, reg: QuditRegister) -> tuple[np.ndarray, float]:
-        return _normalized(populations(trace_out(reg, 1, self.kept_digits)))
-
-    def measure_final(self, name: str) -> tuple[np.ndarray, float]:
-        """Populations over (Q_I, Q_L, Q_R) after a last, single block, and
-        the probability the post-selections kept."""
-        return self._readout(self._first_pass(name))
-
-    def measure_and_advance(self, name: str) -> tuple[np.ndarray, float]:
-        """`measure_final`, then advance the run by the paired block, both
-        from one shared first pass."""
-        reg = self._first_pass(name)
-        out = self._readout(reg)
-        self.state = trace_out(self._run(self.router, reg), 1, self.kept_digits)
-        return out
+    def step(self, state: QuditRegister, name: str, advance: bool):
+        """((populations over (Q_I, Q_L, Q_R), kept), next state) of a last,
+        single block from ``state``; the next state, after the paired block,
+        only with ``advance``.  Both continue from one shared first pass."""
+        reg = self._run(self.first, attach_site(state, 1, _address_vector(name, self.basis)))
+        out = _normalized(populations(trace_out(reg, 1, self.kept_digits)))
+        if not advance:
+            return out, None
+        return out, trace_out(self._run(self.router, reg), 1, self.kept_digits)
 
 
 def draw_addresses(seed: int, trial: int, count: int) -> list[str]:
@@ -288,7 +277,7 @@ class _TwoLayerRun(_RouterRun):
     - the leaf maps on (M, D, D'), one per address and pass count: attach
       the leaf address → idle(o + τ, (1, 2, 3)), C, D, D' through the init
       window and the root down pass → one or two passes of r → after two,
-      idle(τ, (1, 2, 3)) through the root up pass → post-select → reset;
+      idle(τ, (1, 2, 3)) through the root up pass → discard the address;
     - the paired block's two root passes on (Q_I, C1, M_L, M_R), which keep
       C1 live across the leaf stage: 576×576 superoperators, down ``first``
       and up idle(2τ, (0, 1)) + r, built on the first advance.
@@ -296,6 +285,12 @@ class _TwoLayerRun(_RouterRun):
     A readout or an advance is one compiled run of its maps; ``counters``
     tallies map builds and cache hits.
     """
+
+    START = "1000000"
+    #: the ``counters`` entry that counts the map builds of each block kind
+    MAP_COUNTERS = {("leaf", 1): "leaf_maps_built", ("leaf", 2): "leaf_maps_built",
+                    "root": "root_maps_built", "down": "router_superops_built",
+                    "up": "router_superops_built"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -305,15 +300,9 @@ class _TwoLayerRun(_RouterRun):
                        "root": self.first + idle(tau, (0, 1)),
                        "down": self.first, "up": idle(2 * tau, (0, 1)) + r}
         self._maps: dict[tuple, np.ndarray] = {}
-        self.counters = {"leaf_maps_built": 0, "root_maps_built": 0,
-                         "router_superops_built": 0, "map_cache_hits": 0}
+        self.counters = dict.fromkeys([*self.MAP_COUNTERS.values(), "map_cache_hits"], 0)
 
-    def reset(self) -> None:
-        """Fresh run state over (Q_I, M_L, M_R, D1..D4): excitation at the bus
-        input, leaves empty."""
-        self.state = new_basis_state((2,) * 7, "1000000").to_mixed()
-
-    def _block_map(self, kind, counter: str, name=None) -> np.ndarray:
+    def _block_map(self, kind, name=None) -> np.ndarray:
         """The map of one run of ``self.blocks[kind]``, built once per
         address ``name``: between attaching it at site 1 and discarding it, on
         three sites, or without a name on (Q_I, C1, M_L, M_R) as it is."""
@@ -328,43 +317,27 @@ class _TwoLayerRun(_RouterRun):
         if key in self._maps:
             self.counters["map_cache_hits"] += 1
         else:
-            self.counters[counter] += 1
+            self.counters[self.MAP_COUNTERS[kind]] += 1
             self._maps[key] = choi_superop(block, (2, 3, 2, 2) if name is None else (2, 2, 2))
         return self._maps[key]
 
-    def _leaf_superop(self, name, passes: int) -> np.ndarray:
-        """The leaf map on (M, D, D') for ``passes`` router passes."""
-        return self._block_map(("leaf", passes), "leaf_maps_built", name)
-
-    def _root_map(self, name) -> np.ndarray:
-        """The readout's root map on (Q_I, M_L, M_R)."""
-        return self._block_map("root", "root_maps_built", name)
-
-    def _root_pass(self, direction: str) -> np.ndarray:
-        """The paired block's root pass ``direction`` ("down" or "up") on
-        (Q_I, C1, M_L, M_R), with the idle before it."""
-        return self._block_map(direction, "router_superops_built")
-
-    def measure_final(self, names) -> tuple[np.ndarray, float]:
-        """Populations over (Q_I, D1..D4) after a last, single down-routing
-        block, and the probability the post-selections kept."""
-        maps = [((0, 1, 2), self._root_map(names[0])),
-                ((1, 3, 4), self._leaf_superop(names[1], 1)),
-                ((2, 5, 6), self._leaf_superop(names[2], 1))]
-        reg = compile_step(self.state.dims, maps=maps).run(self.state)
-        return _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
-
-    def measure_and_advance(self, names) -> tuple[np.ndarray, float]:
-        """`measure_final`, then advance the run by the paired block: attach
-        C1 → one run (root down, two-pass leaf maps, root up) → discard C1."""
-        out = self.measure_final(names)
-        reg = attach_site(self.state, 1, _address_vector(names[0], self.basis))
-        maps = [((0, 1, 2, 3), self._root_pass("down")),
-                ((2, 4, 5), self._leaf_superop(names[1], 2)),
-                ((3, 6, 7), self._leaf_superop(names[2], 2)),
-                ((0, 1, 2, 3), self._root_pass("up"))]
-        self.state = trace_out(compile_step(reg.dims, maps=maps).run(reg), 1, self.kept_digits)
-        return out
+    def step(self, state: QuditRegister, names, advance: bool):
+        """((populations over (Q_I, D1..D4), kept), next state) of a last,
+        single down-routing block from ``state``; with ``advance``, the next
+        state is attach C1 → one run of the paired block's maps → discard C1."""
+        maps = [((0, 1, 2), self._block_map("root", names[0])),
+                ((1, 3, 4), self._block_map(("leaf", 1), names[1])),
+                ((2, 5, 6), self._block_map(("leaf", 1), names[2]))]
+        reg = compile_step(state.dims, maps=maps).run(state)
+        out = _normalized(populations(partial_trace(reg, [0, 3, 4, 5, 6])))
+        if not advance:
+            return out, None
+        reg = attach_site(state, 1, _address_vector(names[0], self.basis))
+        maps = [((0, 1, 2, 3), self._block_map("down")),
+                ((2, 4, 5), self._block_map(("leaf", 2), names[1])),
+                ((3, 6, 7), self._block_map(("leaf", 2), names[2])),
+                ((0, 1, 2, 3), self._block_map("up"))]
+        return out, trace_out(compile_step(reg.dims, maps=maps).run(reg), 1, self.kept_digits)
 
 
 def rat_two_layer(

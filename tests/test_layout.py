@@ -115,7 +115,7 @@ def test_grow_ladder_and_failure():
 
 def test_grow_rejects_seed_on_a_defect():
     seed = Triangle((5, 2), 0, 1)
-    for q in seed.qubits():  # the input included
+    for q in seed.corners():  # the input included
         grid = GridSpec(12, 6, defect_qubits=frozenset({q}))
         assert grow_layout(grid, seed, 4) == (None, 1)
 
@@ -256,7 +256,7 @@ def test_footprint_table_is_the_static_placement_filter(grid):
         assert [e.triangle for e in row] == [
             t for t in _placements_at(grid, p) if _triangle_ok(grid, t, set(), p)]
         for t, fresh, outputs in row:
-            assert fresh == sum(1 << (r * grid.cols + c) for r, c in t.qubits() if (r, c) != p)
+            assert fresh == sum(1 << (r * grid.cols + c) for r, c in t.corners() if (r, c) != p)
             assert outputs == t.outputs()
 
 

@@ -16,8 +16,8 @@ from qroutesim.noise import LeakageSpec, NoiseModel, apply_noise_step, reference
 from qroutesim.protocols import (ADDRESS_NAMES, AddressState, FloquetParams, _floquet_composite,
                                  floquet_cost, leakage_repetition_scan, phi_scan, qst,
                                  scheme_basis, theta_scan)
-from qroutesim.qudit import (DEFAULT_POLICY, QuditRegister, apply_channel, attach_site,
-                             choi_matrix, new_basis_state, partial_trace, populations, project)
+from qroutesim.qudit import (QuditRegister, apply_channel, attach_site, choi_matrix,
+                             new_basis_state, partial_trace, populations, project)
 from qroutesim.rat import draw_addresses, fit_rat, rat_model, rat_single, rat_two_layer
 
 
@@ -249,21 +249,21 @@ def _sliced_discard(reg, scheme):
     return QuditRegister(rest, out.reshape(math.prod(rest), -1))
 
 
-def _single_paired_block(run, name):
-    """attach → idle → two router passes → discard, from the run's state."""
-    reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
+def _single_paired_block(run, state, name):
+    """attach → idle → two router passes → discard, from ``state``."""
+    reg = attach_site(state, 1, rat._address_vector(name, run.basis))
     reg = _stepped_idle(reg, run.noise, run.overhead, range(4))
     for _ in range(2):
         reg = run.router.run(reg)
     return _sliced_discard(reg, run.scheme)
 
 
-def _two_layer_paired_block(run, names):
+def _two_layer_paired_block(run, state, names):
     """attach → idle → root down → D1..D4 idle → two-pass leaf loop maps
-    (address idles only) → idle → root up → D1..D4 idle → discard, with the
-    root router stepped on the 384-dimensional register."""
+    (address idles only) → idle → root up → D1..D4 idle → discard, from
+    ``state``, with the root router stepped on the 384-dimensional register."""
     root_wide = _root_wide(run, data_noisy=False)
-    reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
+    reg = attach_site(state, 1, rat._address_vector(names[0], run.basis))
     reg = _stepped_idle(reg, run.noise, run.overhead, range(4))
     reg = root_wide.run(reg)
     reg = _stepped_idle(reg, run.noise, run.overhead + run.tau_router, range(4, 8))
@@ -284,15 +284,16 @@ def test_shared_step_is_measure_then_paired_block(layers, scheme):
     else:
         run = rat._TwoLayerRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
         steps, paired_block = [("h", "+", "-"), ("-", "0", "h")], _two_layer_paired_block
+    state = run.start
     for names in steps:
-        want_p, want_kept = run.measure_final(names)
-        want_next = paired_block(run, names)
-        got_p, got_kept = run.measure_and_advance(names)
+        want_p, want_kept = run.step(state, names, False)[0]
+        want_next = paired_block(run, state, names)
+        (got_p, got_kept), state = run.step(state, names, True)
         assert np.array_equal(got_p, want_p) and got_kept == want_kept
         if layers == 1:
-            assert np.array_equal(run.state.data, want_next.data)
+            assert np.array_equal(state.data, want_next.data)
         else:  # the superoperator's root passes round apart from the stepped ones
-            assert np.abs(run.state.data - want_next.data).max() <= 1e-13
+            assert np.abs(state.data - want_next.data).max() <= 1e-13
 
 
 def test_rat_single_one_runner_matches_fresh_runner_per_trial():
@@ -300,19 +301,47 @@ def test_rat_single_one_runner_matches_fresh_runner_per_trial():
     ideal = rat._SingleRouterRun("eraser", None, 25.0, 30.0)
     for trial in range(3):
         run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
-        row = []
+        state, row = run.start, []
         for name in draw_addresses(5, trial, 5):
-            row.append(rat._match(ideal.measure_final(name)[0], run.measure_final(name)[0]))
-            run.state = _single_paired_block(run, name)
+            row.append(rat._match(ideal.step(ideal.start, name, False)[0][0],
+                                  run.step(state, name, False)[0][0]))
+            state = _single_paired_block(run, state, name)
         assert r.m_per_trial[trial].tolist() == row
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_one_runner_steps_interleaved_trials(layers):
+    """Each trial holds its own state: two trials stepped depth by depth in
+    turn through one runner give the M rows of the sequential runs bit for
+    bit, and the shared ``start`` cannot be written."""
+    if layers == 1:
+        r = rat_single(4, "eraser", _LEAKY, trials=2, seed=5)
+        run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        ideal = rat._SingleRouterRun("eraser", None, 25.0, 30.0)
+        keys = [draw_addresses(5, trial, 5) for trial in range(2)]
+    else:
+        r = rat_two_layer(3, "eraser", _LEAKY, trials=2, seed=5)
+        run = rat._TwoLayerRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
+        ideal = rat._TwoLayerRun("eraser", None, 25.0, 30.0)
+        flat = [draw_addresses(5, trial, 12) for trial in range(2)]
+        keys = [[tuple(f[3 * k: 3 * k + 3]) for k in range(4)] for f in flat]
+    depths = len(keys[0])
+    states, rows = [run.start, run.start], [[], []]
+    for n in range(depths):
+        for trial in (0, 1):
+            (p, _), states[trial] = run.step(states[trial], keys[trial][n], n < depths - 1)
+            rows[trial].append(rat._match(ideal.step(ideal.start, keys[trial][n], False)[0][0], p))
+    assert r.m_per_trial.tolist() == rows
+    with pytest.raises(ValueError):
+        run.start.data[0, 0] = 0.0
 
 
 def test_kept_is_the_post_selection_acceptance():
     run = rat._SingleRouterRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
-    run.state = _single_paired_block(run, "+")
-    reg = attach_site(run.state, 1, rat._address_vector("h", run.basis))
+    state = _single_paired_block(run, run.start, "+")
+    reg = attach_site(state, 1, rat._address_vector("h", run.basis))
     reg = run.router.run(_stepped_idle(reg, run.noise, run.overhead, range(4)))
-    assert run.measure_final("h")[1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
+    assert run.step(state, "h", False)[0][1] == pytest.approx(project(reg, 1, 1)[1], abs=1e-14)
     er = rat_single(6, "eraser", _LEAKY, trials=2, seed=3)
     ne = rat_single(6, "non-eraser", _LEAKY, trials=2, seed=3)
     assert np.all(np.diff(er.kept) < 0.0) and 0.0 < er.kept[-1] < er.kept[0] < 1.0
@@ -337,17 +366,18 @@ def test_single_router_block_is_the_stepped_block(noisy, scheme):
         run = rat._SingleRouterRun(scheme, _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
     else:
         run = rat._SingleRouterRun(scheme, None, 25.0, 30.0)
-    names = ["h", "0", "+", "-", "h", "+"]
+    names, state = ["h", "0", "+", "-", "h", "+"], run.start
     for depth, name in enumerate(names):
-        reg = attach_site(run.state, 1, rat._address_vector(name, run.basis))
+        reg = attach_site(state, 1, rat._address_vector(name, run.basis))
         reg = run.router.run(_stepped_idle(reg, run.noise, run.overhead, range(4)))
         want_p, want_kept = rat._normalized(populations(_stepped_discard(reg, scheme)))
-        if depth < len(names) - 1:
+        advance = depth < len(names) - 1
+        (got_p, got_kept), state = run.step(state, name, advance)
+        if advance:
             want_next = _stepped_discard(run.router.run(reg), scheme)
-            got_p, got_kept = run.measure_and_advance(name)
-            assert np.array_equal(run.state.data, want_next.data)
+            assert np.array_equal(state.data, want_next.data)
         else:
-            got_p, got_kept = run.measure_final(name)
+            assert state is None
         assert np.array_equal(got_p, want_p) and got_kept == want_kept
     # each circuit's ρ program, built on its first run; no state-vector program
     assert run.counters == {"router_runs": 2 * len(names) - 1, "programs_built": 2}
@@ -430,7 +460,7 @@ def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
     run = _two_layer_run(scheme, noisy)
     for passes in (1, 2):
         for name in ADDRESS_NAMES:
-            got = run._leaf_superop(name, passes)
+            got = run._block_map(("leaf", passes), name)
             rho_loop = _loop_leaf_superop(run, name, passes, (1, 2, 3))
             if noisy:
                 assert np.array_equal(got, rho_loop)
@@ -442,12 +472,12 @@ def test_choi_leaf_maps_are_the_basis_loop(scheme, noisy):
                             "router_superops_built": 0, "map_cache_hits": 0}
 
 
-def _stepped_readout(run, names):
+def _stepped_readout(run, state, names):
     """attach C1 → 8-site idle → root pass with every site noisy → leaf loop
-    maps (address idles only) → (Q_I, C1) idle → discard → trace, on the
-    384-dimensional register."""
+    maps (address idles only) → (Q_I, C1) idle → discard → trace, from
+    ``state`` on the 384-dimensional register."""
     root_wide = _root_wide(run)
-    reg = attach_site(run.state, 1, rat._address_vector(names[0], run.basis))
+    reg = attach_site(state, 1, rat._address_vector(names[0], run.basis))
     reg = _stepped_idle(reg, run.noise, run.overhead, range(8))
     reg = root_wide.run(reg)
     for sites, name in (((2, 4, 5), names[1]), ((3, 6, 7), names[2])):
@@ -461,24 +491,26 @@ def _stepped_readout(run, names):
 @pytest.mark.parametrize("noisy", [True, False])
 def test_factorised_readout_is_the_stepped_readout(scheme, noisy):
     run = _two_layer_run(scheme, noisy)
+    state = run.start
     for names in [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0"), ("0", "h", "-")]:
-        got_p, got_kept = run.measure_final(names)
-        want_p, want_kept = _stepped_readout(run, names)
+        got_p, got_kept = run.step(state, names, False)[0]
+        want_p, want_kept = _stepped_readout(run, state, names)
         assert np.abs(got_p - want_p).max() <= 1e-13
         assert abs(got_kept - want_kept) <= 1e-13
-        run.measure_and_advance(names)
+        state = run.step(state, names, True)[1]
 
 
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
 @pytest.mark.parametrize("noisy", [True, False])
 def test_paired_advance_is_the_stepped_advance(scheme, noisy):
-    # the oracle run keeps its own state through every stepped paired block
-    run, oracle = _two_layer_run(scheme, noisy), _two_layer_run(scheme, noisy)
+    # the oracle keeps its own state through every stepped paired block
+    run = _two_layer_run(scheme, noisy)
+    state = oracle = run.start
     for names in [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0"), ("0", "h", "-"),
                   ("h", "-", "+")]:
-        run.measure_and_advance(names)
-        oracle.state = _two_layer_paired_block(oracle, names)
-        assert np.abs(run.state.data - oracle.state.data).max() <= 1e-13
+        state = run.step(state, names, True)[1]
+        oracle = _two_layer_paired_block(run, oracle, names)
+        assert np.abs(state.data - oracle.data).max() <= 1e-13
     assert run.counters["router_superops_built"] == 2
 
 
@@ -490,7 +522,7 @@ def test_root_passes_are_idle_then_compiled_run(scheme, noisy):
     idles = {"down": (run.overhead, range(4)), "up": (2 * run.tau_router, (0, 1))}
     rng = np.random.default_rng(11)
     for direction, (idle_ns, sites) in idles.items():
-        phi = run._root_pass(direction)
+        phi = run._block_map(direction)
         for _ in range(3):
             a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
             rho = QuditRegister((2, 3, 2, 2), a @ a.conj().T / np.trace(a @ a.conj().T))
@@ -502,9 +534,10 @@ def test_root_passes_are_idle_then_compiled_run(scheme, noisy):
 @pytest.mark.parametrize("scheme", ["eraser", "non-eraser"])
 def test_block_maps_are_trace_non_increasing_cp(scheme):
     run = _two_layer_run(scheme, True)
-    maps = [run._root_pass("down"), run._root_pass("up")]
+    maps = [run._block_map("down"), run._block_map("up")]
     for name in ADDRESS_NAMES:
-        maps += [run._root_map(name), run._leaf_superop(name, 1), run._leaf_superop(name, 2)]
+        maps += [run._block_map("root", name), run._block_map(("leaf", 1), name),
+                 run._block_map(("leaf", 2), name)]
     for s in maps:
         d = int(round(math.sqrt(s.shape[0])))
         assert np.linalg.eigvalsh(choi_matrix(s)).min() >= -1e-12
@@ -525,7 +558,7 @@ def test_router_superop_is_built_once_and_only_to_advance(monkeypatch):
     monkeypatch.setattr(rat, "choi_superop", counting)
     run = _two_layer_run("eraser", True)
     for names in [("h", "+", "-"), ("-", "0", "h")]:
-        run.measure_final(names)
+        run.step(run.start, names, False)
     two_layer_landscape([0.3, 0.9], [0.5], "eraser", _LEAKY)
     assert built == [] and run.counters["router_superops_built"] == 0
     r = rat_two_layer(3, "eraser", _LEAKY, trials=2, seed=4)
@@ -568,19 +601,20 @@ def test_noisy_runs_keep_valid_states():
     application all pass `QuditRegister.validate`."""
     for scheme in ("non-eraser", "eraser"):
         run = _two_layer_run(scheme, True)
+        state = run.start
         for names in [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0"), ("0", "h", "h"),
                       ("-", "-", "+")]:
-            run.measure_and_advance(names)
-            rho = run.state.data
+            state = run.step(state, names, True)[1]
+            rho = state.data
             if scheme == "eraser":
                 rho = rho / np.trace(rho).real
-            QuditRegister(run.state.dims, rho).validate(DEFAULT_POLICY)
+            QuditRegister(state.dims, rho).validate()
     step = compile_step((3, 3), [(_floquet_composite(2.9, 0.3, -0.4), (0, 1))], noise=_LEAKY,
                         t_ns=25.0)
     state = new_basis_state((3, 3), "11")
     for _ in range(30):
         state = step.run(state)
-        state.validate(DEFAULT_POLICY)
+        state.validate()
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -602,9 +636,10 @@ def test_a_runner_compiles_its_router_once(layers, monkeypatch):
     else:
         run = rat._TwoLayerRun("eraser", _LEAKY, 25.0, 30.0, 1200.0, _PARASITIC)
         steps = [("h", "+", "-"), ("-", "0", "h"), ("+", "+", "0")]
+    state = run.start
     for names in steps:
-        run.measure_and_advance(names)
-    run.measure_final(steps[0])
+        state = run.step(state, names, True)[1]
+    run.step(state, steps[0], False)
     assert len(compiled) == 1
     if layers == 2:
         # one ρ program per block, on the register with its Choi reference
